@@ -2,7 +2,6 @@
 
 from .data import (
     MultiViewDataset,
-    NormalizationMode,
     SynthSpec,
     generate_synthetic,
     load_dataset,
@@ -11,93 +10,30 @@ from .data import (
 )
 from .errors import InputError, NumericError
 from .kmeans import KMeansConfig, kmeans
-from .linalg import ThinSVD, procrustes_max_trace, soft_threshold, thin_svd
-from .metrics import accuracy, ari, contingency, f_score, hungarian_match, nmi, purity
-from .simplex import (
-    SimplexSolverConfig,
-    project_columns,
-    project_simplex_newton,
-    project_simplex_sort,
-)
-from .slimtensor import (
-    FourierSlices,
-    SlimTensor,
-    fft_mode3,
-    ifft_mode3,
-    stack_rotate,
-    tensor_nuclear_norm,
-    tubal_shrinkage,
-    unstack,
-)
-from .solver import (
-    VARIANTS,
-    Hyperparams,
-    SolverState,
-    TraceRecord,
-    clustering_embedding,
-    constraint_violations,
-    fit,
-    fit_variant,
-    objective,
-    update_C,
-    update_H,
-    update_S,
-    update_W,
-    update_Y,
-    variant_objective,
-)
+from .metrics import accuracy, ari, f_score, nmi, purity
+from .solver import VARIANTS, Hyperparams, clustering_embedding, fit_variant
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MultiViewDataset",
-    "NormalizationMode",
     "SynthSpec",
     "generate_synthetic",
     "load_dataset",
-    "normalize",
     "write_dataset",
+    "normalize",
     "InputError",
     "NumericError",
     "KMeansConfig",
     "kmeans",
-    "ThinSVD",
-    "thin_svd",
-    "procrustes_max_trace",
-    "soft_threshold",
-    "contingency",
-    "hungarian_match",
     "accuracy",
     "nmi",
     "purity",
     "ari",
     "f_score",
-    "SimplexSolverConfig",
-    "project_simplex_newton",
-    "project_simplex_sort",
-    "project_columns",
-    "SlimTensor",
-    "FourierSlices",
-    "stack_rotate",
-    "unstack",
-    "fft_mode3",
-    "ifft_mode3",
-    "tensor_nuclear_norm",
-    "tubal_shrinkage",
     "VARIANTS",
     "Hyperparams",
-    "SolverState",
-    "TraceRecord",
-    "objective",
-    "variant_objective",
-    "update_W",
-    "update_C",
-    "update_S",
-    "update_H",
-    "update_Y",
-    "fit",
     "fit_variant",
     "clustering_embedding",
-    "constraint_violations",
     "__version__",
 ]

@@ -1,71 +1,37 @@
-"""Dense matrix kernels used by the alternating solver.
-
-Everything here is a deterministic pure function: the SVD-based routines
-apply a fixed sign convention so repeated runs (and different platforms)
-produce the same factors for the same input.
-"""
+"""Dense matrix kernels used by the alternating solver."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericError
 
-__all__ = ["ThinSVD", "thin_svd", "procrustes_max_trace", "soft_threshold"]
+__all__ = ["thin_svd", "procrustes_max_trace", "soft_threshold"]
 
 
-@dataclass(frozen=True)
-class ThinSVD:
-    """Thin singular value decomposition ``A = U @ diag(sigma) @ V.T``.
+def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``a = U @ diag(S) @ Vh``, returned as numpy's (U, S, Vh).
 
-    U is (p, r) and V is (q, r) with orthonormal columns, sigma is the
-    (r,) vector of singular values in non-increasing order, r = min(p, q).
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-
-def thin_svd(a: np.ndarray) -> ThinSVD:
-    """Thin SVD with a deterministic sign convention.
-
-    The largest-magnitude entry of each column of U is forced nonnegative
-    and the matching column of V is flipped with it, removing the sign
-    ambiguity LAPACK leaves unresolved.
-
-    Parameters
-    ----------
-    a : ndarray of shape (p, q)
-        Real matrix with finite entries.
-
-    Returns
-    -------
-    ThinSVD
+    For a (p, q) matrix U is (p, r), S the (r,) singular values in
+    non-increasing order and Vh (r, q), with r = min(p, q).  A LAPACK
+    failure, or non-finite singular values, raise NumericError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise InputError(f"thin_svd expects a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise InputError("thin_svd input contains non-finite entries")
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge on a {a.shape} matrix") from exc
-    v = vt.T
-    cols = np.arange(u.shape[1])
-    dominant = np.abs(u).argmax(axis=0)
-    signs = np.sign(u[dominant, cols])
-    signs[signs == 0] = 1.0
-    return ThinSVD(U=u * signs, sigma=s, V=v * signs)
+    if not np.all(np.isfinite(s)):
+        raise NumericError(f"SVD of a {a.shape} matrix gave non-finite singular values")
+    return u, s, vh
 
 
 def procrustes_max_trace(m: np.ndarray) -> np.ndarray:
     """Column-orthonormal W maximizing Tr(W.T @ M) over W.T @ W = I.
 
-    The maximizer is the polar factor U @ V.T taken from the thin SVD of
+    The maximizer is the polar factor U @ Vh taken from the thin SVD of
     M, with trace value equal to the sum of singular values of M.  A zero
     M leaves every feasible W optimal; the fixed choice [I_k; 0] keeps the
     degenerate first iteration of the solver reproducible.
@@ -84,12 +50,10 @@ def procrustes_max_trace(m: np.ndarray) -> np.ndarray:
     p, k = m.shape
     if p < k:
         raise InputError(f"procrustes_max_trace needs p >= k, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InputError("procrustes_max_trace input contains non-finite entries")
     if not m.any():
         return np.eye(p, k)
-    f = thin_svd(m)
-    return f.U @ f.V.T
+    u, _, vh = thin_svd(m)
+    return u @ vh
 
 
 def soft_threshold(a: np.ndarray, gamma: float) -> np.ndarray:

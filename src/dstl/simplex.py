@@ -1,142 +1,47 @@
-"""Euclidean projection onto the probability simplex.
+"""Euclidean projection of matrix columns onto the probability simplex.
 
-Two independent routes solve ``min ||y - g||^2 s.t. y >= 0, sum(y) = 1``:
-a Newton root-finder on the scalar dual variable (the fast path, and the
-one the solver calls, vectorized over many columns at once) and a
-sort-and-threshold closed form used as fallback and cross-check.
+Each column g of a (d, n) array is mapped to the solution of
+``min ||y - g||^2 s.t. y >= 0, sum(y) = 1``, which is
+``y = max(g - theta, 0)`` for a per-column threshold theta.  The
+sort-and-threshold closed form (Duchi et al., ICML 2008; Condat,
+Math. Prog. 2016) finds theta exactly: with u the column sorted in
+decreasing order, the support is the longest prefix j with
+``u_j > (u_1 + ... + u_j - 1) / j`` and theta is that average.
 
-For the Newton route the problem is rewritten through the shifted vector
-``v_i = g_i - mean(g) + 1/n``; the optimal projection is
-``y = max(v - xi, 0)`` where xi is the unique root of the piecewise
-linear, non-increasing function
-
-    f(xi) = (1/n) * sum_i max(xi - v_i, 0) - xi.
-
-Newton steps on f land exactly on breakpoint roots, so the iteration
-terminates in a handful of steps; a stagnating or degenerate iterate
-silently falls back to the sort route.
+The projection is unchanged by adding a constant to a column, so each
+column is first shifted by its maximum.  Every support coordinate lies
+within 1 of the maximum, so after the shift the threshold arithmetic runs
+on numbers of magnitude at most 1 and its rounding error does not grow
+with the scale of the input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericError
 
-__all__ = [
-    "SimplexSolverConfig",
-    "project_simplex_newton",
-    "project_simplex_sort",
-    "project_columns",
-]
+__all__ = ["project_columns"]
 
 
-@dataclass(frozen=True)
-class SimplexSolverConfig:
-    """Stopping controls for the Newton route."""
-
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 100
-
-    def __post_init__(self):
-        if not (self.newton_tol > 0):
-            raise InputError(f"newton_tol must be > 0, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise InputError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
-
-
-def _check_input(g: np.ndarray, name: str) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if g.size == 0:
-        raise InputError(f"{name}: empty input")
-    if not np.all(np.isfinite(g)):
-        raise InputError(f"{name}: input contains non-finite entries")
-    return g
-
-
-def project_simplex_sort(g: np.ndarray) -> np.ndarray:
-    """Sort-and-threshold projection of a single vector (exact closed form)."""
-    g = _check_input(g, "project_simplex_sort")
-    if g.ndim != 1:
-        raise InputError(f"project_simplex_sort expects a vector, got ndim={g.ndim}")
-    n = g.size
-    if n == 1:
-        return np.ones(1)
-    u = np.sort(g)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, n + 1)
-    support = u - (css - 1.0) / j > 0
-    rho = np.nonzero(support)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(g - theta, 0.0)
-
-
-def _newton_roots(v: np.ndarray, tol: float, max_iter: int):
-    """Per-column root of f(xi) = mean(max(xi - v, 0)) - xi.
-
-    Returns (xi, failed): failed marks columns where the iteration
-    stagnated or ran out of budget and the caller must fall back.
-    """
-    d, n = v.shape
-    xi = np.zeros(n)
-    ok = np.zeros(n, dtype=bool)
-    failed = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
-        f = np.maximum(xi[None, :] - v, 0.0).mean(axis=0) - xi
-        deriv = (xi[None, :] > v).mean(axis=0) - 1.0
-        newly = ~ok & ~failed & (np.abs(f) <= tol)
-        if newly.any():
-            # one polishing step: lands on the exact root of the final
-            # linear piece, tightening the feasibility residual to fp level
-            polish = newly & (deriv < 0.0) & (f != 0.0)
-            xi = np.where(polish, xi - f / np.where(deriv < 0.0, deriv, 1.0), xi)
-            ok |= newly
-        pending = ~ok & ~failed
-        if not pending.any():
-            break
-        degenerate = pending & (deriv == 0.0)
-        failed |= degenerate
-        pending &= ~degenerate
-        step = np.where(pending, f / np.where(deriv != 0.0, deriv, 1.0), 0.0)
-        nxt = xi - step
-        stuck = pending & (nxt == xi)
-        failed |= stuck
-        xi = np.where(pending & ~stuck, nxt, xi)
-    failed |= ~ok & ~failed
-    return xi, failed
-
-
-def project_columns(g_cols: np.ndarray, cfg: SimplexSolverConfig | None = None) -> np.ndarray:
-    """Project every column of a (d, n) array onto the simplex.
-
-    All columns share the vectorized Newton iteration; any column the
-    iteration cannot resolve is redone with the sort route.
-    """
-    cfg = cfg if cfg is not None else SimplexSolverConfig()
-    g = _check_input(g_cols, "project_columns")
+def project_columns(g_cols: np.ndarray) -> np.ndarray:
+    """Project every column of a (d, n) array onto the simplex."""
+    g = np.asarray(g_cols, dtype=float)
     if g.ndim != 2:
         raise InputError(f"project_columns expects a matrix, got ndim={g.ndim}")
+    if g.size == 0:
+        raise InputError(f"project_columns: empty input of shape {g.shape}")
     d = g.shape[0]
     if d == 1:
         return np.ones_like(g)
-    v = g - g.mean(axis=0, keepdims=True) + 1.0 / d
-    xi, failed = _newton_roots(v, cfg.newton_tol, cfg.newton_max_iter)
-    y = np.maximum(v - xi[None, :], 0.0)
-    for j in np.nonzero(failed)[0]:
-        y[:, j] = project_simplex_sort(g[:, j])
+    v = g - g.max(axis=0)
+    u = -np.sort(-v, axis=0)
+    css = np.cumsum(u, axis=0) - 1.0
+    support = u * np.arange(1, d + 1)[:, None] > css
+    last = d - 1 - np.argmax(support[::-1], axis=0)
+    theta = css[last, np.arange(g.shape[1])] / (last + 1.0)
+    y = np.maximum(v - theta, 0.0)
     sums = y.sum(axis=0)
     if not np.all(np.isfinite(y)) or np.max(np.abs(sums - 1.0)) > 1e-8 or y.min() < 0:
         raise NumericError("simplex projection produced an infeasible result")
     return y
-
-
-def project_simplex_newton(g: np.ndarray, cfg: SimplexSolverConfig | None = None) -> np.ndarray:
-    """Newton projection of a single vector, with silent sort fallback."""
-    g = _check_input(g, "project_simplex_newton")
-    if g.ndim != 1:
-        raise InputError(f"project_simplex_newton expects a vector, got ndim={g.ndim}")
-    if g.size == 1:
-        return np.ones(1)
-    return project_columns(g[:, None], cfg)[:, 0]

@@ -5,10 +5,9 @@ is arranged as a k x m x n array whose third mode runs over samples.  The
 spectral quantities here (nuclear norm, tubal shrinkage) act on the
 frontal slices of the FFT taken along that sample mode.
 
-For real input the spectrum is conjugate symmetric, so the heavy routines
+For real input the spectrum is conjugate symmetric, so the routines
 compute only the first floor(n/2)+1 slices and recover the rest by
-mirroring (via rfft/irfft); the general full-spectrum transforms are also
-exposed and define the reference semantics.
+mirroring (via rfft/irfft).
 """
 
 from __future__ import annotations
@@ -22,17 +21,11 @@ from .errors import InputError, NumericError
 
 __all__ = [
     "SlimTensor",
-    "FourierSlices",
     "stack_rotate",
     "unstack",
-    "fft_mode3",
-    "ifft_mode3",
     "tensor_nuclear_norm",
     "tubal_shrinkage",
 ]
-
-# residual imaginary mass tolerated when inverting a symmetric spectrum
-IMAG_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,25 +40,7 @@ class SlimTensor:
             raise InputError(f"SlimTensor needs a 3-d array, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
             raise InputError(f"SlimTensor dimensions must be >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("SlimTensor contains non-finite entries")
         object.__setattr__(self, "data", arr)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-
-@dataclass(frozen=True)
-class FourierSlices:
-    """Full mode-3 spectrum: complex (k, m, n) array of frontal slices.
-
-    ``real_origin`` records that the spectrum came from a real tensor and
-    is therefore conjugate symmetric along the third mode.
-    """
-
-    slices: np.ndarray
-    real_origin: bool = True
 
 
 def stack_rotate(mats: Sequence[np.ndarray]) -> SlimTensor:
@@ -91,33 +66,6 @@ def stack_rotate(mats: Sequence[np.ndarray]) -> SlimTensor:
 def unstack(t: SlimTensor) -> list[np.ndarray]:
     """Recover the list of (k, n) matrices from a k x m x n tensor."""
     return [np.ascontiguousarray(t.data[:, v, :]) for v in range(t.data.shape[1])]
-
-
-def fft_mode3(t: SlimTensor) -> FourierSlices:
-    """Unnormalized forward FFT along the sample mode (full spectrum)."""
-    return FourierSlices(slices=np.fft.fft(t.data, axis=2), real_origin=True)
-
-
-def ifft_mode3(f: FourierSlices) -> SlimTensor:
-    """Inverse FFT along the sample mode (applies the 1/n factor).
-
-    For a symmetric spectrum the inverse is real up to rounding; the
-    residual imaginary part is checked against IMAG_RESIDUAL_TOL before
-    being discarded.
-    """
-    slices = np.asarray(f.slices)
-    if slices.ndim != 3:
-        raise InputError(f"ifft_mode3 needs a 3-d spectrum, got ndim={slices.ndim}")
-    inv = np.fft.ifft(slices, axis=2)
-    if f.real_origin:
-        residual = float(np.max(np.abs(inv.imag)))
-        bound = IMAG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(inv.real))))
-        if residual > bound:
-            raise NumericError(
-                f"inverse FFT of a symmetric spectrum left imaginary residual "
-                f"{residual:.3e} (bound {bound:.3e})"
-            )
-    return SlimTensor(np.ascontiguousarray(inv.real))
 
 
 def _half_spectrum_svd(data: np.ndarray):

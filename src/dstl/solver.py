@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .data import MultiViewDataset
-from .errors import InputError
+from .errors import InputError, NumericError
 from .linalg import procrustes_max_trace, soft_threshold, thin_svd
 from .simplex import project_columns
 from .slimtensor import stack_rotate, tensor_nuclear_norm, tubal_shrinkage, unstack
@@ -38,14 +38,12 @@ __all__ = [
     "Hyperparams",
     "SolverState",
     "TraceRecord",
-    "objective",
     "variant_objective",
     "update_W",
     "update_C",
     "update_S",
     "update_H",
     "update_Y",
-    "fit",
     "fit_variant",
     "clustering_embedding",
     "constraint_violations",
@@ -72,6 +70,10 @@ class Hyperparams:
             val = getattr(self, nm)
             if not np.isfinite(val) or val < 0:
                 raise InputError(f"{nm} must be a finite nonnegative number, got {val}")
+        for nm in ("max_iter", "seed") if self.k is None else ("k", "max_iter", "seed"):
+            val = getattr(self, nm)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise InputError(f"{nm} must be an integer, got {val!r}")
         if self.k is not None and self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         if not (self.epsilon > 0):
@@ -124,6 +126,18 @@ def resolve_k(ds: MultiViewDataset, hp: Hyperparams) -> int:
     return k
 
 
+def _apply_block(st: SolverState, block: str, step: Callable, t: int) -> None:
+    """Set one block to its update; a numeric failure inside the step, or a
+    non-finite result, raises NumericError naming the block and iteration."""
+    try:
+        value = step()
+    except NumericError as exc:
+        raise NumericError(f"block {block} at iteration {t}: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in (value if isinstance(value, list) else [value])):
+        raise NumericError(f"block {block} has non-finite entries at iteration {t}")
+    setattr(st, block, value)
+
+
 def update_W(ds: MultiViewDataset, st: SolverState) -> list:
     """Per view, the orthonormal basis maximizing Tr(W.T X (S+H).T)."""
     return [
@@ -170,8 +184,8 @@ def _update_H_matrix_nuclear(ds: MultiViewDataset, hp: Hyperparams, st: SolverSt
     thr = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
     out = []
     for q in _h_targets(ds, hp, st):
-        f = thin_svd(q)
-        out.append((f.U * np.maximum(f.sigma - thr, 0.0)) @ f.V.T)
+        u, s, vh = thin_svd(q)
+        out.append((u * np.maximum(s - thr, 0.0)) @ vh)
     return out
 
 
@@ -188,13 +202,9 @@ def _sq_norm(a: np.ndarray) -> float:
     return float(np.sum(a * a))
 
 
-def objective(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> float:
-    """Full model objective: reconstruction + l1 + tensor spectral penalty
-    + consensus alignment."""
-    return variant_objective(ds, hp, st, "full")
-
-
 def variant_objective(ds: MultiViewDataset, hp: Hyperparams, st: SolverState, variant: str) -> float:
+    """Model objective of ``variant``: reconstruction + l1 + spectral
+    penalty + consensus alignment, less the terms the variant drops."""
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}")
     fidelity = sum(
@@ -205,7 +215,7 @@ def variant_objective(ds: MultiViewDataset, hp: Hyperparams, st: SolverState, va
     if variant != "no_S":
         total += hp.lambda1 * sum(float(np.abs(s).sum()) for s in st.S)
     if variant == "matrix_nuclear":
-        total += hp.lambda2 * sum(float(thin_svd(h).sigma.sum()) for h in st.H)
+        total += hp.lambda2 * sum(float(thin_svd(h)[1].sum()) for h in st.H)
     else:
         total += hp.lambda2 * tensor_nuclear_norm(stack_rotate(st.H))
     if variant != "no_Y":
@@ -245,9 +255,11 @@ def fit_variant(
 
     Returns (state, trace).  The trace objective is the variant's own
     (reduced) objective; delta_y tracks the clustering embedding, which is
-    Y except for ``no_Y`` where it is the concatenated H.  The convergence
+    Y except for ``no_Y`` where it is the concatenated H; two identical
+    all-zero embeddings count as unchanged (delta_y = 0).  The convergence
     test is skipped on the first iteration (the previous embedding is the
-    zero initialization).
+    zero initialization).  A non-finite block or objective raises
+    NumericError.
     """
     variant = hp.variant
     k = resolve_k(ds, hp)
@@ -256,22 +268,30 @@ def fit_variant(
     # which is the lambda3 -> 0 limit of the H subproblem
     hp_h = replace(hp, lambda3=0.0) if variant == "no_Y" else hp
     h_step = _update_H_matrix_nuclear if variant == "matrix_nuclear" else update_H
+    steps = [("W", lambda: update_W(ds, st))]
+    if variant != "no_Y":
+        steps.append(("C", lambda: update_C(st)))
+    if variant != "no_S":
+        steps.append(("S", lambda: update_S(ds, hp, st)))
+    steps.append(("H", lambda: h_step(ds, hp_h, st)))
+    if variant != "no_Y":
+        steps.append(("Y", lambda: update_Y(st)))
     prev_embed = clustering_embedding(st, variant).copy()
     trace: list[TraceRecord] = []
     for t in range(1, hp.max_iter + 1):
         tic = time.perf_counter()
-        st.W = update_W(ds, st)
-        if variant != "no_Y":
-            st.C = update_C(st)
-        if variant != "no_S":
-            st.S = update_S(ds, hp, st)
-        st.H = h_step(ds, hp_h, st)
-        if variant != "no_Y":
-            st.Y = update_Y(st)
+        for block, step in steps:
+            _apply_block(st, block, step, t)
         embed = clustering_embedding(st, variant)
         prev_norm = _sq_norm(prev_embed)
-        delta = _sq_norm(embed - prev_embed) / prev_norm if prev_norm > 0 else float("inf")
+        change = _sq_norm(embed - prev_embed)
+        if prev_norm > 0:
+            delta = change / prev_norm
+        else:
+            delta = 0.0 if change == 0 else float("inf")
         obj = variant_objective(ds, hp, st, variant) if record_objective else float("nan")
+        if record_objective and not np.isfinite(obj):
+            raise NumericError(f"objective is not finite at iteration {t}")
         rec = TraceRecord(
             iter=t,
             objective=obj,
@@ -286,16 +306,3 @@ def fit_variant(
             break
     return st, trace
 
-
-def fit(
-    ds: MultiViewDataset,
-    hp: Hyperparams,
-    *,
-    record_objective: bool = True,
-    callback: Callable[[SolverState, TraceRecord], None] | None = None,
-):
-    """Run the full model regardless of hp.variant (use fit_variant to
-    dispatch on it)."""
-    if hp.variant != "full":
-        hp = replace(hp, variant="full")
-    return fit_variant(ds, hp, record_objective=record_objective, callback=callback)

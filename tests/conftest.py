@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from dstl.errors import InputError, NumericError
+from dstl.slimtensor import SlimTensor
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +56,49 @@ def simplex_sort_oracle(g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # slim tensor oracles (full-spectrum, loop-based)
 
+# residual imaginary mass tolerated when inverting a symmetric spectrum
+IMAG_RESIDUAL_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class FourierSlices:
+    """Full mode-3 spectrum: complex (k, m, n) array of frontal slices.
+
+    ``real_origin`` records that the spectrum came from a real tensor and
+    is therefore conjugate symmetric along the third mode.
+    """
+
+    slices: np.ndarray
+    real_origin: bool = True
+
+
+def fft_mode3(t: SlimTensor) -> FourierSlices:
+    """Unnormalized forward FFT along the sample mode (full spectrum): the
+    reference semantics the half-spectrum routines reproduce."""
+    return FourierSlices(slices=np.fft.fft(t.data, axis=2), real_origin=True)
+
+
+def ifft_mode3(f: FourierSlices) -> SlimTensor:
+    """Inverse FFT along the sample mode (applies the 1/n factor).
+
+    For a symmetric spectrum the inverse is real up to rounding; the
+    residual imaginary part is checked against IMAG_RESIDUAL_TOL before
+    being discarded.
+    """
+    slices = np.asarray(f.slices)
+    if slices.ndim != 3:
+        raise InputError(f"ifft_mode3 needs a 3-d spectrum, got ndim={slices.ndim}")
+    inv = np.fft.ifft(slices, axis=2)
+    if f.real_origin:
+        residual = float(np.max(np.abs(inv.imag)))
+        bound = IMAG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(inv.real))))
+        if residual > bound:
+            raise NumericError(
+                f"inverse FFT of a symmetric spectrum left imaginary residual "
+                f"{residual:.3e} (bound {bound:.3e})"
+            )
+    return SlimTensor(np.ascontiguousarray(inv.real))
+
 
 def tnn_oracle(data: np.ndarray) -> float:
     """Tensor nuclear norm by the definition: FFT every mode-3 tube, then sum
@@ -78,7 +125,7 @@ def tubal_shrinkage_oracle(data: np.ndarray, rho: float) -> np.ndarray:
         s = np.maximum(s - n * rho, 0.0)
         out[:, :, j] = (u * s) @ vh
     inv = np.fft.ifft(out, axis=2)
-    assert np.max(np.abs(inv.imag)) <= 1e-8 * (1.0 + np.max(np.abs(inv.real)))
+    assert np.max(np.abs(inv.imag)) <= IMAG_RESIDUAL_TOL * (1.0 + np.max(np.abs(inv.real)))
     return np.ascontiguousarray(inv.real)
 
 

@@ -267,6 +267,19 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_overflow_exits_numeric_failure(tmp_path, capsys):
+    # finite views whose products overflow float64 are a numeric failure (3),
+    # not invalid input (2)
+    ds = load_dataset(make_synth(tmp_path))
+    huge = MultiViewDataset(tuple(x * 1e160 for x in ds.views), ds.labels, "huge")
+    manifest = write_dataset(huge, tmp_path / "huge")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = cli.main(fit_args(manifest, tmp_path / "o"))
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     manifest_dir = tmp_path / "d"
     proc = subprocess.run(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dstl.errors import InputError
+from dstl.errors import InputError, NumericError
 from dstl.linalg import procrustes_max_trace, soft_threshold, thin_svd
 
 from conftest import random_orthonormal
@@ -11,56 +11,46 @@ def test_thin_svd_reconstructs():
     rng = np.random.default_rng(0)
     for p, k in [(5, 3), (3, 5), (4, 4), (1, 1), (7, 2)]:
         a = rng.standard_normal((p, k))
-        f = thin_svd(a)
+        u, s, vh = thin_svd(a)
         r = min(p, k)
-        assert f.U.shape == (p, r)
-        assert f.V.shape == (k, r)
-        recon = (f.U * f.sigma) @ f.V.T
+        assert u.shape == (p, r)
+        assert vh.shape == (r, k)
+        recon = (u * s) @ vh
         assert np.max(np.abs(recon - a)) <= 1e-10
-        assert np.max(np.abs(f.U.T @ f.U - np.eye(r))) <= 1e-12
-        assert np.max(np.abs(f.V.T @ f.V - np.eye(r))) <= 1e-12
+        assert np.max(np.abs(u.T @ u - np.eye(r))) <= 1e-12
+        assert np.max(np.abs(vh @ vh.T - np.eye(r))) <= 1e-12
 
 
 def test_thin_svd_sigma_sorted_nonnegative():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((6, 4))
-    f = thin_svd(a)
-    assert np.all(f.sigma >= 0)
-    assert np.all(np.diff(f.sigma) <= 0)
+    _, s, _ = thin_svd(a)
+    assert np.all(s >= 0)
+    assert np.all(np.diff(s) <= 0)
 
 
 def test_thin_svd_identity():
-    f = thin_svd(np.eye(3))
-    assert np.allclose(f.sigma, 1.0)
-    assert np.max(np.abs((f.U * f.sigma) @ f.V.T - np.eye(3))) <= 1e-12
-
-
-def test_thin_svd_sign_convention():
-    # the dominant entry of every left singular vector is nonnegative
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        a = rng.standard_normal((rng.integers(2, 8), rng.integers(2, 8)))
-        f = thin_svd(a)
-        for j in range(f.U.shape[1]):
-            col = f.U[:, j]
-            assert col[np.argmax(np.abs(col))] >= 0
+    u, s, vh = thin_svd(np.eye(3))
+    assert np.allclose(s, 1.0)
+    assert np.max(np.abs((u * s) @ vh - np.eye(3))) <= 1e-12
 
 
 def test_thin_svd_deterministic():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 5))
-    f1 = thin_svd(a)
-    f2 = thin_svd(a.copy())
-    assert np.array_equal(f1.U, f2.U)
-    assert np.array_equal(f1.sigma, f2.sigma)
-    assert np.array_equal(f1.V, f2.V)
+    for x, y in zip(thin_svd(a), thin_svd(a.copy())):
+        assert np.array_equal(x, y)
 
 
 def test_thin_svd_rejects_bad_input():
     with pytest.raises(InputError):
         thin_svd(np.array([1.0, 2.0]))
-    with pytest.raises(InputError):
+    # non-finite entries are a numeric failure, caught by the solver's
+    # per-iteration guard or here, never reported as bad user input
+    with pytest.raises(NumericError):
         thin_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NumericError):
+        thin_svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_procrustes_recovers_rotation():
@@ -114,7 +104,7 @@ def test_procrustes_first_order_certificate():
 def test_procrustes_rejects_wide_or_bad():
     with pytest.raises(InputError):
         procrustes_max_trace(np.zeros((2, 4)))
-    with pytest.raises(InputError):
+    with pytest.raises(NumericError):
         procrustes_max_trace(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from dstl.data import MultiViewDataset, SynthSpec, generate_synthetic
-from dstl.errors import InputError
+from dstl.errors import InputError, NumericError
 from dstl.solver import (
     Hyperparams,
     SolverState,
     clustering_embedding,
     constraint_violations,
-    fit,
     fit_variant,
-    objective,
     resolve_k,
     update_C,
     update_H,
@@ -73,7 +71,7 @@ def test_objective_of_zero_state_is_data_energy():
     hp = Hyperparams(k=3)
     st = zero_state(ds, 3)
     want = sum(float(np.sum(x**2)) for x in ds.views)
-    assert abs(objective(ds, hp, st) - want) <= 1e-10 * want
+    assert abs(variant_objective(ds, hp, st, "full") - want) <= 1e-10 * want
 
 
 def test_objective_matches_term_oracle():
@@ -83,7 +81,7 @@ def test_objective_matches_term_oracle():
     for _ in range(10):
         st = random_state(rng, ds, 3)
         want = oracle_objective(ds, hp, st)
-        got = objective(ds, hp, st)
+        got = variant_objective(ds, hp, st, "full")
         assert abs(got - want) <= 1e-10 * (1.0 + want)
 
 
@@ -196,8 +194,8 @@ def test_update_y_snaps_dominant_coordinate_to_vertex():
 def test_block_updates_never_increase_objective():
     ds = small_dataset(seed=3)
     hp = Hyperparams(lambda1=0.8, lambda2=0.05, lambda3=1e-2, k=3)
-    st, _ = fit(ds, hp, record_objective=False)  # warm, feasible state
-    last = objective(ds, hp, st)
+    st, _ = fit_variant(ds, hp, record_objective=False)  # warm, feasible state
+    last = variant_objective(ds, hp, st, "full")
     for _ in range(3):
         for step in (
             lambda: setattr(st, "W", update_W(ds, st)),
@@ -207,7 +205,7 @@ def test_block_updates_never_increase_objective():
             lambda: setattr(st, "Y", update_Y(st)),
         ):
             step()
-            now = objective(ds, hp, st)
+            now = variant_objective(ds, hp, st, "full")
             assert now <= last + 1e-8 * (1.0 + abs(last))
             last = now
 
@@ -218,7 +216,7 @@ def test_trace_objective_monotone_and_converges():
                   corrupt_frac=0.1, seed=5)
     )
     hp = Hyperparams(lambda1=1.0, lambda2=0.01, k=3)
-    _, trace = fit(ds, hp)
+    _, trace = fit_variant(ds, hp)
     objs = [rec.objective for rec in trace]
     for a, b in zip(objs, objs[1:]):
         assert b <= a + 1e-8 * (1.0 + abs(a))
@@ -229,7 +227,7 @@ def test_trace_objective_monotone_and_converges():
 def test_trace_bookkeeping():
     ds = small_dataset(seed=6)
     hp = Hyperparams(k=3, max_iter=5, epsilon=1e-300)
-    _, trace = fit(ds, hp)
+    _, trace = fit_variant(ds, hp)
     assert [rec.iter for rec in trace] == [1, 2, 3, 4, 5]
     assert trace[0].delta_y == float("inf")
     assert all(np.isfinite(rec.objective) for rec in trace)
@@ -239,22 +237,22 @@ def test_trace_bookkeeping():
 
 def test_record_objective_flag_skips_evaluation():
     ds = small_dataset(seed=7)
-    _, trace = fit(ds, Hyperparams(k=3, max_iter=3, epsilon=1e-300),
+    _, trace = fit_variant(ds, Hyperparams(k=3, max_iter=3, epsilon=1e-300),
                    record_objective=False)
     assert all(np.isnan(rec.objective) for rec in trace)
 
 
 def test_max_iter_one_yields_single_record():
     ds = small_dataset(seed=8)
-    _, trace = fit(ds, Hyperparams(k=3, max_iter=1))
+    _, trace = fit_variant(ds, Hyperparams(k=3, max_iter=1))
     assert len(trace) == 1
 
 
 def test_fit_is_deterministic():
     ds = small_dataset(seed=9)
     hp = Hyperparams(lambda1=1.0, lambda2=0.01, k=3, max_iter=10, epsilon=1e-300)
-    st1, tr1 = fit(ds, hp)
-    st2, tr2 = fit(ds, hp)
+    st1, tr1 = fit_variant(ds, hp)
+    st2, tr2 = fit_variant(ds, hp)
     assert [r.objective for r in tr1] == [r.objective for r in tr2]
     assert [r.delta_y for r in tr1] == [r.delta_y for r in tr2]
     assert st1.Y.tobytes() == st2.Y.tobytes()
@@ -267,7 +265,7 @@ def test_fit_matches_manual_block_sweep():
     ds = small_dataset(seed=10)
     hp = Hyperparams(lambda1=0.8, lambda2=0.05, k=3, max_iter=3, epsilon=1e-300)
     seen = []
-    fit(ds, hp, callback=lambda st, rec: seen.append(
+    fit_variant(ds, hp, callback=lambda st, rec: seen.append(
         ([w.copy() for w in st.W], [s.copy() for s in st.S],
          [h.copy() for h in st.H], [c.copy() for c in st.C], st.Y.copy())))
     st = zero_state(ds, 3)
@@ -291,7 +289,7 @@ def test_fit_matches_manual_block_sweep():
 
 def test_constraints_hold_after_fit():
     ds = small_dataset(seed=11)
-    st, _ = fit(ds, Hyperparams(lambda1=1.0, lambda2=0.01, k=3))
+    st, _ = fit_variant(ds, Hyperparams(lambda1=1.0, lambda2=0.01, k=3))
     v = constraint_violations(st)
     assert v["w_orthonormality"] <= 1e-10
     assert v["c_orthonormality"] <= 1e-10
@@ -303,7 +301,7 @@ def test_delta_y_definition():
     ds = small_dataset(seed=12)
     hp = Hyperparams(k=3, max_iter=4, epsilon=1e-300)
     embeds = []
-    _, trace = fit(ds, hp, callback=lambda st, rec: embeds.append(st.Y.copy()))
+    _, trace = fit_variant(ds, hp, callback=lambda st, rec: embeds.append(st.Y.copy()))
     for t in range(1, 4):
         prev, cur = embeds[t - 1], embeds[t]
         want = float(np.sum((cur - prev) ** 2) / np.sum(prev**2))
@@ -386,15 +384,35 @@ def test_variant_no_y_shape_and_objective():
     assert abs(trace[-1].objective - want) <= 1e-10 * (1.0 + want)
 
 
-def test_fit_always_runs_full_model():
+def test_fit_variant_dispatches_on_variant():
     ds = small_dataset(seed=16)
-    hp = Hyperparams(lambda1=1.0, lambda2=0.01, k=3, max_iter=5,
-                     epsilon=1e-300, variant="no_S")
-    _, via_fit = fit(ds, hp)
-    _, via_variant = fit_variant(ds, hp)
-    assert via_fit[-1].objective != via_variant[-1].objective
-    _, full = fit_variant(ds, replace(hp, variant="full"))
-    assert [r.objective for r in via_fit] == [r.objective for r in full]
+    hp = Hyperparams(lambda1=1.0, lambda2=0.01, k=3, max_iter=5, epsilon=1e-300)
+    assert hp.variant == "full"
+    st_full, full = fit_variant(ds, hp)
+    st_no_s, no_s = fit_variant(ds, replace(hp, variant="no_S"))
+    assert any(np.max(np.abs(s)) > 0 for s in st_full.S)
+    assert all(np.max(np.abs(s)) == 0 for s in st_no_s.S)
+    assert no_s[-1].objective != full[-1].objective
+
+
+def test_identical_zero_embeddings_count_as_converged():
+    # lambda2 this large zeroes H, so the no_Y embedding stays at zero
+    ds = small_dataset(seed=19)
+    hp = Hyperparams(lambda2=1e12, k=3, variant="no_Y")
+    st, trace = fit_variant(ds, hp)
+    assert np.max(np.abs(clustering_embedding(st, "no_Y"))) == 0.0
+    assert [rec.iter for rec in trace] == [1, 2]
+    assert trace[-1].delta_y == 0.0
+
+
+def test_non_finite_block_raises_numeric_error():
+    # views near the float64 limit overflow inside the sweep: the fit fails
+    # as a numeric error, never as bad input
+    ds = small_dataset(seed=20)
+    huge = MultiViewDataset(tuple(x * 1e160 for x in ds.views), ds.labels)
+    for record in (True, False):
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="iteration"):
+            fit_variant(huge, Hyperparams(k=3), record_objective=record)
 
 
 def test_variant_objective_rejects_unknown():
@@ -426,3 +444,8 @@ def test_hyperparams_validation():
         Hyperparams(variant="fancy")
     with pytest.raises(InputError):
         Hyperparams(k=0)
+    for bad in (dict(k=2.5), dict(k=True), dict(k="3"), dict(max_iter=2.5),
+                dict(max_iter=True), dict(max_iter=None), dict(seed=0.5)):
+        with pytest.raises(InputError):
+            Hyperparams(**bad)
+    Hyperparams(k=np.int64(3), max_iter=np.int32(5), seed=np.int64(1))
