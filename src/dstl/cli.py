@@ -21,11 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    NORMALIZATIONS,
     MultiViewDataset,
-    NormalizationMode,
     SynthSpec,
     generate_synthetic,
     load_dataset,
+    make_dir,
     normalize,
     read_labels_csv,
     write_dataset,
@@ -35,13 +36,7 @@ from .data import (
 from .errors import InputError, NumericError
 from .kmeans import KMeansConfig, kmeans
 from .metrics import accuracy, ari, f_score, nmi, purity
-from .solver import (
-    VARIANTS,
-    Hyperparams,
-    clustering_embedding,
-    fit_variant,
-    resolve_k,
-)
+from .solver import VARIANTS, Hyperparams, clustering_embedding, fit_variant
 
 _METRICS = (
     ("acc", accuracy),
@@ -55,20 +50,14 @@ _METRICS = (
 TUNING_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0)
 
 
-def _int_list(text: str) -> list[int]:
-    items = [t for t in text.split(",") if t.strip()]
+def _comma_list(option: str, text: str, kind: type) -> list:
+    """Values of a comma-separated option; blank items are skipped."""
     try:
-        return [int(t) for t in items]
+        return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> list[float]:
-    items = [t for t in text.split(",") if t.strip()]
-    try:
-        return [float(t) for t in items]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        raise InputError(
+            f"{option}: expected comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
 
 
 def _add_hyperparam_flags(p: argparse.ArgumentParser) -> None:
@@ -86,8 +75,7 @@ def _add_hyperparam_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=dflt.max_iter,
                    help=f"iteration cap (default {dflt.max_iter})")
     p.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-    p.add_argument("--normalize", default=NormalizationMode.NONE.value,
-                   choices=[m.value for m in NormalizationMode],
+    p.add_argument("--normalize", default="none", choices=NORMALIZATIONS,
                    help="per-view normalization applied after loading (default none)")
 
 
@@ -100,9 +88,9 @@ def _add_synth_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
                    help=f"number of clusters (default {base.c})")
     p.add_argument("--m", type=int, default=base.m,
                    help=f"number of views (default {base.m})")
-    p.add_argument("--dims", type=_int_list, default=list(base.dims),
-                   help=f"comma-separated per-view dimensions (default "
-                        f"{','.join(map(str, base.dims))})")
+    dims = ",".join(map(str, base.dims))
+    p.add_argument("--dims", default=dims,
+                   help=f"comma-separated per-view dimensions (default {dims})")
     p.add_argument("--noise-sigma", type=float, default=base.noise_sigma,
                    help=f"additive Gaussian noise level (default {base.noise_sigma})")
     p.add_argument("--corrupt-frac", type=float, default=base.corrupt_frac,
@@ -123,14 +111,14 @@ def _hyperparams_from_args(args, variant: str | None = None) -> Hyperparams:
     )
 
 
+def _synth_spec(args, n: int) -> SynthSpec:
+    return SynthSpec(n=n, c=args.c, m=args.m, dims=_comma_list("--dims", args.dims, int),
+                     noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac,
+                     seed=args.seed)
+
+
 def _load_normalized(args) -> MultiViewDataset:
     return normalize(load_dataset(args.data), args.normalize)
-
-
-def _cluster_count(ds: MultiViewDataset, hp: Hyperparams) -> int:
-    if ds.labels is not None:
-        return ds.n_classes
-    return resolve_k(ds, hp)
 
 
 def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
@@ -142,7 +130,8 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     st, trace = fit_variant(ds, hp)
     fit_seconds = time.perf_counter() - tic
     embed = clustering_embedding(st, hp.variant)
-    clusters = _cluster_count(ds, hp)
+    k = st.Y.shape[0]
+    clusters = ds.n_classes if ds.labels is not None else k
     best_labels = None
     best_inertia = np.inf
     per_run: dict[str, list[float]] = {name: [] for name, _ in _METRICS}
@@ -160,13 +149,12 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
             for name, vals in per_run.items()
         }
     return {
-        "state": st,
         "trace": trace,
         "fit_seconds": fit_seconds,
         "embedding": embed,
         "labels": best_labels,
         "scores": scores,
-        "k": resolve_k(ds, hp),
+        "k": k,
     }
 
 
@@ -205,7 +193,7 @@ def _write_trace(path: Path, trace) -> None:
 
 
 def _write_fit_outputs(out: Path, result, hp: Hyperparams) -> dict:
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     write_labels_csv(out / "labels.csv", result["labels"])
     write_matrix_csv(out / "embedding.csv", result["embedding"])
     _write_trace(out / "trace.csv", result["trace"])
@@ -229,16 +217,7 @@ def _summary_line(name: str, payload: dict) -> str:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n=args.n,
-        c=args.c,
-        m=args.m,
-        dims=tuple(args.dims),
-        noise_sigma=args.noise_sigma,
-        corrupt_frac=args.corrupt_frac,
-        seed=args.seed,
-    )
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(_synth_spec(args, args.n))
     manifest = write_dataset(ds, args.out)
     print(f"wrote {ds.name}: m={ds.n_views} views, n={ds.n_samples} samples, "
           f"dims={list(ds.dims)} -> {manifest}")
@@ -270,9 +249,7 @@ def cmd_eval(args) -> int:
         {"iterations": None, "fit_seconds": None, "variant": None, "hyperparams": None}
     )
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "metrics.json", payload)
+        _write_json(make_dir(args.out) / "metrics.json", payload)
     print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name, _ in _METRICS))
     return 0
 
@@ -280,7 +257,7 @@ def cmd_eval(args) -> int:
 def _grid_values(spec: str) -> list[float]:
     if spec == "default":
         return list(TUNING_GRID)
-    values = _float_list(spec)
+    values = _comma_list("--grid", spec, float)
     if not values:
         raise InputError("--grid needs at least one value")
     return values
@@ -291,8 +268,7 @@ def cmd_ablate(args) -> int:
     if ds.labels is None:
         raise InputError("ablate needs a dataset with ground-truth labels")
     grid = _grid_values(args.grid) if args.grid else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out)
     rows = []
     for variant in VARIANTS:
         hp = _hyperparams_from_args(args, variant=variant)
@@ -325,31 +301,24 @@ def _best_grid_cell(ds, hp: Hyperparams, grid: list[float], repeats: int):
 
 
 def cmd_bench(args) -> int:
-    if not args.sizes:
+    sizes = _comma_list("--sizes", args.sizes, int)
+    if not sizes:
         raise InputError("--sizes needs at least one value")
-    if any(s < args.c for s in args.sizes):
+    if any(s < args.c for s in sizes):
         raise InputError(f"every size must be >= c={args.c}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out)
     hp = _hyperparams_from_args(args)
     if hp.k is None:
         hp = replace(hp, k=args.c)
     # warm-up outside the timed region: BLAS/FFT setup, code paths
-    warm = generate_synthetic(
-        SynthSpec(n=max(10 * args.c, 50), c=args.c, m=args.m, dims=tuple(args.dims),
-                  noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac,
-                  seed=args.seed)
-    )
+    warm = generate_synthetic(_synth_spec(args, max(10 * args.c, 50)))
     fit_variant(normalize(warm, args.normalize), replace(hp, max_iter=2),
                 record_objective=False)
     rows = []
-    for n in args.sizes:
-        spec = SynthSpec(n=n, c=args.c, m=args.m, dims=tuple(args.dims),
-                         noise_sigma=args.noise_sigma,
-                         corrupt_frac=args.corrupt_frac, seed=args.seed)
+    for n in sizes:
         tracemalloc.start()
         try:
-            ds = normalize(generate_synthetic(spec), args.normalize)
+            ds = normalize(generate_synthetic(_synth_spec(args, n)), args.normalize)
             tic = time.perf_counter()
             st, trace = fit_variant(ds, hp, record_objective=False)
             fit_seconds = time.perf_counter() - tic
@@ -431,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("bench", help="time the solver over synthetic sizes")
-    p.add_argument("--sizes", type=_int_list, required=True,
+    p.add_argument("--sizes", required=True,
                    help="comma-separated sample counts, e.g. 1000,2000,4000")
     p.add_argument("--out", required=True, help="output directory")
     _add_synth_flags(p, with_n=False)

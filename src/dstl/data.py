@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -23,9 +22,10 @@ from .errors import InputError
 
 __all__ = [
     "MultiViewDataset",
-    "NormalizationMode",
+    "NORMALIZATIONS",
     "SynthSpec",
     "load_dataset",
+    "make_dir",
     "write_dataset",
     "normalize",
     "generate_synthetic",
@@ -113,31 +113,25 @@ class MultiViewDataset:
         return int(self.labels.max()) + 1
 
 
-class NormalizationMode(str, Enum):
-    NONE = "none"
-    UNIT_COLUMN_L2 = "unit-column-l2"
-    ZSCORE_PER_FEATURE = "zscore-per-feature"
+NORMALIZATIONS = ("none", "unit-column-l2", "zscore-per-feature")
 
 
-def normalize(ds: MultiViewDataset, mode: NormalizationMode | str) -> MultiViewDataset:
+def normalize(ds: MultiViewDataset, mode: str) -> MultiViewDataset:
     """Per-view normalization; ``none`` returns the dataset untouched.
 
     unit-column-l2 rescales every nonzero column to unit norm (zero
     columns stay zero); zscore-per-feature centers and scales each feature
     row by its population standard deviation (constant rows become zero).
     """
-    try:
-        mode = NormalizationMode(mode)
-    except ValueError:
+    if mode not in NORMALIZATIONS:
         raise InputError(
-            f"unknown normalization mode {mode!r}; expected one of "
-            f"{[m.value for m in NormalizationMode]}"
-        ) from None
-    if mode is NormalizationMode.NONE:
+            f"unknown normalization mode {mode!r}; expected one of {NORMALIZATIONS}"
+        )
+    if mode == "none":
         return ds
     out = []
     for x in ds.views:
-        if mode is NormalizationMode.UNIT_COLUMN_L2:
+        if mode == "unit-column-l2":
             norms = np.linalg.norm(x, axis=0, keepdims=True)
             out.append(x / np.where(norms == 0, 1.0, norms))
         else:
@@ -215,37 +209,44 @@ def generate_synthetic(spec: SynthSpec) -> MultiViewDataset:
     return MultiViewDataset(tuple(views), labels, name)
 
 
+def _text_lines(path: Path):
+    """Lines of a UTF-8 text file; an unreadable or undecodable file is an
+    InputError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Parse a headerless CSV matrix file; errors carry file and position."""
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"matrix file not found: {path}")
     rows = []
     width = None
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise InputError(
-                    f"{path}: row {i + 1} has {len(cells)} columns, expected {width}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                for j, c in enumerate(cells):
-                    try:
-                        float(c)
-                    except ValueError:
-                        raise InputError(
-                            f"{path}: row {i + 1}, column {j + 1}: "
-                            f"not a number: {c.strip()!r}"
-                        ) from None
-                raise
+    for i, line in enumerate(_text_lines(path)):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise InputError(
+                f"{path}: row {i + 1} has {len(cells)} columns, expected {width}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            for j, c in enumerate(cells):
+                try:
+                    float(c)
+                except ValueError:
+                    raise InputError(
+                        f"{path}: row {i + 1}, column {j + 1}: "
+                        f"not a number: {c.strip()!r}"
+                    ) from None
+            raise
     if not rows:
         raise InputError(f"{path}: empty matrix file")
     arr = np.array(rows, dtype=float)
@@ -260,20 +261,17 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
 def read_labels_csv(path: str | Path) -> np.ndarray:
     """Parse a one-integer-per-line labels file."""
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"labels file not found: {path}")
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {i + 1}: not an integer label: {line!r}"
-                ) from None
+    for i, line in enumerate(_text_lines(path)):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise InputError(
+                f"{path}: line {i + 1}: not an integer label: {line!r}"
+            ) from None
     if not values:
         raise InputError(f"{path}: empty labels file")
     return np.asarray(values, dtype=np.int64)
@@ -285,7 +283,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     if not p.is_file():
         raise InputError(f"manifest not found: {p}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads("".join(_text_lines(p)))
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -327,16 +325,24 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     return MultiViewDataset(tuple(views), labels, name or p.stem)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_matrix_csv(path: Path, arr: np.ndarray) -> None:
     """Headerless CSV, LF line endings, shortest round-trip float format."""
-    lines = (",".join(_format_float(x) for x in row) for row in np.atleast_2d(arr))
+    rows = np.atleast_2d(np.asarray(arr, dtype=float))
+    lines = (",".join(map(repr, row.tolist())) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
+
+
+def make_dir(path: str | Path) -> Path:
+    """Create an output directory and its parents; a path that cannot be
+    a directory is an InputError naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
 
 
 def write_labels_csv(path: Path, labels: np.ndarray) -> None:
@@ -350,8 +356,7 @@ def write_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
 
     Loading the result reproduces the dataset bit for bit.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     view_names = [f"view{v}.csv" for v in range(ds.n_views)]
     for fname, arr in zip(view_names, ds.views):
         write_matrix_csv(out / fname, arr)

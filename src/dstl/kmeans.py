@@ -3,7 +3,10 @@
 Deterministic given the config seed: restarts draw independent child
 generators from a SeedSequence, distance ties break toward the lowest
 centroid index, and the restart with the smallest inertia (first such
-restart on ties) wins.
+restart on ties) wins.  Each restart runs at most MAX_LLOYD_ITER = 300
+Lloyd iterations and stops early once the labels repeat, the inertia
+reaches zero, or the inertia falls by no more than LLOYD_TOL = 1e-7 of
+its previous value.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from .errors import InputError
 
 __all__ = ["KMeansConfig", "kmeans"]
 
+MAX_LLOYD_ITER = 300
+LLOYD_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
     c: int
     restarts: int = 10
-    max_lloyd_iter: int = 300
-    tol: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
@@ -30,10 +34,6 @@ class KMeansConfig:
             raise InputError(f"need c >= 1 clusters, got {self.c}")
         if self.restarts < 1:
             raise InputError(f"need restarts >= 1, got {self.restarts}")
-        if self.max_lloyd_iter < 1:
-            raise InputError(f"need max_lloyd_iter >= 1, got {self.max_lloyd_iter}")
-        if self.tol < 0:
-            raise InputError(f"need tol >= 0, got {self.tol}")
 
 
 def _plusplus_init(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
@@ -67,7 +67,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, cfg: KMeansConfig):
     labels = None
     prev_labels = None
     inertia = np.inf
-    for _ in range(cfg.max_lloyd_iter):
+    for _ in range(MAX_LLOYD_ITER):
         labels, point_d2 = _assign(x, centers)
         counts = np.bincount(labels, minlength=cfg.c)
         empties = np.nonzero(counts == 0)[0]
@@ -86,7 +86,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, cfg: KMeansConfig):
         converged = (
             (prev_labels is not None and np.array_equal(labels, prev_labels))
             or new_inertia == 0.0
-            or (np.isfinite(inertia) and inertia - new_inertia <= cfg.tol * inertia)
+            or (np.isfinite(inertia) and inertia - new_inertia <= LLOYD_TOL * inertia)
         )
         inertia = new_inertia
         if converged:

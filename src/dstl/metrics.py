@@ -10,15 +10,12 @@ and 0 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 
 __all__ = [
-    "Contingency",
     "contingency",
     "hungarian_match",
     "accuracy",
@@ -29,17 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Contingency:
-    """Joint count table of a predicted and a reference labeling."""
-
-    table: np.ndarray       # (n_pred_clusters, n_true_classes) int64
-    pred_sizes: np.ndarray  # row sums
-    true_sizes: np.ndarray  # column sums
-    n: int
-
-
-def _check_pair(pred, truth):
+def contingency(pred, truth) -> np.ndarray:
+    """Joint int64 count table of a predicted and a reference labeling,
+    (n_pred_clusters, n_true_classes); its row and column sums are the
+    cluster and class sizes."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.ndim != 1 or truth.ndim != 1:
@@ -48,22 +38,11 @@ def _check_pair(pred, truth):
         raise InputError(f"length mismatch: {pred.size} predictions, {truth.size} labels")
     if pred.size == 0:
         raise InputError("empty labelings")
-    return pred, truth
-
-
-def contingency(pred, truth) -> Contingency:
-    pred, truth = _check_pair(pred, truth)
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
     cp = int(pi.max()) + 1
     ct = int(ti.max()) + 1
-    table = np.bincount(pi * ct + ti, minlength=cp * ct).reshape(cp, ct)
-    return Contingency(
-        table=table.astype(np.int64),
-        pred_sizes=table.sum(axis=1),
-        true_sizes=table.sum(axis=0),
-        n=int(pred.size),
-    )
+    return np.bincount(pi * ct + ti, minlength=cp * ct).reshape(cp, ct).astype(np.int64)
 
 
 def hungarian_match(cost: np.ndarray) -> np.ndarray:
@@ -84,39 +63,33 @@ def hungarian_match(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _same_partition(pred, truth) -> bool:
-    """True when the two labelings induce the same set partition."""
-    seen_p: dict = {}
-    seen_t: dict = {}
-    for a, b in zip(pred.tolist(), truth.tolist()):
-        if seen_p.setdefault(a, len(seen_p)) != seen_t.setdefault(b, len(seen_t)):
-            return False
-    return True
+def _same_partition(table: np.ndarray) -> bool:
+    """True when the two labelings induce the same set partition: every
+    cluster meets exactly one class and every class exactly one cluster."""
+    hit = table > 0
+    return bool((hit.sum(axis=0) == 1).all() and (hit.sum(axis=1) == 1).all())
 
 
 def accuracy(pred, truth) -> float:
     """Fraction correct under the best one-to-one cluster-to-class map."""
-    ct = contingency(pred, truth)
-    size = max(ct.table.shape)
-    counts = np.zeros((size, size))
-    counts[: ct.table.shape[0], : ct.table.shape[1]] = ct.table
-    perm = hungarian_match(-counts)
-    matched = counts[np.arange(size), perm].sum()
-    return float(matched / ct.n)
+    table = contingency(pred, truth)
+    perm = hungarian_match(-table)[: table.shape[0]]
+    rows = np.nonzero(perm < table.shape[1])[0]
+    return float(table[rows, perm[rows]].sum() / table.sum())
 
 
 def nmi(pred, truth) -> float:
     """Mutual information normalized by the geometric mean of entropies
     (natural logarithms)."""
-    ct = contingency(pred, truth)
-    pu = ct.pred_sizes / ct.n
-    pv = ct.true_sizes / ct.n
+    table = contingency(pred, truth)
+    n = int(table.sum())
+    pu = table.sum(axis=1) / n
+    pv = table.sum(axis=0) / n
     hu = float(-(pu * np.log(pu)).sum())
     hv = float(-(pv * np.log(pv)).sum())
     if hu == 0.0 or hv == 0.0:
-        pred, truth = _check_pair(pred, truth)
-        return 1.0 if _same_partition(pred, truth) else 0.0
-    pij = ct.table / ct.n
+        return 1.0 if _same_partition(table) else 0.0
+    pij = table / n
     mask = pij > 0
     outer = np.outer(pu, pv)
     mi = float((pij[mask] * np.log(pij[mask] / outer[mask])).sum())
@@ -125,8 +98,8 @@ def nmi(pred, truth) -> float:
 
 def purity(pred, truth) -> float:
     """Mean over samples of the majority-class share of their cluster."""
-    ct = contingency(pred, truth)
-    return float(ct.table.max(axis=1).sum() / ct.n)
+    table = contingency(pred, truth)
+    return float(table.max(axis=1).sum() / table.sum())
 
 
 def _pair_count(x: np.ndarray) -> int:
@@ -135,19 +108,19 @@ def _pair_count(x: np.ndarray) -> int:
 
 def ari(pred, truth) -> float:
     """Adjusted Rand index via pair counting; range [-1, 1]."""
-    ct = contingency(pred, truth)
-    if ct.n < 2:
+    table = contingency(pred, truth)
+    n = int(table.sum())
+    if n < 2:
         return 1.0
-    index = _pair_count(ct.table)
-    sp = _pair_count(ct.pred_sizes)
-    st = _pair_count(ct.true_sizes)
-    total = ct.n * (ct.n - 1) // 2
+    index = _pair_count(table)
+    sp = _pair_count(table.sum(axis=1))
+    st = _pair_count(table.sum(axis=0))
+    total = n * (n - 1) // 2
     expected = sp * st / total
     maximum = (sp + st) / 2.0
     denom = maximum - expected
     if denom == 0.0:
-        pred, truth = _check_pair(pred, truth)
-        return 1.0 if _same_partition(pred, truth) else 0.0
+        return 1.0 if _same_partition(table) else 0.0
     return float((index - expected) / denom)
 
 
@@ -156,10 +129,10 @@ def f_score(pred, truth) -> float:
 
     A labeling with no positive pairs on either side scores 0.
     """
-    ct = contingency(pred, truth)
-    tp = _pair_count(ct.table)
-    pred_pairs = _pair_count(ct.pred_sizes)
-    true_pairs = _pair_count(ct.true_sizes)
+    table = contingency(pred, truth)
+    tp = _pair_count(table)
+    pred_pairs = _pair_count(table.sum(axis=1))
+    true_pairs = _pair_count(table.sum(axis=0))
     precision = tp / pred_pairs if pred_pairs > 0 else 0.0
     recall = tp / true_pairs if true_pairs > 0 else 0.0
     if precision + recall == 0.0:

@@ -202,27 +202,22 @@ def _sq_norm(a: np.ndarray) -> float:
     return float(np.sum(a * a))
 
 
-def variant_objective(ds: MultiViewDataset, hp: Hyperparams, st: SolverState, variant: str) -> float:
-    """Model objective of ``variant``: reconstruction + l1 + spectral
-    penalty + consensus alignment, less the terms the variant drops."""
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}")
+def variant_objective(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> float:
+    """Model objective: reconstruction + l1 + spectral penalty + consensus
+    alignment.  The spectral penalty is the variant's own (tensor or
+    per-view matrix nuclear norm); the l1 and alignment terms add zero for
+    ``no_S`` and ``no_Y``, whose S stays zero and whose lambda3 is zero."""
     fidelity = sum(
         _sq_norm(x - w @ (s + h))
         for x, w, s, h in zip(ds.views, st.W, st.S, st.H)
     )
-    total = fidelity
-    if variant != "no_S":
-        total += hp.lambda1 * sum(float(np.abs(s).sum()) for s in st.S)
-    if variant == "matrix_nuclear":
-        total += hp.lambda2 * sum(float(thin_svd(h)[1].sum()) for h in st.H)
+    l1 = hp.lambda1 * sum(float(np.abs(s).sum()) for s in st.S)
+    if hp.variant == "matrix_nuclear":
+        spectral = hp.lambda2 * sum(float(thin_svd(h)[1].sum()) for h in st.H)
     else:
-        total += hp.lambda2 * tensor_nuclear_norm(stack_rotate(st.H))
-    if variant != "no_Y":
-        total += hp.lambda3 * sum(
-            _sq_norm(h - c @ st.Y) for h, c in zip(st.H, st.C)
-        )
-    return float(total)
+        spectral = hp.lambda2 * tensor_nuclear_norm(stack_rotate(st.H))
+    align = hp.lambda3 * sum(_sq_norm(h - c @ st.Y) for h, c in zip(st.H, st.C))
+    return float(fidelity + l1 + spectral + align)
 
 
 def clustering_embedding(st: SolverState, variant: str = "full") -> np.ndarray:
@@ -254,42 +249,47 @@ def fit_variant(
     """Run the alternating solver for hp.variant.
 
     Returns (state, trace).  The trace objective is the variant's own
-    (reduced) objective; delta_y tracks the clustering embedding, which is
-    Y except for ``no_Y`` where it is the concatenated H; two identical
-    all-zero embeddings count as unchanged (delta_y = 0).  The convergence
+    (reduced) objective, with lambda3 taken as zero for ``no_Y``; delta_y
+    tracks the clustering embedding, which is Y except for ``no_Y`` where
+    it is the concatenated H; two identical all-zero embeddings count as
+    unchanged (delta_y = 0).  The convergence
     test is skipped on the first iteration (the previous embedding is the
     zero initialization).  A non-finite block or objective raises
     NumericError.
     """
     variant = hp.variant
+    if variant == "no_Y":
+        # the model with the alignment term absent: the lambda3 -> 0 limit
+        hp = replace(hp, lambda3=0.0)
     k = resolve_k(ds, hp)
     st = _zero_state(ds, k)
-    # the no_Y variant solves the model with the alignment term absent,
-    # which is the lambda3 -> 0 limit of the H subproblem
-    hp_h = replace(hp, lambda3=0.0) if variant == "no_Y" else hp
     h_step = _update_H_matrix_nuclear if variant == "matrix_nuclear" else update_H
     steps = [("W", lambda: update_W(ds, st))]
     if variant != "no_Y":
         steps.append(("C", lambda: update_C(st)))
     if variant != "no_S":
         steps.append(("S", lambda: update_S(ds, hp, st)))
-    steps.append(("H", lambda: h_step(ds, hp_h, st)))
+    steps.append(("H", lambda: h_step(ds, hp, st)))
     if variant != "no_Y":
         steps.append(("Y", lambda: update_Y(st)))
     prev_embed = clustering_embedding(st, variant).copy()
     trace: list[TraceRecord] = []
     for t in range(1, hp.max_iter + 1):
         tic = time.perf_counter()
-        for block, step in steps:
-            _apply_block(st, block, step, t)
-        embed = clustering_embedding(st, variant)
-        prev_norm = _sq_norm(prev_embed)
-        change = _sq_norm(embed - prev_embed)
+        # overflow surfaces as a non-finite block or objective, which
+        # _apply_block and the objective check report as NumericError;
+        # numpy's own warnings would only repeat it
+        with np.errstate(all="ignore"):
+            for block, step in steps:
+                _apply_block(st, block, step, t)
+            embed = clustering_embedding(st, variant)
+            prev_norm = _sq_norm(prev_embed)
+            change = _sq_norm(embed - prev_embed)
+            obj = variant_objective(ds, hp, st) if record_objective else float("nan")
         if prev_norm > 0:
             delta = change / prev_norm
         else:
             delta = 0.0 if change == 0 else float("inf")
-        obj = variant_objective(ds, hp, st, variant) if record_objective else float("nan")
         if record_objective and not np.isfinite(obj):
             raise NumericError(f"objective is not finite at iteration {t}")
         rec = TraceRecord(

@@ -1,12 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import dstl.cli as cli
-from dstl.data import MultiViewDataset, load_dataset, read_labels_csv, write_dataset
+from dstl.data import (
+    MultiViewDataset,
+    SynthSpec,
+    generate_synthetic,
+    load_dataset,
+    read_labels_csv,
+    write_dataset,
+)
 from dstl.errors import NumericError
 
 METRIC_KEYS = ("acc", "nmi", "purity", "ari", "fscore")
@@ -206,8 +215,9 @@ def test_ablate_grid_sweep(tmp_path):
 
 def test_ablate_rejects_empty_grid_and_missing_labels(tmp_path):
     manifest = make_synth(tmp_path)
-    assert cli.main(["ablate", "--data", str(manifest),
-                     "--out", str(tmp_path / "x"), "--grid", ","]) == 2
+    for grid in (",", "0.5,abc"):
+        assert cli.main(["ablate", "--data", str(manifest),
+                         "--out", str(tmp_path / "x"), "--grid", grid]) == 2
     rng = np.random.default_rng(2)
     anon = write_dataset(MultiViewDataset((rng.standard_normal((4, 10)),)),
                          tmp_path / "anon")
@@ -255,6 +265,26 @@ def test_missing_manifest_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_naming_a_file_is_invalid_input(tmp_path, capsys):
+    manifest = make_synth(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    capsys.readouterr()
+    assert cli.main(fit_args(manifest, taken)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err
+
+
+def test_non_utf8_view_is_invalid_input(tmp_path, capsys):
+    manifest = make_synth(tmp_path)
+    view = manifest.parent / "view1.csv"
+    view.write_bytes(view.read_bytes().replace(b"\n", b"\xff\n", 1))
+    capsys.readouterr()
+    assert cli.main(fit_args(manifest, tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(view) in err
+
+
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     manifest = make_synth(tmp_path)
 
@@ -274,10 +304,13 @@ def test_overflow_exits_numeric_failure(tmp_path, capsys):
     huge = MultiViewDataset(tuple(x * 1e160 for x in ds.views), ds.labels, "huge")
     manifest = write_dataset(huge, tmp_path / "huge")
     capsys.readouterr()
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = cli.main(fit_args(manifest, tmp_path / "o"))
     assert rc == 3
-    assert "numeric failure" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:")
 
 
 def test_module_entry_point(tmp_path):
@@ -289,3 +322,26 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (manifest_dir / "manifest.json").is_file()
+
+
+def test_fit_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the reference benchmark's data and fit, under one and two BLAS threads
+    ds = generate_synthetic(SynthSpec(n=8000, c=5, m=3, dims=(30, 30, 30),
+                                      corrupt_frac=0.1, seed=1))
+    manifest = write_dataset(ds, tmp_path / "data")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dstl.cli", "fit", "--data", str(manifest),
+             "--out", str(out), "--repeats", "1", "--seed", "1", "--lambda1", "5",
+             "--lambda2", "0.01", "--epsilon", "1e-300", "--max-iter", "12"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trace = [line.rsplit(",", 1)[0] for line in
+                 (out / "trace.csv").read_text().splitlines()]  # drop elapsed_ms
+        runs.append(((out / "labels.csv").read_bytes(),
+                     (out / "embedding.csv").read_bytes(), trace))
+    assert runs[0] == runs[1]

@@ -5,7 +5,6 @@ import pytest
 
 from dstl.data import (
     MultiViewDataset,
-    NormalizationMode,
     SynthSpec,
     _latent_blobs,
     generate_synthetic,
@@ -127,7 +126,7 @@ def test_normalize_none_is_identity():
 
 def test_normalize_unit_column_example():
     ds = MultiViewDataset((np.array([[3.0], [4.0]]),))
-    out = normalize(ds, NormalizationMode.UNIT_COLUMN_L2)
+    out = normalize(ds, "unit-column-l2")
     assert np.max(np.abs(out.views[0][:, 0] - np.array([0.6, 0.8]))) <= 1e-15
 
 

@@ -71,7 +71,7 @@ def test_objective_of_zero_state_is_data_energy():
     hp = Hyperparams(k=3)
     st = zero_state(ds, 3)
     want = sum(float(np.sum(x**2)) for x in ds.views)
-    assert abs(variant_objective(ds, hp, st, "full") - want) <= 1e-10 * want
+    assert abs(variant_objective(ds, hp, st) - want) <= 1e-10 * want
 
 
 def test_objective_matches_term_oracle():
@@ -81,7 +81,7 @@ def test_objective_matches_term_oracle():
     for _ in range(10):
         st = random_state(rng, ds, 3)
         want = oracle_objective(ds, hp, st)
-        got = variant_objective(ds, hp, st, "full")
+        got = variant_objective(ds, hp, st)
         assert abs(got - want) <= 1e-10 * (1.0 + want)
 
 
@@ -195,7 +195,7 @@ def test_block_updates_never_increase_objective():
     ds = small_dataset(seed=3)
     hp = Hyperparams(lambda1=0.8, lambda2=0.05, lambda3=1e-2, k=3)
     st, _ = fit_variant(ds, hp, record_objective=False)  # warm, feasible state
-    last = variant_objective(ds, hp, st, "full")
+    last = variant_objective(ds, hp, st)
     for _ in range(3):
         for step in (
             lambda: setattr(st, "W", update_W(ds, st)),
@@ -205,7 +205,7 @@ def test_block_updates_never_increase_objective():
             lambda: setattr(st, "Y", update_Y(st)),
         ):
             step()
-            now = variant_objective(ds, hp, st, "full")
+            now = variant_objective(ds, hp, st)
             assert now <= last + 1e-8 * (1.0 + abs(last))
             last = now
 
@@ -413,13 +413,6 @@ def test_non_finite_block_raises_numeric_error():
     for record in (True, False):
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="iteration"):
             fit_variant(huge, Hyperparams(k=3), record_objective=record)
-
-
-def test_variant_objective_rejects_unknown():
-    ds = small_dataset(seed=17)
-    st = zero_state(ds, 3)
-    with pytest.raises(InputError):
-        variant_objective(ds, Hyperparams(k=3), st, "bogus")
 
 
 def test_resolve_k():

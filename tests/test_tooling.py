@@ -1,18 +1,42 @@
 """The benchmark's traced names must exist in the package.
 
-``perfbench/spans.py`` wraps dstl functions by module and attribute name.
-Resolving them here makes a rename or deletion fail the test suite, not
-only a traced benchmark run.  The test only reads ``perfbench/``.
+``perfbench/spans.py`` wraps dstl functions by module and attribute name
+and counts work units from their arguments.  Resolving the names and
+running a tiny traced fit here makes a rename, a deletion or a signature
+change fail the test suite, not only a traced benchmark run.  The tests
+only read ``perfbench/``.
 """
 
 import importlib
 from pathlib import Path
 
+import pytest
+
+import dstl
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_span_targets_resolve(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
+    return importlib.import_module("spans")
+
+
+def test_benchmark_span_targets_resolve(spans):
     resolved = spans.resolve()
     assert len(resolved) == len(spans.TARGETS)
+
+
+def test_benchmark_work_counters(spans):
+    ds = dstl.generate_synthetic(dstl.SynthSpec(n=31, c=3, m=2, dims=(6, 5), seed=0))
+    cfg = dstl.KMeansConfig(c=3, restarts=4)
+    with spans.installed(spans.Recorder()) as rec:
+        st, trace = dstl.fit_variant(ds, dstl.Hyperparams(k=3, epsilon=1e-300, max_iter=3))
+        dstl.kmeans(st.Y, cfg)
+    summary = spans.summarize(rec.spans)
+    for name in ("slimtensor.tubal_shrinkage", "slimtensor.tensor_nuclear_norm"):
+        assert summary[name]["calls"] == len(trace) == 3
+        assert summary[name]["work"] == summary[name]["calls"] * (31 // 2 + 1)
+    assert summary["kmeans.kmeans"]["calls"] == 1
+    assert summary["kmeans.kmeans"]["work"] == cfg.restarts
