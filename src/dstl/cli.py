@@ -17,6 +17,7 @@ import tracemalloc
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .data import (
 from .errors import InputError, NumericError
 from .kmeans import KMeansConfig, kmeans
 from .metrics import accuracy, ari, f_score, nmi, purity
-from .solver import VARIANTS, Hyperparams, clustering_embedding, fit_variant
+from .solver import VARIANTS, Hyperparams, clustering_embedding, fit_variant, stop_reason
 
 _METRICS = (
     ("acc", accuracy),
@@ -165,6 +166,7 @@ def _metrics_payload(result, hp: Hyperparams) -> dict:
     for name, _ in _METRICS:
         payload[name] = dict(scores[name]) if scores is not None else dict(empty)
     payload["iterations"] = len(result["trace"])
+    payload["stop_reason"] = stop_reason(result["trace"], hp)
     payload["fit_seconds"] = result["fit_seconds"]
     payload["variant"] = hp.variant
     payload["hyperparams"] = {
@@ -179,26 +181,38 @@ def _metrics_payload(result, hp: Hyperparams) -> dict:
     return payload
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _write_output(path: Path, write: Callable, value) -> None:
+    """Write one output file with ``write(path, value)``; a path that cannot
+    be written (a directory, no permission) is an InputError naming it."""
+    try:
+        write(path, value)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_trace(path: Path, trace) -> None:
+def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iter,objective,delta_y,elapsed_ms\n")
-        for r in trace:
-            fh.write(f"{r.iter},{r.objective:.17g},{r.delta_y:.17g},{r.elapsed_ms:.17g}\n")
+        fh.write(text)
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _trace_text(trace) -> str:
+    return "iter,objective,delta_y,elapsed_ms\n" + "".join(
+        f"{r.iter},{r.objective:.17g},{r.delta_y:.17g},{r.elapsed_ms:.17g}\n"
+        for r in trace
+    )
 
 
 def _write_fit_outputs(out: Path, result, hp: Hyperparams) -> dict:
     make_dir(out)
-    write_labels_csv(out / "labels.csv", result["labels"])
-    write_matrix_csv(out / "embedding.csv", result["embedding"])
-    _write_trace(out / "trace.csv", result["trace"])
+    _write_output(out / "labels.csv", write_labels_csv, result["labels"])
+    _write_output(out / "embedding.csv", write_matrix_csv, result["embedding"])
+    _write_output(out / "trace.csv", _write_text, _trace_text(result["trace"]))
     payload = _metrics_payload(result, hp)
-    _write_json(out / "metrics.json", payload)
+    _write_output(out / "metrics.json", _write_text, _json_text(payload))
     return payload
 
 
@@ -245,11 +259,10 @@ def cmd_eval(args) -> int:
     payload: dict = {}
     for name, fn in _METRICS:
         payload[name] = {"mean": float(fn(pred, ds.labels)), "std": 0.0}
-    payload.update(
-        {"iterations": None, "fit_seconds": None, "variant": None, "hyperparams": None}
-    )
+    payload.update({"iterations": None, "stop_reason": None, "fit_seconds": None,
+                    "variant": None, "hyperparams": None})
     if args.out is not None:
-        _write_json(make_dir(args.out) / "metrics.json", payload)
+        _write_output(make_dir(args.out) / "metrics.json", _write_text, _json_text(payload))
     print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name, _ in _METRICS))
     return 0
 
@@ -279,11 +292,11 @@ def cmd_ablate(args) -> int:
         payload = _write_fit_outputs(out / variant, result, hp)
         rows.append((variant, payload))
         print(_summary_line(f"ablate[{variant}]", payload))
-    with open(out / "ablation.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("variant," + ",".join(name for name, _ in _METRICS) + "\n")
-        for variant, payload in rows:
-            cells = ",".join(f"{payload[name]['mean']:.17g}" for name, _ in _METRICS)
-            fh.write(f"{variant},{cells}\n")
+    table = "variant," + ",".join(name for name, _ in _METRICS) + "\n"
+    for variant, payload in rows:
+        cells = ",".join(f"{payload[name]['mean']:.17g}" for name, _ in _METRICS)
+        table += f"{variant},{cells}\n"
+    _write_output(out / "ablation.csv", _write_text, table)
     return 0
 
 
@@ -346,15 +359,15 @@ def cmd_bench(args) -> int:
     header = ["n", "fit_seconds", "peak_mb", "iterations"]
     if args.include_kmeans:
         header.append("kmeans_seconds")
-    with open(out / "timing.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                f"{row['n']},{row['fit_seconds']:.6f},{row['peak_mb']:.3f},"
-                f"{row['iterations']}"
-                + (f",{row['kmeans_seconds']:.6f}" if args.include_kmeans else "")
-                + "\n"
-            )
+    table = ",".join(header) + "\n"
+    for row in rows:
+        table += (
+            f"{row['n']},{row['fit_seconds']:.6f},{row['peak_mb']:.3f},"
+            f"{row['iterations']}"
+            + (f",{row['kmeans_seconds']:.6f}" if args.include_kmeans else "")
+            + "\n"
+        )
+    _write_output(out / "timing.csv", _write_text, table)
     return 0
 
 

@@ -93,19 +93,24 @@ def tensor_nuclear_norm(t: SlimTensor) -> float:
     return float(np.sum(weights * sv.sum(axis=1)))
 
 
-def tubal_shrinkage(t: SlimTensor, rho: float) -> SlimTensor:
-    """Proximal step of ``rho * tensor_nuclear_norm`` at t.
+def tubal_shrinkage(t: SlimTensor, rho: float) -> tuple[SlimTensor, float]:
+    """Proximal step of ``rho * tensor_nuclear_norm`` at t, and the tensor
+    nuclear norm of the result.
 
     Each Fourier-domain frontal slice has its singular values shrunk by
     n * rho (n the sample-mode length); the inverse transform is real by
     construction since only the half spectrum is touched and mirrored.
+    The shrunk singular values are the result's own, so its norm is
+    sum_f w_f sum_i max(sigma_fi - n * rho, 0), with w_f the slice
+    multiplicities, exact up to rounding and without a second
+    decomposition.
     """
     if not np.isfinite(rho) or rho < 0:
         raise InputError(f"tubal_shrinkage needs rho >= 0, got {rho}")
     if rho == 0:
-        return SlimTensor(t.data.copy())
+        return SlimTensor(t.data.copy()), tensor_nuclear_norm(t)
     n = t.data.shape[2]
-    half, _ = _half_spectrum_svd(t.data)
+    half, weights = _half_spectrum_svd(t.data)
     try:
         u, s, vh = np.linalg.svd(half, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -113,4 +118,4 @@ def tubal_shrinkage(t: SlimTensor, rho: float) -> SlimTensor:
     s = np.maximum(s - n * rho, 0.0)
     shrunk = (u * s[:, None, :]) @ vh
     out = np.fft.irfft(np.moveaxis(shrunk, 0, 2), n=n, axis=2)
-    return SlimTensor(out)
+    return SlimTensor(out), float(np.sum(weights * s.sum(axis=1)))

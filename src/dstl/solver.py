@@ -11,7 +11,14 @@ the objective is non-increasing across updates.
 
 Blocks are updated in the fixed order W, C, S, H, Y from an all-zero
 state; the loop stops once the relative squared change of the indicator
-falls to epsilon.
+falls to epsilon (``stop_reason`` names why a run stopped).
+
+The objective recorded after each sweep takes one decomposition per
+sweep, the H step's own: the H steps return the spectral norm of the H
+they produce, read off the singular values they have just shrunk, and
+the fidelity term uses the orthonormal-basis identity
+||X - W T||^2 = ||X||^2 - 2 <W.T X, T> + ||T||^2, so no d x n residual
+is formed.  The l1 and alignment terms are summed directly.
 
 Variants drop one ingredient at a time: ``no_S`` pins S at zero,
 ``matrix_nuclear`` swaps the tensor spectral penalty for independent
@@ -45,6 +52,7 @@ __all__ = [
     "update_H",
     "update_Y",
     "fit_variant",
+    "stop_reason",
     "clustering_embedding",
     "constraint_violations",
 ]
@@ -126,16 +134,20 @@ def resolve_k(ds: MultiViewDataset, hp: Hyperparams) -> int:
     return k
 
 
-def _apply_block(st: SolverState, block: str, step: Callable, t: int) -> None:
+def _apply_block(st: SolverState, block: str, step: Callable, t: int) -> float | None:
     """Set one block to its update; a numeric failure inside the step, or a
-    non-finite result, raises NumericError naming the block and iteration."""
+    non-finite result, raises NumericError naming the block and iteration.
+    Returns the spectral norm an H step reports with its update, None for
+    the other blocks."""
     try:
         value = step()
     except NumericError as exc:
         raise NumericError(f"block {block} at iteration {t}: {exc}") from exc
+    value, spectral = value if block == "H" else (value, None)
     if not all(np.isfinite(a).all() for a in (value if isinstance(value, list) else [value])):
         raise NumericError(f"block {block} has non-finite entries at iteration {t}")
     setattr(st, block, value)
+    return spectral
 
 
 def update_W(ds: MultiViewDataset, st: SolverState) -> list:
@@ -172,21 +184,30 @@ def _h_targets(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> list:
     ]
 
 
-def update_H(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> list:
-    """Exact prox step of the tensor spectral penalty at the blended target."""
+def update_H(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> tuple[list, float]:
+    """Exact prox step of the tensor spectral penalty at the blended target.
+
+    Returns the new H and its tensor nuclear norm."""
     q = stack_rotate(_h_targets(ds, hp, st))
     rho = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
-    return unstack(tubal_shrinkage(q, rho))
+    h, norm = tubal_shrinkage(q, rho)
+    return unstack(h), norm
 
 
-def _update_H_matrix_nuclear(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> list:
-    """Variant H step: independent per-view singular value thresholding."""
+def _update_H_matrix_nuclear(
+    ds: MultiViewDataset, hp: Hyperparams, st: SolverState
+) -> tuple[list, float]:
+    """Variant H step: independent per-view singular value thresholding.
+
+    Returns the new H and the sum of its per-view nuclear norms."""
     thr = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
-    out = []
+    out, norm = [], 0.0
     for q in _h_targets(ds, hp, st):
         u, s, vh = thin_svd(q)
-        out.append((u * np.maximum(s - thr, 0.0)) @ vh)
-    return out
+        s = np.maximum(s - thr, 0.0)
+        out.append((u * s) @ vh)
+        norm += float(s.sum())
+    return out, norm
 
 
 def update_Y(st: SolverState) -> np.ndarray:
@@ -198,26 +219,55 @@ def update_Y(st: SolverState) -> np.ndarray:
     return project_columns(f / m)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product, summed by numpy rather than BLAS so that
+    its rounding does not depend on the BLAS thread count."""
+    return float(np.sum(a * b))
+
+
 def _sq_norm(a: np.ndarray) -> float:
-    return float(np.sum(a * a))
+    return _dot(a, a)
 
 
-def variant_objective(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> float:
+def variant_objective(
+    ds: MultiViewDataset, hp: Hyperparams, st: SolverState, spectral: float | None = None
+) -> float:
     """Model objective: reconstruction + l1 + spectral penalty + consensus
-    alignment.  The spectral penalty is the variant's own (tensor or
-    per-view matrix nuclear norm); the l1 and alignment terms add zero for
-    ``no_S`` and ``no_Y``, whose S stays zero and whose lambda3 is zero."""
-    fidelity = sum(
-        _sq_norm(x - w @ (s + h))
-        for x, w, s, h in zip(ds.views, st.W, st.S, st.H)
-    )
+    alignment.
+
+    Reconstruction is summed per view as ||X||^2 - 2 <W.T X, S + H> +
+    ||S + H||^2, which equals ||X - W (S + H)||^2 only for column-
+    orthonormal W.  Every call in ``fit_variant`` comes after a W update,
+    where W is orthonormal; a caller with any other W gets a wrong value.
+
+    ``spectral`` is the variant's own unweighted spectral norm of st.H
+    (tensor nuclear norm, or summed per-view matrix nuclear norms), as the
+    H step that produced st.H returned it; without it the norm is
+    recomputed from st.H by a batched or per-view SVD.  The l1 and
+    alignment terms add zero for ``no_S`` and ``no_Y``, whose S stays zero
+    and whose lambda3 is zero."""
+    fidelity = 0.0
+    for x, w, s, h in zip(ds.views, st.W, st.S, st.H):
+        latent = s + h
+        fidelity += _dot(x, x) - 2.0 * _dot(w.T @ x, latent) + _dot(latent, latent)
     l1 = hp.lambda1 * sum(float(np.abs(s).sum()) for s in st.S)
-    if hp.variant == "matrix_nuclear":
-        spectral = hp.lambda2 * sum(float(thin_svd(h)[1].sum()) for h in st.H)
-    else:
-        spectral = hp.lambda2 * tensor_nuclear_norm(stack_rotate(st.H))
+    if spectral is None:
+        if hp.variant == "matrix_nuclear":
+            spectral = sum(float(thin_svd(h)[1].sum()) for h in st.H)
+        else:
+            spectral = tensor_nuclear_norm(stack_rotate(st.H))
     align = hp.lambda3 * sum(_sq_norm(h - c @ st.Y) for h, c in zip(st.H, st.C))
-    return float(fidelity + l1 + spectral + align)
+    return float(fidelity + l1 + hp.lambda2 * spectral + align)
+
+
+def stop_reason(trace: list[TraceRecord], hp: Hyperparams) -> str:
+    """Why a ``fit_variant`` run with this trace stopped: ``converged`` once
+    the embedding's relative change fell to epsilon (never judged on the
+    first sweep, whose previous embedding is the zero start), else
+    ``max_iter``."""
+    if len(trace) >= 2 and trace[-1].delta_y <= hp.epsilon:
+        return "converged"
+    return "max_iter"
 
 
 def clustering_embedding(st: SolverState, variant: str = "full") -> np.ndarray:
@@ -249,13 +299,14 @@ def fit_variant(
     """Run the alternating solver for hp.variant.
 
     Returns (state, trace).  The trace objective is the variant's own
-    (reduced) objective, with lambda3 taken as zero for ``no_Y``; delta_y
-    tracks the clustering embedding, which is Y except for ``no_Y`` where
-    it is the concatenated H; two identical all-zero embeddings count as
-    unchanged (delta_y = 0).  The convergence
-    test is skipped on the first iteration (the previous embedding is the
-    zero initialization).  A non-finite block or objective raises
-    NumericError.
+    (reduced) objective, with lambda3 taken as zero for ``no_Y``; it takes
+    its spectral term from the sweep's H step and equals a direct
+    evaluation up to rounding.  delta_y tracks the clustering embedding,
+    which is Y except for ``no_Y`` where it is the concatenated H; two
+    identical all-zero embeddings count as unchanged (delta_y = 0).  The
+    convergence test is skipped on the first iteration (the previous
+    embedding is the zero initialization).  A non-finite block or
+    objective raises NumericError.
     """
     variant = hp.variant
     if variant == "no_Y":
@@ -281,11 +332,14 @@ def fit_variant(
         # numpy's own warnings would only repeat it
         with np.errstate(all="ignore"):
             for block, step in steps:
-                _apply_block(st, block, step, t)
+                norm = _apply_block(st, block, step, t)
+                if block == "H":
+                    spectral = norm
             embed = clustering_embedding(st, variant)
             prev_norm = _sq_norm(prev_embed)
             change = _sq_norm(embed - prev_embed)
-            obj = variant_objective(ds, hp, st) if record_objective else float("nan")
+            obj = (variant_objective(ds, hp, st, spectral=spectral)
+                   if record_objective else float("nan"))
         if prev_norm > 0:
             delta = change / prev_norm
         else:
@@ -302,7 +356,7 @@ def fit_variant(
         if callback is not None:
             callback(st, rec)
         prev_embed = embed.copy()
-        if t >= 2 and delta <= hp.epsilon:
+        if stop_reason(trace, hp) == "converged":
             break
     return st, trace
 

@@ -84,7 +84,7 @@ def test_criterion_1_oracle_equivalence():
         shape = tuple(int(rng.integers(1, 7)) for _ in range(3))
         t = SlimTensor(rng.standard_normal(shape))
         rho = float(rng.uniform(0.0, 1.5))
-        got = tubal_shrinkage(t, rho).data
+        got = tubal_shrinkage(t, rho)[0].data
         want = tubal_shrinkage_oracle(t.data, rho)
         worst_tubal = max(
             worst_tubal,
@@ -245,7 +245,7 @@ def test_criterion_2_block_optimality_sampling():
             violations += got > vals.min() + slack(vals.min())
 
         # H block: fidelity + spectral penalty + alignment, joint over views
-        new_h = update_H(ds, hp, st)
+        new_h, _ = update_H(ds, hp, st)
 
         def h_value(hb_list):
             vals = hp.lambda2 * _batch_tnn(np.stack(hb_list, axis=2))

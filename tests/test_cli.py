@@ -77,7 +77,7 @@ def test_fit_outputs(tmp_path, capsys):
 
     payload = json.loads((out / "metrics.json").read_text())
     assert set(payload) == set(METRIC_KEYS) | {
-        "iterations", "fit_seconds", "variant", "hyperparams"
+        "iterations", "stop_reason", "fit_seconds", "variant", "hyperparams"
     }
     for key in METRIC_KEYS:
         assert 0.0 <= payload[key]["mean"] <= 1.0
@@ -97,6 +97,21 @@ def test_fit_single_iteration_trace(tmp_path):
     assert len(lines) == 2
     payload = json.loads((out / "metrics.json").read_text())
     assert payload["iterations"] == 1
+    assert payload["stop_reason"] == "max_iter"
+
+
+def test_fit_records_stop_reason(tmp_path):
+    manifest = make_synth(tmp_path)
+    capped = tmp_path / "capped"
+    assert cli.main(fit_args(manifest, capped,
+                             ["--epsilon", "1e-300", "--max-iter", "3"])) == 0
+    payload = json.loads((capped / "metrics.json").read_text())
+    assert (payload["iterations"], payload["stop_reason"]) == (3, "max_iter")
+    default = tmp_path / "default"
+    assert cli.main(fit_args(manifest, default)) == 0
+    payload = json.loads((default / "metrics.json").read_text())
+    assert payload["iterations"] < payload["hyperparams"]["max_iter"]
+    assert payload["stop_reason"] == "converged"
 
 
 def test_fit_is_deterministic(tmp_path):
@@ -156,6 +171,7 @@ def test_eval_scores_ground_truth_as_perfect(tmp_path, capsys):
     for key in METRIC_KEYS:
         assert payload[key] == {"mean": 1.0, "std": 0.0}
     assert payload["iterations"] is None
+    assert payload["stop_reason"] is None
     assert payload["fit_seconds"] is None
     assert payload["variant"] is None
     assert payload["hyperparams"] is None
@@ -273,6 +289,19 @@ def test_out_naming_a_file_is_invalid_input(tmp_path, capsys):
     assert cli.main(fit_args(manifest, taken)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(taken) in err
+
+
+def test_unwritable_output_file_is_invalid_input(tmp_path, capsys):
+    # the output directory exists, but one file in it cannot be written
+    manifest = make_synth(tmp_path)
+    for name in ("labels.csv", "embedding.csv", "trace.csv", "metrics.json"):
+        out = tmp_path / f"blocked-{name}"
+        (out / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main(fit_args(manifest, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / name) in err
+        assert "Traceback" not in err
 
 
 def test_non_utf8_view_is_invalid_input(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from dstl.errors import InputError, NumericError
 from dstl.slimtensor import (
@@ -137,7 +139,7 @@ def test_tnn_matches_loop_oracle():
 def test_tubal_shrinkage_zero_rho_is_identity():
     rng = np.random.default_rng(9)
     t = random_tensor(rng)
-    out = tubal_shrinkage(t, 0.0)
+    out, _ = tubal_shrinkage(t, 0.0)
     assert np.array_equal(out.data, t.data)
     assert out.data is not t.data
 
@@ -148,7 +150,7 @@ def test_tubal_shrinkage_single_slice_equals_matrix_svt():
     for _ in range(50):
         t = random_tensor(rng, n=1)
         rho = float(rng.uniform(0.01, 2.0))
-        out = tubal_shrinkage(t, rho)
+        out, _ = tubal_shrinkage(t, rho)
         want = matrix_svt_oracle(t.data[:, :, 0], rho)
         assert np.max(np.abs(out.data[:, :, 0] - want)) <= 1e-10
 
@@ -158,7 +160,7 @@ def test_tubal_shrinkage_matches_full_spectrum_oracle():
     for _ in range(200):
         t = random_tensor(rng)
         rho = float(rng.uniform(0.0, 1.5))
-        out = tubal_shrinkage(t, rho)
+        out, _ = tubal_shrinkage(t, rho)
         want = tubal_shrinkage_oracle(t.data, rho)
         denom = 1.0 + np.linalg.norm(want)
         assert np.linalg.norm(out.data - want) <= 1e-8 * denom
@@ -167,8 +169,9 @@ def test_tubal_shrinkage_matches_full_spectrum_oracle():
 def test_tubal_shrinkage_large_rho_annihilates():
     rng = np.random.default_rng(12)
     t = random_tensor(rng, k=4, m=3, n=5)
-    out = tubal_shrinkage(t, 1e6)
+    out, norm = tubal_shrinkage(t, 1e6)
     assert np.max(np.abs(out.data)) == 0.0
+    assert norm == 0.0
 
 
 def test_tubal_shrinkage_output_real_and_norm_shrinks():
@@ -176,7 +179,7 @@ def test_tubal_shrinkage_output_real_and_norm_shrinks():
     for _ in range(20):
         t = random_tensor(rng)
         rho = float(rng.uniform(0.0, 1.0))
-        out = tubal_shrinkage(t, rho)
+        out, _ = tubal_shrinkage(t, rho)
         assert out.data.dtype == np.float64
         assert np.all(np.isfinite(out.data))
         assert tensor_nuclear_norm(out) <= tensor_nuclear_norm(t) + 1e-8
@@ -191,7 +194,7 @@ def test_tubal_shrinkage_prox_optimality():
     def value(arr):
         return rho * tnn_oracle(arr) + 0.5 * np.sum((arr - t.data) ** 2)
 
-    out = tubal_shrinkage(t, rho)
+    out, _ = tubal_shrinkage(t, rho)
     v0 = value(out.data)
     for _ in range(500):
         cand = out.data + rng.standard_normal(out.data.shape) * rng.choice(
@@ -203,3 +206,38 @@ def test_tubal_shrinkage_prox_optimality():
 def test_tubal_shrinkage_rejects_negative_rho():
     with pytest.raises(InputError):
         tubal_shrinkage(SlimTensor(np.zeros((2, 2, 2))), -1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=hst.integers(1, 6),
+    m=hst.integers(1, 6),
+    n=hst.integers(1, 64),
+    scale_exp=hst.integers(-6, 6),
+    rho_kind=hst.sampled_from(["zero", "small", "annihilate"]),
+    rho_frac=hst.floats(1e-4, 0.5),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(k=1, m=1, n=1, scale_exp=0, rho_kind="small", rho_frac=0.1, seed=0)
+@example(k=6, m=6, n=64, scale_exp=6, rho_kind="small", rho_frac=1e-4, seed=1)
+@example(k=6, m=5, n=63, scale_exp=-6, rho_kind="small", rho_frac=0.5, seed=2)
+@example(k=5, m=3, n=2, scale_exp=0, rho_kind="zero", rho_frac=0.1, seed=3)
+@example(k=2, m=6, n=33, scale_exp=3, rho_kind="annihilate", rho_frac=0.1, seed=4)
+def test_tubal_shrinkage_norm_is_the_output_norm(k, m, n, scale_exp, rho_kind, rho_frac, seed):
+    # the norm read off the shrunk singular values is the nuclear norm of
+    # the tensor actually returned, at every shape, parity of n and scale
+    scale = 10.0 ** scale_exp
+    data = np.random.default_rng(seed).standard_normal((k, m, n)) * scale
+    # "small" shrinks part of the spectrum; every Fourier slice's largest
+    # singular value is at most sum |data|, so n * rho above it empties all
+    rho = {
+        "zero": 0.0,
+        "small": rho_frac * scale,
+        "annihilate": 2.0 * float(np.abs(data).sum()) / n,
+    }[rho_kind]
+    out, norm = tubal_shrinkage(SlimTensor(data), rho)
+    want = tnn_oracle(out.data)
+    assert abs(norm - want) <= 1e-10 * (1.0 + norm)
+    if rho_kind == "annihilate":
+        assert norm == 0.0
+        assert np.max(np.abs(out.data)) == 0.0

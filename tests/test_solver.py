@@ -147,7 +147,7 @@ def test_update_h_lambda2_zero_returns_blend_target():
     ds = small_dataset()
     hp = Hyperparams(lambda1=0.5, lambda2=0.0, lambda3=0.2, k=3)
     st = random_state(rng, ds, 3)
-    got = update_H(ds, hp, st)
+    got, _ = update_H(ds, hp, st)
     lam3 = hp.lambda3
     for h, w, x, s, c in zip(got, st.W, ds.views, st.S, st.C):
         want = (w.T @ x - s) / (lam3 + 1.0) + (lam3 / (lam3 + 1.0)) * (c @ st.Y)
@@ -158,9 +158,10 @@ def test_update_h_large_lambda2_annihilates():
     rng = np.random.default_rng(6)
     ds = small_dataset()
     st = random_state(rng, ds, 3)
-    got = update_H(ds, Hyperparams(lambda2=1e9, k=3), st)
+    got, norm = update_H(ds, Hyperparams(lambda2=1e9, k=3), st)
     for h in got:
         assert np.max(np.abs(h)) == 0.0
+    assert norm == 0.0
 
 
 def test_update_y_fixed_point_on_simplex():
@@ -201,7 +202,7 @@ def test_block_updates_never_increase_objective():
             lambda: setattr(st, "W", update_W(ds, st)),
             lambda: setattr(st, "C", update_C(st)),
             lambda: setattr(st, "S", update_S(ds, hp, st)),
-            lambda: setattr(st, "H", update_H(ds, hp, st)),
+            lambda: setattr(st, "H", update_H(ds, hp, st)[0]),
             lambda: setattr(st, "Y", update_Y(st)),
         ):
             step()
@@ -222,6 +223,37 @@ def test_trace_objective_monotone_and_converges():
         assert b <= a + 1e-8 * (1.0 + abs(a))
     assert len(trace) < hp.max_iter
     assert trace[-1].delta_y <= hp.epsilon
+
+
+def variant_oracle_objective(ds, hp, st):
+    """oracle_objective with the variant's own spectral norm and, for
+    no_Y, the alignment weight the fit uses (zero)."""
+    if hp.variant == "no_Y":
+        hp = replace(hp, lambda3=0.0)
+    if hp.variant != "matrix_nuclear":
+        return oracle_objective(ds, hp, st)
+    per_view = sum(float(np.linalg.svd(h, compute_uv=False).sum()) for h in st.H)
+    return oracle_objective(ds, replace(hp, lambda2=0.0), st) + hp.lambda2 * per_view
+
+
+@pytest.mark.parametrize("variant", ["full", "no_S", "matrix_nuclear", "no_Y"])
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_trace_objective_matches_oracle_every_iteration(variant, scale):
+    # the fidelity identity subtracts nearly equal terms and the spectral
+    # term comes from the H step; both must agree with the direct formula
+    base = small_dataset(seed=17)
+    ds = MultiViewDataset(tuple(x * scale for x in base.views), base.labels)
+    hp = Hyperparams(lambda1=0.5 * scale, lambda2=0.05 * scale, lambda3=1e-2, k=3,
+                     max_iter=8, epsilon=1e-300, variant=variant)
+    gaps = []
+
+    def check(st, rec):
+        want = variant_oracle_objective(ds, hp, st)
+        gaps.append(abs(rec.objective - want) / (1.0 + abs(want)))
+
+    _, trace = fit_variant(ds, hp, callback=check)
+    assert len(gaps) == len(trace) >= 3
+    assert max(gaps) <= 1e-10
 
 
 def test_trace_bookkeeping():
@@ -273,7 +305,7 @@ def test_fit_matches_manual_block_sweep():
         st.W = update_W(ds, st)
         st.C = update_C(st)
         st.S = update_S(ds, hp, st)
-        st.H = update_H(ds, hp, st)
+        st.H, _ = update_H(ds, hp, st)
         st.Y = update_Y(st)
         ws, ss, hs, cs, y = seen[t]
         for a, b in zip(st.W, ws):
