@@ -37,7 +37,14 @@ from .data import (
 from .errors import InputError, NumericError
 from .kmeans import KMeansConfig, kmeans
 from .metrics import accuracy, ari, f_score, nmi, purity
-from .solver import VARIANTS, Hyperparams, clustering_embedding, fit_variant, stop_reason
+from .solver import (
+    VARIANTS,
+    Hyperparams,
+    clustering_embedding,
+    fit_variant,
+    resolve_k,
+    stop_reason,
+)
 
 _METRICS = (
     ("acc", accuracy),
@@ -46,6 +53,8 @@ _METRICS = (
     ("ari", ari),
     ("fscore", f_score),
 )
+
+_NO_SCORE = {"mean": None, "std": None}
 
 # built-in log ladder for the lambda1/lambda2 sweep (`ablate --grid default`)
 TUNING_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0)
@@ -159,26 +168,42 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     }
 
 
-def _metrics_payload(result, hp: Hyperparams) -> dict:
-    empty = {"mean": None, "std": None}
-    scores = result["scores"]
-    payload = {}
-    for name, _ in _METRICS:
-        payload[name] = dict(scores[name]) if scores is not None else dict(empty)
-    payload["iterations"] = len(result["trace"])
-    payload["stop_reason"] = stop_reason(result["trace"], hp)
-    payload["fit_seconds"] = result["fit_seconds"]
-    payload["variant"] = hp.variant
-    payload["hyperparams"] = {
+def _hyperparams_payload(hp: Hyperparams, k: int) -> dict:
+    return {
         "lambda1": hp.lambda1,
         "lambda2": hp.lambda2,
         "lambda3": hp.lambda3,
-        "k": result["k"],
+        "k": k,
         "epsilon": hp.epsilon,
         "max_iter": hp.max_iter,
         "seed": hp.seed,
     }
+
+
+def _metrics_payload(result, hp: Hyperparams) -> dict:
+    scores = result["scores"]
+    payload = {}
+    for name, _ in _METRICS:
+        payload[name] = dict(scores[name]) if scores is not None else dict(_NO_SCORE)
+    payload["iterations"] = len(result["trace"])
+    payload["stop_reason"] = stop_reason(result["trace"], hp)
+    payload["fit_seconds"] = result["fit_seconds"]
+    payload["variant"] = hp.variant
+    payload["hyperparams"] = _hyperparams_payload(hp, result["k"])
+    payload["clusters_found"] = int(np.unique(result["labels"]).size)
+    payload["error"] = None
     return payload
+
+
+def _write_numeric_failure(out: Path, ds: MultiViewDataset, hp: Hyperparams,
+                           exc: NumericError) -> None:
+    """metrics.json for a fit or its k-means that failed numerically: the
+    same keys, with stop_reason numeric_failure and the error message."""
+    payload = {name: dict(_NO_SCORE) for name, _ in _METRICS}
+    payload.update(iterations=None, stop_reason="numeric_failure", fit_seconds=None,
+                   variant=hp.variant, hyperparams=_hyperparams_payload(hp, resolve_k(ds, hp)),
+                   clusters_found=None, error=str(exc))
+    _write_output(make_dir(out) / "metrics.json", _write_text, _json_text(payload))
 
 
 def _write_output(path: Path, write: Callable, value) -> None:
@@ -241,7 +266,11 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     ds = _load_normalized(args)
     hp = _hyperparams_from_args(args)
-    result = _run_pipeline(ds, hp, args.repeats)
+    try:
+        result = _run_pipeline(ds, hp, args.repeats)
+    except NumericError as exc:
+        _write_numeric_failure(Path(args.out), ds, hp, exc)
+        raise
     payload = _write_fit_outputs(Path(args.out), result, hp)
     print(_summary_line(f"fit[{hp.variant}] {ds.name}", payload))
     return 0
@@ -260,7 +289,8 @@ def cmd_eval(args) -> int:
     for name, fn in _METRICS:
         payload[name] = {"mean": float(fn(pred, ds.labels)), "std": 0.0}
     payload.update({"iterations": None, "stop_reason": None, "fit_seconds": None,
-                    "variant": None, "hyperparams": None})
+                    "variant": None, "hyperparams": None, "clusters_found": None,
+                    "error": None})
     if args.out is not None:
         _write_output(make_dir(args.out) / "metrics.json", _write_text, _json_text(payload))
     print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name, _ in _METRICS))
@@ -285,10 +315,14 @@ def cmd_ablate(args) -> int:
     rows = []
     for variant in VARIANTS:
         hp = _hyperparams_from_args(args, variant=variant)
-        if grid is None:
-            result = _run_pipeline(ds, hp, args.repeats)
-        else:
-            result, hp = _best_grid_cell(ds, hp, grid, args.repeats)
+        try:
+            if grid is None:
+                result = _run_pipeline(ds, hp, args.repeats)
+            else:
+                result, hp = _best_grid_cell(ds, hp, grid, args.repeats)
+        except NumericError as exc:
+            _write_numeric_failure(out / variant, ds, hp, exc)
+            raise
         payload = _write_fit_outputs(out / variant, result, hp)
         rows.append((variant, payload))
         print(_summary_line(f"ablate[{variant}]", payload))
@@ -302,11 +336,15 @@ def cmd_ablate(args) -> int:
 
 def _best_grid_cell(ds, hp: Hyperparams, grid: list[float], repeats: int):
     """Sweep (lambda1, lambda2) over grid x grid, keep the cell with the
-    best mean accuracy (first cell on ties)."""
+    best mean accuracy (first cell on ties).  A numeric failure names the
+    cell it happened in."""
     best = None
     for l1, l2 in product(grid, grid):
         cell_hp = replace(hp, lambda1=l1, lambda2=l2)
-        result = _run_pipeline(ds, cell_hp, repeats)
+        try:
+            result = _run_pipeline(ds, cell_hp, repeats)
+        except NumericError as exc:
+            raise NumericError(f"grid cell lambda1={l1!r}, lambda2={l2!r}: {exc}") from exc
         score = result["scores"]["acc"]["mean"]
         if best is None or score > best[0]:
             best = (score, result, cell_hp)

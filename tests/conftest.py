@@ -136,6 +136,25 @@ def matrix_svt_oracle(a: np.ndarray, tau: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# k-means oracles (the kernel the GEMM assignment replaced)
+
+
+def assign_oracle(x: np.ndarray, centers: np.ndarray):
+    """Exact squared distance from every row of x to every center through
+    the (n, c, d) broadcast; returns (labels, d2) with the full (n, c)
+    table, labels by argmin (ties to the lowest index)."""
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+    return np.argmin(d2, axis=1), d2
+
+
+def centroid_sums_oracle(x: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
+    """Per-cluster sums of the rows of x by unbuffered np.add.at."""
+    sums = np.zeros((c, x.shape[1]))
+    np.add.at(sums, labels, x)
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # clustering metric oracles (dict counting / exhaustive enumeration)
 
 

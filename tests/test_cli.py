@@ -77,12 +77,15 @@ def test_fit_outputs(tmp_path, capsys):
 
     payload = json.loads((out / "metrics.json").read_text())
     assert set(payload) == set(METRIC_KEYS) | {
-        "iterations", "stop_reason", "fit_seconds", "variant", "hyperparams"
+        "iterations", "stop_reason", "fit_seconds", "variant", "hyperparams",
+        "clusters_found", "error",
     }
     for key in METRIC_KEYS:
         assert 0.0 <= payload[key]["mean"] <= 1.0
         assert payload[key]["std"] >= 0.0
     assert payload["iterations"] == len(iters)
+    assert payload["clusters_found"] == len(set(labels.tolist()))
+    assert payload["error"] is None
     assert payload["variant"] == "full"
     hp = payload["hyperparams"]
     assert hp == {"lambda1": 1.0, "lambda2": 0.01, "lambda3": 1e-4, "k": 3,
@@ -175,6 +178,8 @@ def test_eval_scores_ground_truth_as_perfect(tmp_path, capsys):
     assert payload["fit_seconds"] is None
     assert payload["variant"] is None
     assert payload["hyperparams"] is None
+    assert payload["clusters_found"] is None
+    assert payload["error"] is None
 
 
 def test_eval_rejects_mismatched_predictions(tmp_path):
@@ -340,6 +345,42 @@ def test_overflow_exits_numeric_failure(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure:")
+    # the failure is also on record in metrics.json, with the same message
+    payload = json.loads((tmp_path / "o" / "metrics.json").read_text())
+    assert payload["stop_reason"] == "numeric_failure"
+    assert payload["error"] == err[0].removeprefix("numeric failure: ")
+    assert payload["iterations"] is None and payload["clusters_found"] is None
+    assert payload["variant"] == "full" and payload["hyperparams"]["k"] == 3
+    assert not (tmp_path / "o" / "labels.csv").exists()
+
+
+
+def test_ablate_records_numeric_failure_of_the_failing_variant(tmp_path, capsys):
+    ds = load_dataset(make_synth(tmp_path))
+    huge = MultiViewDataset(tuple(x * 1e160 for x in ds.views), ds.labels, "huge")
+    manifest = write_dataset(huge, tmp_path / "huge")
+    out = tmp_path / "abl"
+    capsys.readouterr()
+    assert cli.main(["ablate", "--data", str(manifest), "--out", str(out),
+                     "--grid", "0.5", "--repeats", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: grid cell lambda1=0.5, lambda2=0.5:")
+    payload = json.loads((out / "full" / "metrics.json").read_text())
+    assert payload["stop_reason"] == "numeric_failure"
+    assert err.rstrip("\n").endswith(payload["error"])
+    assert not (out / "ablation.csv").exists()
+
+def test_fit_reports_fewer_clusters_than_asked(tmp_path, capsys):
+    # lambda2 this large zeroes H, so every no_Y embedding column is the
+    # same point: k-means finds one cluster of the three asked for, and the
+    # fit still succeeds
+    manifest = make_synth(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(fit_args(manifest, out, ["--variant", "no_Y", "--lambda2", "1e12"])) == 0
+    assert np.max(np.abs(np.loadtxt(out / "embedding.csv", delimiter=","))) == 0.0
+    payload = json.loads((out / "metrics.json").read_text())
+    assert payload["clusters_found"] == 1
+    assert set(read_labels_csv(out / "labels.csv").tolist()) == {0}
 
 
 def test_module_entry_point(tmp_path):
