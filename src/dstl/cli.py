@@ -14,7 +14,7 @@ import json
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
 from typing import Callable
@@ -169,15 +169,10 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
 
 
 def _hyperparams_payload(hp: Hyperparams, k: int) -> dict:
-    return {
-        "lambda1": hp.lambda1,
-        "lambda2": hp.lambda2,
-        "lambda3": hp.lambda3,
-        "k": k,
-        "epsilon": hp.epsilon,
-        "max_iter": hp.max_iter,
-        "seed": hp.seed,
-    }
+    """Every hyperparameter but the variant, with k resolved."""
+    payload = asdict(replace(hp, k=k))
+    del payload["variant"]
+    return payload
 
 
 def _metrics_payload(result, hp: Hyperparams) -> dict:
@@ -365,7 +360,8 @@ def cmd_bench(args) -> int:
     warm = generate_synthetic(_synth_spec(args, max(10 * args.c, 50)))
     fit_variant(normalize(warm, args.normalize), replace(hp, max_iter=2),
                 record_objective=False)
-    rows = []
+    table = "n,fit_seconds,peak_mb,iterations"
+    table += ",kmeans_seconds\n" if args.include_kmeans else "\n"
     for n in sizes:
         tracemalloc.start()
         try:
@@ -376,35 +372,18 @@ def cmd_bench(args) -> int:
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        row = {
-            "n": n,
-            "fit_seconds": fit_seconds,
-            "peak_mb": peak_mb,
-            "iterations": len(trace),
-        }
+        shown = (f"n={n}: fit_seconds={fit_seconds:.3f} peak_mb={peak_mb:.2f} "
+                 f"iterations={len(trace)}")
+        table += f"{n},{fit_seconds:.6f},{peak_mb:.3f},{len(trace)}"
         if args.include_kmeans:
             embed = clustering_embedding(st, hp.variant)
             tic = time.perf_counter()
             kmeans(embed, KMeansConfig(c=args.c, seed=hp.seed))
-            row["kmeans_seconds"] = time.perf_counter() - tic
-        rows.append(row)
-        print(
-            f"n={n}: fit_seconds={fit_seconds:.3f} peak_mb={peak_mb:.2f} "
-            f"iterations={row['iterations']}"
-            + (f" kmeans_seconds={row['kmeans_seconds']:.3f}"
-               if args.include_kmeans else "")
-        )
-    header = ["n", "fit_seconds", "peak_mb", "iterations"]
-    if args.include_kmeans:
-        header.append("kmeans_seconds")
-    table = ",".join(header) + "\n"
-    for row in rows:
-        table += (
-            f"{row['n']},{row['fit_seconds']:.6f},{row['peak_mb']:.3f},"
-            f"{row['iterations']}"
-            + (f",{row['kmeans_seconds']:.6f}" if args.include_kmeans else "")
-            + "\n"
-        )
+            kmeans_seconds = time.perf_counter() - tic
+            shown += f" kmeans_seconds={kmeans_seconds:.3f}"
+            table += f",{kmeans_seconds:.6f}"
+        print(shown)
+        table += "\n"
     _write_output(out / "timing.csv", _write_text, table)
     return 0
 

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
+from .linalg import svt
 
 __all__ = [
     "SlimTensor",
@@ -68,7 +69,7 @@ def unstack(t: SlimTensor) -> list[np.ndarray]:
     return [np.ascontiguousarray(t.data[:, v, :]) for v in range(t.data.shape[1])]
 
 
-def _half_spectrum_svd(data: np.ndarray):
+def _half_spectrum(data: np.ndarray):
     """rfft slices moved to the batch axis plus their multiplicity weights."""
     n = data.shape[2]
     half = np.moveaxis(np.fft.rfft(data, axis=2), 2, 0)  # (n//2 + 1, k, m)
@@ -85,7 +86,7 @@ def tensor_nuclear_norm(t: SlimTensor) -> float:
     Conjugate slices share singular values, so only the half spectrum is
     decomposed and paired slices are counted twice.
     """
-    half, weights = _half_spectrum_svd(t.data)
+    half, weights = _half_spectrum(t.data)
     try:
         sv = np.linalg.svd(half, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -97,25 +98,19 @@ def tubal_shrinkage(t: SlimTensor, rho: float) -> tuple[SlimTensor, float]:
     """Proximal step of ``rho * tensor_nuclear_norm`` at t, and the tensor
     nuclear norm of the result.
 
-    Each Fourier-domain frontal slice has its singular values shrunk by
-    n * rho (n the sample-mode length); the inverse transform is real by
-    construction since only the half spectrum is touched and mirrored.
-    The shrunk singular values are the result's own, so its norm is
-    sum_f w_f sum_i max(sigma_fi - n * rho, 0), with w_f the slice
-    multiplicities, exact up to rounding and without a second
-    decomposition.
+    Each Fourier-domain frontal slice of the half spectrum has its
+    singular values shrunk by n * rho (n the sample-mode length) in one
+    batched ``svt`` call; mirroring and the inverse transform keep the
+    result real.  Its norm is sum_f w_f sum_i max(sigma_fi - n * rho, 0),
+    w_f the slice multiplicities, read off the shrunk singular values
+    without a second decomposition, within the precision ``svt`` states.
     """
     if not np.isfinite(rho) or rho < 0:
         raise InputError(f"tubal_shrinkage needs rho >= 0, got {rho}")
     if rho == 0:
         return SlimTensor(t.data.copy()), tensor_nuclear_norm(t)
     n = t.data.shape[2]
-    half, weights = _half_spectrum_svd(t.data)
-    try:
-        u, s, vh = np.linalg.svd(half, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("SVD failed inside tubal_shrinkage") from exc
-    s = np.maximum(s - n * rho, 0.0)
-    shrunk = (u * s[:, None, :]) @ vh
+    half, weights = _half_spectrum(t.data)
+    shrunk, norms = svt(half, n * rho)
     out = np.fft.irfft(np.moveaxis(shrunk, 0, 2), n=n, axis=2)
-    return SlimTensor(out), float(np.sum(weights * s.sum(axis=1)))
+    return SlimTensor(out), float(np.sum(weights * norms))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .errors import InputError, NumericError
-from .linalg import procrustes_max_trace, soft_threshold, thin_svd
+from .linalg import procrustes_max_trace, soft_threshold, svt, thin_svd
 from .simplex import project_columns
 from .slimtensor import stack_rotate, tensor_nuclear_norm, tubal_shrinkage, unstack
 
@@ -201,13 +201,8 @@ def _update_H_matrix_nuclear(
 
     Returns the new H and the sum of its per-view nuclear norms."""
     thr = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
-    out, norm = [], 0.0
-    for q in _h_targets(ds, hp, st):
-        u, s, vh = thin_svd(q)
-        s = np.maximum(s - thr, 0.0)
-        out.append((u * s) @ vh)
-        norm += float(s.sum())
-    return out, norm
+    h, norms = svt(np.stack(_h_targets(ds, hp, st)), thr)
+    return list(h), float(norms.sum())
 
 
 def update_Y(st: SolverState) -> np.ndarray:
@@ -278,14 +273,15 @@ def clustering_embedding(st: SolverState, variant: str = "full") -> np.ndarray:
     return st.Y
 
 
-def constraint_violations(st: SolverState) -> dict:
-    """Worst-case deviations from the feasible set, for diagnostics."""
+def constraint_violations(st: SolverState, variant: str = "full") -> dict:
+    """Worst feasibility deviations; None for the blocks ``no_Y`` never updates (C, Y)."""
     eye_dev = lambda a: float(np.max(np.abs(a.T @ a - np.eye(a.shape[1]))))
+    coupled = variant != "no_Y"
     return {
         "w_orthonormality": max(eye_dev(w) for w in st.W),
-        "c_orthonormality": max(eye_dev(c) for c in st.C),
-        "y_column_sum": float(np.max(np.abs(st.Y.sum(axis=0) - 1.0))),
-        "y_negativity": float(max(0.0, -st.Y.min())),
+        "c_orthonormality": max(eye_dev(c) for c in st.C) if coupled else None,
+        "y_column_sum": float(np.max(np.abs(st.Y.sum(axis=0) - 1.0))) if coupled else None,
+        "y_negativity": float(max(0.0, -st.Y.min())) if coupled else None,
     }
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import dstl.cli as cli
+import dstl.slimtensor as slimtensor
+import dstl.solver as solver
 from dstl.data import (
     MultiViewDataset,
     SynthSpec,
@@ -329,6 +331,22 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     rc = cli.main(fit_args(manifest, tmp_path / "o"))
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, module", [("full", slimtensor),
+                                             ("matrix_nuclear", solver)])
+def test_svt_failure_exits_numeric_failure_naming_block_h(tmp_path, monkeypatch, capsys,
+                                                          variant, module):
+    # a non-finite spectrum inside either H step's svt call
+    manifest = make_synth(tmp_path)
+    svt = module.svt
+    monkeypatch.setattr(module, "svt", lambda a, tau: svt(a * np.nan, tau))
+    capsys.readouterr()
+    assert cli.main(fit_args(manifest, tmp_path / "o", ["--variant", variant])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: block H at iteration 1: ") and "svt" in err
+    payload = json.loads((tmp_path / "o" / "metrics.json").read_text())
+    assert payload["stop_reason"] == "numeric_failure" and payload["variant"] == variant
 
 
 def test_overflow_exits_numeric_failure(tmp_path, capsys):

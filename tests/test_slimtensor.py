@@ -214,25 +214,34 @@ def test_tubal_shrinkage_rejects_negative_rho():
     m=hst.integers(1, 6),
     n=hst.integers(1, 64),
     scale_exp=hst.integers(-6, 6),
-    rho_kind=hst.sampled_from(["zero", "small", "annihilate"]),
+    rho_kind=hst.sampled_from(["zero", "small", "tiny", "annihilate"]),
     rho_frac=hst.floats(1e-4, 0.5),
+    tiny_exp=hst.floats(-14, -6),
     seed=hst.integers(0, 2**32 - 1),
 )
-@example(k=1, m=1, n=1, scale_exp=0, rho_kind="small", rho_frac=0.1, seed=0)
-@example(k=6, m=6, n=64, scale_exp=6, rho_kind="small", rho_frac=1e-4, seed=1)
-@example(k=6, m=5, n=63, scale_exp=-6, rho_kind="small", rho_frac=0.5, seed=2)
-@example(k=5, m=3, n=2, scale_exp=0, rho_kind="zero", rho_frac=0.1, seed=3)
-@example(k=2, m=6, n=33, scale_exp=3, rho_kind="annihilate", rho_frac=0.1, seed=4)
-def test_tubal_shrinkage_norm_is_the_output_norm(k, m, n, scale_exp, rho_kind, rho_frac, seed):
+@example(k=1, m=1, n=1, scale_exp=0, rho_kind="small", rho_frac=0.1, tiny_exp=-10, seed=0)
+@example(k=6, m=6, n=64, scale_exp=6, rho_kind="small", rho_frac=1e-4, tiny_exp=-10, seed=1)
+@example(k=6, m=5, n=63, scale_exp=-6, rho_kind="small", rho_frac=0.5, tiny_exp=-10, seed=2)
+@example(k=5, m=3, n=2, scale_exp=0, rho_kind="zero", rho_frac=0.1, tiny_exp=-10, seed=3)
+@example(k=2, m=6, n=33, scale_exp=3, rho_kind="annihilate", rho_frac=0.1, tiny_exp=-10,
+         seed=4)
+@example(k=6, m=6, n=64, scale_exp=6, rho_kind="tiny", rho_frac=0.1, tiny_exp=-14, seed=5)
+@example(k=3, m=6, n=17, scale_exp=-6, rho_kind="tiny", rho_frac=0.1, tiny_exp=-6, seed=6)
+def test_tubal_shrinkage_norm_is_the_output_norm(
+    k, m, n, scale_exp, rho_kind, rho_frac, tiny_exp, seed
+):
     # the norm read off the shrunk singular values is the nuclear norm of
     # the tensor actually returned, at every shape, parity of n and scale
     scale = 10.0 ** scale_exp
     data = np.random.default_rng(seed).standard_normal((k, m, n)) * scale
-    # "small" shrinks part of the spectrum; every Fourier slice's largest
-    # singular value is at most sum |data|, so n * rho above it empties all
+    # "small" shrinks part of the spectrum and "tiny" almost none of it,
+    # down to thresholds far below the slices' largest singular values;
+    # every Fourier slice's largest singular value is at most sum |data|,
+    # so n * rho above it empties all
     rho = {
         "zero": 0.0,
         "small": rho_frac * scale,
+        "tiny": 10.0**tiny_exp * scale,
         "annihilate": 2.0 * float(np.abs(data).sum()) / n,
     }[rho_kind]
     out, norm = tubal_shrinkage(SlimTensor(data), rho)

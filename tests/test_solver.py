@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from dstl.data import MultiViewDataset, SynthSpec, generate_synthetic
 from dstl.errors import InputError, NumericError
 from dstl.solver import (
+    VARIANTS,
     Hyperparams,
     SolverState,
     clustering_embedding,
@@ -329,6 +334,21 @@ def test_constraints_hold_after_fit():
     assert v["y_negativity"] == 0.0
 
 
+def test_constraint_violations_skip_blocks_the_variant_never_updates():
+    # no_Y never updates C or Y, so their zero start is not a violation
+    ds = small_dataset(seed=11)
+    for variant in VARIANTS:
+        st, _ = fit_variant(ds, Hyperparams(lambda1=1.0, lambda2=0.01, k=3, variant=variant))
+        v = constraint_violations(st, variant)
+        assert v["w_orthonormality"] <= 1e-10
+        if variant == "no_Y":
+            assert v["c_orthonormality"] is None
+            assert v["y_column_sum"] is None and v["y_negativity"] is None
+        else:
+            assert v["c_orthonormality"] <= 1e-10
+            assert v["y_column_sum"] <= 1e-10 and v["y_negativity"] == 0.0
+
+
 def test_delta_y_definition():
     ds = small_dataset(seed=12)
     hp = Hyperparams(k=3, max_iter=4, epsilon=1e-300)
@@ -445,6 +465,59 @@ def test_non_finite_block_raises_numeric_error():
     for record in (True, False):
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="iteration"):
             fit_variant(huge, Hyperparams(k=3), record_objective=record)
+
+
+@pytest.mark.parametrize("variant", ["full", "matrix_nuclear"])
+def test_h_steps_keep_the_working_range(variant):
+    # the H steps' Gram matrices square the data; their power-of-two scale
+    # keeps them finite as long as the objective's ||X||^2 is, so views
+    # x1e150 still fit and x1e153 fail in the objective, as a numeric error
+    ds = generate_synthetic(SynthSpec(n=32000, c=5, m=3, dims=(30, 30, 30), seed=1,
+                                      corrupt_frac=0.1))
+    for factor, fits in ((1e150, True), (1e153, False)):
+        big = MultiViewDataset(tuple(x * factor for x in ds.views), ds.labels)
+        hp = Hyperparams(lambda1=5.0 * factor, lambda2=0.01 * factor, max_iter=2,
+                         epsilon=1e-300, variant=variant)
+        if fits:
+            st, trace = fit_variant(big, hp)
+            assert len(trace) == 2
+            assert all(np.isfinite(rec.objective) for rec in trace)
+            assert any(np.max(np.abs(h)) > 0 for h in st.H)
+        else:
+            with np.errstate(all="ignore"), pytest.raises(NumericError):
+                fit_variant(big, hp)
+
+
+_THREAD_PROBE = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from dstl import Hyperparams, SynthSpec, fit_variant, generate_synthetic
+    ds = generate_synthetic(SynthSpec(n=4000, c=10, m=5, dims=(40, 35, 30, 25, 20),
+                                      corrupt_frac=0.1, seed=1))
+    for variant in ("full", "matrix_nuclear"):
+        hp = Hyperparams(lambda1=5.0, lambda2=0.01, epsilon=1e-300, max_iter=12,
+                         variant=variant)
+        st, trace = fit_variant(ds, hp)
+        digest = hashlib.sha256()
+        for arr in (*st.H, st.Y):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(repr([rec.objective for rec in trace]).encode())
+        print(variant, digest.hexdigest())
+""")
+
+
+def test_fit_does_not_depend_on_blas_threads_at_k10m5():
+    # the ablation benchmark's shape: H, Y and the trace objectives of both
+    # H steps are byte-identical under one and two BLAS threads
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert len(runs[0].splitlines()) == 2
+    assert runs[0] == runs[1]
 
 
 def test_resolve_k():

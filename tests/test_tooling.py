@@ -42,3 +42,15 @@ def test_benchmark_work_counters(spans):
     assert summary["slimtensor.tensor_nuclear_norm"]["calls"] == 0
     assert summary["kmeans.kmeans"]["calls"] == 1
     assert summary["kmeans.kmeans"]["work"] == cfg.restarts
+
+
+def test_matrix_nuclear_h_step_makes_no_thin_svd_call(spans):
+    # both H steps threshold through svt; thin_svd is left to the objective's
+    # fallback and, unwrapped, to Procrustes
+    ds = dstl.generate_synthetic(dstl.SynthSpec(n=31, c=3, m=2, dims=(6, 5), seed=0))
+    hp = dstl.Hyperparams(k=3, epsilon=1e-300, max_iter=3, variant="matrix_nuclear")
+    with spans.installed(spans.Recorder()) as rec:
+        dstl.fit_variant(ds, hp)
+    summary = spans.summarize(rec.spans)
+    assert summary["solver.update_W"]["calls"] == 3
+    assert summary["linalg.thin_svd"]["calls"] == 0
