@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 import tracemalloc
@@ -21,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .data import (
     NORMALIZATIONS,
     MultiViewDataset,
@@ -175,6 +178,17 @@ def _hyperparams_payload(hp: Hyperparams, k: int) -> dict:
     return payload
 
 
+def _environment() -> dict:
+    """The package, numpy and Python versions and the OpenBLAS thread
+    setting (None when unset) that a run's outputs came from."""
+    return {
+        "dstl": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
 def _metrics_payload(result, hp: Hyperparams) -> dict:
     scores = result["scores"]
     payload = {}
@@ -187,6 +201,7 @@ def _metrics_payload(result, hp: Hyperparams) -> dict:
     payload["hyperparams"] = _hyperparams_payload(hp, result["k"])
     payload["clusters_found"] = int(np.unique(result["labels"]).size)
     payload["error"] = None
+    payload["environment"] = _environment()
     return payload
 
 
@@ -197,7 +212,7 @@ def _write_numeric_failure(out: Path, ds: MultiViewDataset, hp: Hyperparams,
     payload = {name: dict(_NO_SCORE) for name, _ in _METRICS}
     payload.update(iterations=None, stop_reason="numeric_failure", fit_seconds=None,
                    variant=hp.variant, hyperparams=_hyperparams_payload(hp, resolve_k(ds, hp)),
-                   clusters_found=None, error=str(exc))
+                   clusters_found=None, error=str(exc), environment=_environment())
     _write_output(make_dir(out) / "metrics.json", _write_text, _json_text(payload))
 
 
@@ -285,7 +300,7 @@ def cmd_eval(args) -> int:
         payload[name] = {"mean": float(fn(pred, ds.labels)), "std": 0.0}
     payload.update({"iterations": None, "stop_reason": None, "fit_seconds": None,
                     "variant": None, "hyperparams": None, "clusters_found": None,
-                    "error": None})
+                    "error": None, "environment": _environment()})
     if args.out is not None:
         _write_output(make_dir(args.out) / "metrics.json", _write_text, _json_text(payload))
     print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name, _ in _METRICS))

@@ -11,7 +11,6 @@ and 0 otherwise.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 
@@ -50,6 +49,18 @@ def hungarian_match(cost: np.ndarray) -> np.ndarray:
 
     Rectangular input is zero-padded to square first, so the returned
     permutation always has length max(cost.shape).
+
+    Shortest augmenting paths with dual potentials u, v (Jonker and
+    Volgenant, Computing 38, 1987), in the form Crouse gives (IEEE TAES
+    52(4), 2016): row r joins the assignment along the cheapest path in
+    reduced costs cost[i, j] - u[i] - v[j] >= 0 from r to a free column,
+    found by a Dijkstra scan that settles one column per step and prefers
+    a free column on ties; the potentials of the settled rows and columns
+    then move so that reduced costs stay nonnegative and vanish on the
+    assignment.  Each of the size rows takes at most size scan steps of
+    O(size) work, O(size^3) in all.  Integer costs give the exact optimal
+    total; on ties another optimal permutation than a different solver's
+    may come out.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2:
@@ -59,8 +70,42 @@ def hungarian_match(cost: np.ndarray) -> np.ndarray:
     size = max(c.shape)
     padded = np.zeros((size, size))
     padded[: c.shape[0], : c.shape[1]] = c
-    _, cols = linear_sum_assignment(padded)
-    return cols
+    u = np.zeros(size)
+    v = np.zeros(size)
+    col4row = np.full(size, -1, dtype=np.intp)
+    row4col = np.full(size, -1, dtype=np.intp)
+    for row in range(size):
+        dist = np.full(size, np.inf)  # shortest reduced path cost to each column
+        pred = np.zeros(size, dtype=np.intp)  # row before each column on that path
+        settled = np.zeros(size, dtype=bool)
+        scanned = []
+        i, low = row, 0.0
+        while True:
+            scanned.append(i)
+            reach = low + padded[i] - u[i] - v
+            better = ~settled & (reach < dist)
+            dist[better] = reach[better]
+            pred[better] = i
+            open_dist = np.where(settled, np.inf, dist)
+            low = open_dist.min()
+            ties = np.flatnonzero(open_dist == low)
+            free = ties[row4col[ties] < 0]
+            j = free[0] if free.size else ties[0]
+            settled[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[row] += low
+        others = scanned[1:]
+        u[others] += low - dist[col4row[others]]
+        v[settled] -= low - dist[settled]
+        while True:  # flip the path: each row on it takes the column after it
+            i = pred[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return col4row
 
 
 def _same_partition(table: np.ndarray) -> bool:

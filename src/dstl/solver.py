@@ -14,9 +14,9 @@ state; the loop stops once the relative squared change of the indicator
 falls to epsilon (``stop_reason`` names why a run stopped).
 
 The objective recorded after each sweep takes one decomposition per
-sweep, the H step's own: the H steps return the spectral norm of the H
-they produce, read off the singular values they have just shrunk, and
-the fidelity term uses the orthonormal-basis identity
+sweep, the H step's own, and none at lambda2 = 0: the H steps return the
+spectral norm of the H they produce, read off the singular values they
+have just shrunk, and the fidelity term uses the orthonormal-basis identity
 ||X - W T||^2 = ||X||^2 - 2 <W.T X, T> + ||T||^2, so no d x n residual
 is formed.  The l1 and alignment terms are summed directly.
 
@@ -187,8 +187,13 @@ def _h_targets(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> list:
 def update_H(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> tuple[list, float]:
     """Exact prox step of the tensor spectral penalty at the blended target.
 
-    Returns the new H and its tensor nuclear norm."""
-    q = stack_rotate(_h_targets(ds, hp, st))
+    Returns the new H and its tensor nuclear norm; at lambda2 = 0 the prox
+    is the identity and the norm, which the objective weighs by zero, is
+    reported as 0.0 without a decomposition."""
+    targets = _h_targets(ds, hp, st)
+    if hp.lambda2 == 0:
+        return targets, 0.0
+    q = stack_rotate(targets)
     rho = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
     h, norm = tubal_shrinkage(q, rho)
     return unstack(h), norm
@@ -199,9 +204,13 @@ def _update_H_matrix_nuclear(
 ) -> tuple[list, float]:
     """Variant H step: independent per-view singular value thresholding.
 
-    Returns the new H and the sum of its per-view nuclear norms."""
+    Returns the new H and the sum of its per-view nuclear norms, reported
+    as 0.0 at lambda2 = 0, as in ``update_H``."""
+    targets = _h_targets(ds, hp, st)
+    if hp.lambda2 == 0:
+        return targets, 0.0
     thr = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
-    h, norms = svt(np.stack(_h_targets(ds, hp, st)), thr)
+    h, norms = svt(np.stack(targets), thr)
     return list(h), float(norms.sum())
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dstl
 import dstl.cli as cli
 import dstl.slimtensor as slimtensor
 import dstl.solver as solver
@@ -80,7 +82,12 @@ def test_fit_outputs(tmp_path, capsys):
     payload = json.loads((out / "metrics.json").read_text())
     assert set(payload) == set(METRIC_KEYS) | {
         "iterations", "stop_reason", "fit_seconds", "variant", "hyperparams",
-        "clusters_found", "error",
+        "clusters_found", "error", "environment",
+    }
+    assert payload["environment"] == {
+        "dstl": dstl.__version__, "numpy": np.__version__,
+        "python": platform.python_version(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     for key in METRIC_KEYS:
         assert 0.0 <= payload[key]["mean"] <= 1.0
@@ -182,6 +189,7 @@ def test_eval_scores_ground_truth_as_perfect(tmp_path, capsys):
     assert payload["hyperparams"] is None
     assert payload["clusters_found"] is None
     assert payload["error"] is None
+    assert payload["environment"]["dstl"] == dstl.__version__
 
 
 def test_eval_rejects_mismatched_predictions(tmp_path):
@@ -221,6 +229,7 @@ def test_ablate_covers_all_variants(tmp_path):
     full = json.loads((out / "full" / "metrics.json").read_text())
     for key in METRIC_KEYS:
         assert full[key] == plain[key]
+    assert full["environment"] == plain["environment"]
     full_row = lines[1].split(",")
     assert float(full_row[1]) == plain["acc"]["mean"]
 
@@ -369,6 +378,7 @@ def test_overflow_exits_numeric_failure(tmp_path, capsys):
     assert payload["error"] == err[0].removeprefix("numeric failure: ")
     assert payload["iterations"] is None and payload["clusters_found"] is None
     assert payload["variant"] == "full" and payload["hyperparams"]["k"] == 3
+    assert payload["environment"]["numpy"] == np.__version__
     assert not (tmp_path / "o" / "labels.csv").exists()
 
 
@@ -410,6 +420,44 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (manifest_dir / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("module", ["dstl", "dstl.cli"])
+def test_import_loads_no_scipy(module):
+    # the runtime needs numpy and the stdlib only; scipy is a test oracle
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import {module}, sys; sys.exit('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr or f"import {module} loaded scipy"
+
+
+def test_fit_and_ablate_score_with_scipy_unimportable(tmp_path):
+    manifest = make_synth(tmp_path)
+    script = ("import sys; sys.modules['scipy'] = None; from dstl.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    for argv in (fit_args(manifest, tmp_path / "fit"),
+                 ["ablate", "--data", str(manifest), "--out", str(tmp_path / "abl"),
+                  "--repeats", "1"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    for out in (tmp_path / "fit", tmp_path / "abl" / "full"):
+        payload = json.loads((out / "metrics.json").read_text())
+        assert 0.0 < payload["acc"]["mean"] <= 1.0
+
+
+def test_environment_records_blas_threads(tmp_path, monkeypatch):
+    manifest = make_synth(tmp_path)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert cli.main(fit_args(manifest, tmp_path / "unset")) == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert cli.main(fit_args(manifest, tmp_path / "three")) == 0
+    env = [json.loads((tmp_path / d / "metrics.json").read_text())["environment"]
+           for d in ("unset", "three")]
+    assert env[0]["OPENBLAS_NUM_THREADS"] is None
+    assert env[1]["OPENBLAS_NUM_THREADS"] == "3"
 
 
 def test_fit_outputs_do_not_depend_on_blas_threads(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
+from scipy.optimize import linear_sum_assignment
 
 from dstl.errors import InputError
 from dstl.metrics import (
@@ -135,6 +138,45 @@ def test_hungarian_rectangular_pads():
     perm = hungarian_match(cost)
     assert sorted(perm.tolist()) == [0, 1, 2]
     assert perm[0] == 0 and perm[1] == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=hst.integers(0, 30),
+    cols=hst.integers(0, 30),
+    kind=hst.sampled_from(["counts", "signed", "binary", "zero", "constant"]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(rows=0, cols=0, kind="counts", seed=0)
+@example(rows=1, cols=1, kind="signed", seed=0)
+@example(rows=30, cols=30, kind="constant", seed=0)
+@example(rows=30, cols=30, kind="binary", seed=1)
+@example(rows=7, cols=30, kind="counts", seed=2)
+@example(rows=30, cols=4, kind="signed", seed=3)
+@example(rows=12, cols=12, kind="zero", seed=4)
+@example(rows=5, cols=9, kind="zero", seed=5)
+def test_hungarian_total_matches_scipy_oracle(rows, cols, kind, seed):
+    # integer tables: the optimal total is exact, so it must equal scipy's,
+    # while a tie may pick another permutation of the same total
+    rng = np.random.default_rng(seed)
+    if kind == "counts":
+        cost = -rng.integers(0, 1000, size=(rows, cols))
+    elif kind == "signed":
+        cost = rng.integers(-50, 51, size=(rows, cols))
+    elif kind == "binary":
+        cost = rng.integers(0, 2, size=(rows, cols))
+    elif kind == "zero":
+        cost = np.zeros((rows, cols), dtype=np.int64)
+    else:  # all entries equal
+        cost = np.full((rows, cols), int(rng.integers(-3, 4)))
+    size = max(rows, cols)
+    perm = hungarian_match(cost)
+    assert perm.shape == (size,)
+    assert np.array_equal(np.sort(perm), np.arange(size))
+    padded = np.zeros((size, size))
+    padded[:rows, :cols] = cost
+    oracle_rows, oracle_cols = linear_sum_assignment(padded)
+    assert padded[np.arange(size), perm].sum() == padded[oracle_rows, oracle_cols].sum()
 
 
 def test_length_mismatch_and_empty_rejected():

@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dstl.slimtensor as slimtensor
+import dstl.solver as solver
 from dstl.data import MultiViewDataset, SynthSpec, generate_synthetic
 from dstl.errors import InputError, NumericError
 from dstl.solver import (
@@ -157,6 +159,55 @@ def test_update_h_lambda2_zero_returns_blend_target():
     for h, w, x, s, c in zip(got, st.W, ds.views, st.S, st.C):
         want = (w.T @ x - s) / (lam3 + 1.0) + (lam3 / (lam3 + 1.0)) * (c @ st.Y)
         assert np.max(np.abs(h - want)) <= 1e-14
+
+
+def decomposing_h_step(ds, hp, st):
+    """The H step of either kind as it ran at lambda2 = 0 before it skipped
+    the decomposition: the prox at zero weight, with the norm the objective
+    weighs by zero still computed."""
+    targets = solver._h_targets(ds, hp, st)
+    if hp.variant == "matrix_nuclear":
+        h, norms = solver.svt(np.stack(targets), 0.0)
+        return list(h), float(norms.sum())
+    return targets, slimtensor.tensor_nuclear_norm(slimtensor.stack_rotate(targets))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lambda2_zero_fit_decomposes_nothing_in_h(variant, monkeypatch):
+    ds = small_dataset(seed=11)
+    hp = Hyperparams(lambda1=0.5, lambda2=0.0, lambda3=1e-2, k=3, max_iter=6,
+                     epsilon=1e-300, variant=variant)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "update_H", decomposing_h_step)
+        mp.setattr(solver, "_update_H_matrix_nuclear", decomposing_h_step)
+        _, before = fit_variant(ds, hp)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectral decomposition in a lambda2 = 0 fit")
+
+    for module, name in ((solver, "svt"), (solver, "tubal_shrinkage"),
+                         (solver, "tensor_nuclear_norm"), (solver, "thin_svd"),
+                         (slimtensor, "svt"), (slimtensor, "tensor_nuclear_norm")):
+        monkeypatch.setattr(module, name, forbidden)
+    svd = np.linalg.svd
+
+    def matrix_svd(a, *args, **kwargs):
+        # the W and C Procrustes steps decompose single matrices; the
+        # tensor norm's batched SVD would pass a stack
+        assert np.ndim(a) == 2, "batched SVD in a lambda2 = 0 fit"
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", matrix_svd)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    _, after = fit_variant(ds, hp)
+    assert len(after) == len(before) == hp.max_iter
+    got = [(r.objective, r.delta_y) for r in after]
+    want = [(r.objective, r.delta_y) for r in before]
+    if variant == "matrix_nuclear":
+        # svt at tau = 0 returned A V V^H, equal to A up to rounding
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    else:
+        assert got == want
 
 
 def test_update_h_large_lambda2_annihilates():
