@@ -19,7 +19,6 @@ import tracemalloc
 from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .data import (
     write_dataset,
     write_labels_csv,
     write_matrix_csv,
+    write_output,
+    write_text,
 )
 from .errors import InputError, NumericError
 from .kmeans import KMeansConfig, kmeans
@@ -213,21 +214,7 @@ def _write_numeric_failure(out: Path, ds: MultiViewDataset, hp: Hyperparams,
     payload.update(iterations=None, stop_reason="numeric_failure", fit_seconds=None,
                    variant=hp.variant, hyperparams=_hyperparams_payload(hp, resolve_k(ds, hp)),
                    clusters_found=None, error=str(exc), environment=_environment())
-    _write_output(make_dir(out) / "metrics.json", _write_text, _json_text(payload))
-
-
-def _write_output(path: Path, write: Callable, value) -> None:
-    """Write one output file with ``write(path, value)``; a path that cannot
-    be written (a directory, no permission) is an InputError naming it."""
-    try:
-        write(path, value)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_output(make_dir(out) / "metrics.json", write_text, _json_text(payload))
 
 
 def _json_text(payload: dict) -> str:
@@ -243,11 +230,11 @@ def _trace_text(trace) -> str:
 
 def _write_fit_outputs(out: Path, result, hp: Hyperparams) -> dict:
     make_dir(out)
-    _write_output(out / "labels.csv", write_labels_csv, result["labels"])
-    _write_output(out / "embedding.csv", write_matrix_csv, result["embedding"])
-    _write_output(out / "trace.csv", _write_text, _trace_text(result["trace"]))
+    write_output(out / "labels.csv", write_labels_csv, result["labels"])
+    write_output(out / "embedding.csv", write_matrix_csv, result["embedding"])
+    write_output(out / "trace.csv", write_text, _trace_text(result["trace"]))
     payload = _metrics_payload(result, hp)
-    _write_output(out / "metrics.json", _write_text, _json_text(payload))
+    write_output(out / "metrics.json", write_text, _json_text(payload))
     return payload
 
 
@@ -302,7 +289,7 @@ def cmd_eval(args) -> int:
                     "variant": None, "hyperparams": None, "clusters_found": None,
                     "error": None, "environment": _environment()})
     if args.out is not None:
-        _write_output(make_dir(args.out) / "metrics.json", _write_text, _json_text(payload))
+        write_output(make_dir(args.out) / "metrics.json", write_text, _json_text(payload))
     print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name, _ in _METRICS))
     return 0
 
@@ -340,7 +327,7 @@ def cmd_ablate(args) -> int:
     for variant, payload in rows:
         cells = ",".join(f"{payload[name]['mean']:.17g}" for name, _ in _METRICS)
         table += f"{variant},{cells}\n"
-    _write_output(out / "ablation.csv", _write_text, table)
+    write_output(out / "ablation.csv", write_text, table)
     return 0
 
 
@@ -399,7 +386,7 @@ def cmd_bench(args) -> int:
             table += f",{kmeans_seconds:.6f}"
         print(shown)
         table += "\n"
-    _write_output(out / "timing.csv", _write_text, table)
+    write_output(out / "timing.csv", write_text, table)
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
     "read_labels_csv",
     "write_matrix_csv",
     "write_labels_csv",
+    "write_output",
+    "write_text",
 ]
 
 _CENTER_SCALE = 5.0   # latent blob centers sit at _CENTER_SCALE * e_i
@@ -89,8 +91,10 @@ class MultiViewDataset:
             c = int(lab.max()) + 1
             present = np.unique(lab)
             if present.size != c:
-                missing = sorted(set(range(c)) - set(present.tolist()))
-                raise InputError(f"classes {missing} have no samples (c={c})")
+                # among 0..present.size at least one class is missing
+                first = int(np.setdiff1d(np.arange(present.size + 1), present)[0])
+                raise InputError(f"{c - present.size} of the classes 0..{c - 1} "
+                                 f"have no samples, the first is {first}")
             lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)
 
@@ -169,6 +173,8 @@ class SynthSpec:
             raise InputError(f"corrupt_frac must lie in [0, 0.5], got {self.corrupt_frac}")
         if self.noise_sigma < 0:
             raise InputError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _latent_blobs(spec: SynthSpec, rng: np.random.Generator):
@@ -272,6 +278,8 @@ def read_labels_csv(path: str | Path) -> np.ndarray:
             raise InputError(
                 f"{path}: line {i + 1}: not an integer label: {line!r}"
             ) from None
+        if not np.iinfo(np.int64).min <= values[-1] <= np.iinfo(np.int64).max:
+            raise InputError(f"{path}: line {i + 1}: label outside int64: {line!r}")
     if not values:
         raise InputError(f"{path}: empty labels file")
     return np.asarray(values, dtype=np.int64)
@@ -328,10 +336,9 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
 def write_matrix_csv(path: Path, arr: np.ndarray) -> None:
     """Headerless CSV, LF line endings, shortest round-trip float format."""
     rows = np.atleast_2d(np.asarray(arr, dtype=float))
-    lines = (",".join(map(repr, row.tolist())) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        for row in rows:  # one row at a time: no copy of the whole file
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def make_dir(path: str | Path) -> Path:
@@ -351,6 +358,20 @@ def write_labels_csv(path: Path, labels: np.ndarray) -> None:
         fh.write("\n")
 
 
+def write_text(path: Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_output(path: Path, write: Callable, value) -> None:
+    """Write one output file with ``write(path, value)``; a path that cannot
+    be written (a directory, no permission) is an InputError naming it."""
+    try:
+        write(path, value)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
     """Write manifest plus view/label files; returns the manifest path.
 
@@ -359,18 +380,16 @@ def write_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
     out = make_dir(out_dir)
     view_names = [f"view{v}.csv" for v in range(ds.n_views)]
     for fname, arr in zip(view_names, ds.views):
-        write_matrix_csv(out / fname, arr)
+        write_output(out / fname, write_matrix_csv, arr)
     labels_name = None
     if ds.labels is not None:
         labels_name = "labels.csv"
-        write_labels_csv(out / labels_name, ds.labels)
+        write_output(out / labels_name, write_labels_csv, ds.labels)
     manifest = {
         "name": ds.name,
         "views": [{"path": fname} for fname in view_names],
         "labels": labels_name,
     }
     mpath = out / "manifest.json"
-    with open(mpath, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_output(mpath, write_text, json.dumps(manifest, indent=2) + "\n")
     return mpath

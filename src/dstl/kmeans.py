@@ -45,6 +45,8 @@ class KMeansConfig:
             raise InputError(f"need c >= 1 clusters, got {self.c}")
         if self.restarts < 1:
             raise InputError(f"need restarts >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise InputError(f"need seed >= 0, got {self.seed}")
 
 
 def _plusplus_init(cols: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:

@@ -57,7 +57,8 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"svt needs matrices and tau >= 0, got ndim={a.ndim}, tau={tau}")
     wide = a.shape[-2] < a.shape[-1]
     a = a.swapaxes(-1, -2) if wide else a
-    scale = np.ldexp(1.0, -int(np.frexp(np.abs(a).max())[1]))
+    # capped at 2**1021, so that a subnormal stack does not scale by inf
+    scale = np.ldexp(1.0, -max(int(np.frexp(np.abs(a).max())[1]), -1021))
     try:  # eigenvectors of (scale A)^H (scale A)
         _, v = np.linalg.eigh(((np.conjugate(a) * scale).swapaxes(-1, -2) @ a) * scale)
     except np.linalg.LinAlgError as exc:

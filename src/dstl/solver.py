@@ -9,9 +9,17 @@ column-stochastic indicator Y through per-view rotations C^v (weight
 lambda3).  Every block subproblem has an exact closed-form minimizer, so
 the objective is non-increasing across updates.
 
+The state is held views-first: S and H are (m, k, n) stacks and C an
+(m, k, k) stack, so the C, S, H-target, Y and alignment steps are single
+batched expressions.  The slim tensor of the spectral penalty is the
+(1, 0, 2) transpose of H, and the tensor routines take H as it is.  W
+stays a list of (d_v, k) bases, because d_v differs across views.
+
 Blocks are updated in the fixed order W, C, S, H, Y from an all-zero
 state; the loop stops once the relative squared change of the indicator
-falls to epsilon (``stop_reason`` names why a run stopped).
+falls to epsilon (``stop_reason`` names why a run stopped).  Each sweep
+forms W.T X once, in the W step, which returns it for the S and H steps
+and the objective; ||X||^2 is summed once per fit.
 
 The objective recorded after each sweep takes one decomposition per
 sweep, the H step's own, and none at lambda2 = 0: the H steps return the
@@ -38,6 +46,7 @@ from .data import MultiViewDataset
 from .errors import InputError, NumericError
 from .linalg import procrustes_max_trace, soft_threshold, svt, thin_svd
 from .simplex import project_columns
+# no fit calls stack_rotate or unstack; perfbench/spans.py traces them in this module
 from .slimtensor import stack_rotate, tensor_nuclear_norm, tubal_shrinkage, unstack
 
 __all__ = [
@@ -84,6 +93,8 @@ class Hyperparams:
                 raise InputError(f"{nm} must be an integer, got {val!r}")
         if self.k is not None and self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not (self.epsilon > 0):
             raise InputError(f"epsilon must be > 0, got {self.epsilon}")
         if self.max_iter < 1:
@@ -94,12 +105,12 @@ class Hyperparams:
 
 @dataclass
 class SolverState:
-    """All block variables; lists hold one array per view."""
+    """All block variables; S, H and C are stacked views-first."""
 
-    W: list  # (d_v, k) column-orthonormal after each W update
-    S: list  # (k, n) sparse components
-    H: list  # (k, n) structured components
-    C: list  # (k, k) rotations, orthonormal after each C update
+    W: list  # per view (d_v, k), column-orthonormal after each W update
+    S: np.ndarray  # (m, k, n) sparse components
+    H: np.ndarray  # (m, k, n) structured components
+    C: np.ndarray  # (m, k, k) rotations, orthonormal after each C update
     Y: np.ndarray  # (k, n) indicator, columns on the simplex after each Y update
 
 
@@ -112,12 +123,12 @@ class TraceRecord:
 
 
 def _zero_state(ds: MultiViewDataset, k: int) -> SolverState:
-    n = ds.n_samples
+    m, n = ds.n_views, ds.n_samples
     return SolverState(
         W=[np.zeros((d, k)) for d in ds.dims],
-        S=[np.zeros((k, n)) for _ in ds.views],
-        H=[np.zeros((k, n)) for _ in ds.views],
-        C=[np.zeros((k, k)) for _ in ds.views],
+        S=np.zeros((m, k, n)),
+        H=np.zeros((m, k, n)),
+        C=np.zeros((m, k, k)),
         Y=np.zeros((k, n)),
     )
 
@@ -134,93 +145,78 @@ def resolve_k(ds: MultiViewDataset, hp: Hyperparams) -> int:
     return k
 
 
-def _apply_block(st: SolverState, block: str, step: Callable, t: int) -> float | None:
+def _apply_block(st: SolverState, block: str, step: Callable, t: int):
     """Set one block to its update; a numeric failure inside the step, or a
     non-finite result, raises NumericError naming the block and iteration.
-    Returns the spectral norm an H step reports with its update, None for
-    the other blocks."""
+    Returns what the W and H steps report with their update (W.T X and
+    the spectral norm), None for the other blocks."""
     try:
         value = step()
     except NumericError as exc:
         raise NumericError(f"block {block} at iteration {t}: {exc}") from exc
-    value, spectral = value if block == "H" else (value, None)
+    value, extra = value if block in ("W", "H") else (value, None)
     if not all(np.isfinite(a).all() for a in (value if isinstance(value, list) else [value])):
         raise NumericError(f"block {block} has non-finite entries at iteration {t}")
     setattr(st, block, value)
-    return spectral
+    return extra
 
 
-def update_W(ds: MultiViewDataset, st: SolverState) -> list:
-    """Per view, the orthonormal basis maximizing Tr(W.T X (S+H).T)."""
-    return [
-        procrustes_max_trace(x @ (s + h).T)
-        for x, s, h in zip(ds.views, st.S, st.H)
-    ]
+def update_W(ds: MultiViewDataset, st: SolverState) -> tuple[list, np.ndarray]:
+    """Per view, the orthonormal basis maximizing Tr(W.T X (S+H).T).
+
+    Returns the bases and the (m, k, n) stack of their projections W.T X,
+    which the S and H steps and the objective of the same sweep read."""
+    w = [procrustes_max_trace(x @ t.T) for x, t in zip(ds.views, st.S + st.H)]
+    return w, np.stack([b.T @ x for b, x in zip(w, ds.views)])
 
 
-def update_C(st: SolverState) -> list:
+def update_C(st: SolverState) -> np.ndarray:
     """Per view, the rotation maximizing Tr(C.T H Y.T)."""
-    return [procrustes_max_trace(h @ st.Y.T) for h in st.H]
+    return np.stack([procrustes_max_trace(a) for a in st.H @ st.Y.T])
 
 
-def update_S(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> list:
+def update_S(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> np.ndarray:
     """Exact prox step: shrink W.T X - H elementwise by lambda1 / 2."""
-    gamma = hp.lambda1 / 2.0
-    return [
-        soft_threshold(w.T @ x - h, gamma)
-        for w, x, h in zip(st.W, ds.views, st.H)
-    ]
+    return soft_threshold(wtx - st.H, hp.lambda1 / 2.0)
 
 
-def _h_targets(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> list:
+def _h_targets(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> np.ndarray:
     """Per-view quadratic centers of the H subproblem: the
     (lambda3-weighted) blend of the reconstruction residual and the
     rotated indicator."""
     lam3 = hp.lambda3
-    blend = lam3 / (lam3 + 1.0)
-    return [
-        (w.T @ x - s) / (lam3 + 1.0) + blend * (c @ st.Y)
-        for w, x, s, c in zip(st.W, ds.views, st.S, st.C)
-    ]
+    return (wtx - st.S) / (lam3 + 1.0) + lam3 / (lam3 + 1.0) * (st.C @ st.Y)
 
 
-def update_H(ds: MultiViewDataset, hp: Hyperparams, st: SolverState) -> tuple[list, float]:
+def update_H(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact prox step of the tensor spectral penalty at the blended target.
 
     Returns the new H and its tensor nuclear norm; at lambda2 = 0 the prox
     is the identity and the norm, which the objective weighs by zero, is
     reported as 0.0 without a decomposition."""
-    targets = _h_targets(ds, hp, st)
+    targets = _h_targets(hp, st, wtx)
     if hp.lambda2 == 0:
         return targets, 0.0
-    q = stack_rotate(targets)
-    rho = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
-    h, norm = tubal_shrinkage(q, rho)
-    return unstack(h), norm
+    return tubal_shrinkage(targets, hp.lambda2 / (2.0 * (hp.lambda3 + 1.0)))
 
 
 def _update_H_matrix_nuclear(
-    ds: MultiViewDataset, hp: Hyperparams, st: SolverState
-) -> tuple[list, float]:
+    hp: Hyperparams, st: SolverState, wtx: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Variant H step: independent per-view singular value thresholding.
 
     Returns the new H and the sum of its per-view nuclear norms, reported
     as 0.0 at lambda2 = 0, as in ``update_H``."""
-    targets = _h_targets(ds, hp, st)
+    targets = _h_targets(hp, st, wtx)
     if hp.lambda2 == 0:
         return targets, 0.0
-    thr = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
-    h, norms = svt(np.stack(targets), thr)
-    return list(h), float(norms.sum())
+    h, norms = svt(targets, hp.lambda2 / (2.0 * (hp.lambda3 + 1.0)))
+    return h, float(norms.sum())
 
 
 def update_Y(st: SolverState) -> np.ndarray:
     """Column-wise simplex projection of the mean rotated representation."""
-    m = len(st.H)
-    f = st.C[0].T @ st.H[0]
-    for c, h in zip(st.C[1:], st.H[1:]):
-        f = f + c.T @ h
-    return project_columns(f / m)
+    return project_columns((st.C.swapaxes(1, 2) @ st.H).sum(axis=0) / len(st.H))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -234,15 +230,18 @@ def _sq_norm(a: np.ndarray) -> float:
 
 
 def variant_objective(
-    ds: MultiViewDataset, hp: Hyperparams, st: SolverState, spectral: float | None = None
+    hp: Hyperparams, st: SolverState, wtx: np.ndarray, x_sq: float,
+    spectral: float | None = None,
 ) -> float:
     """Model objective: reconstruction + l1 + spectral penalty + consensus
     alignment.
 
-    Reconstruction is summed per view as ||X||^2 - 2 <W.T X, S + H> +
-    ||S + H||^2, which equals ||X - W (S + H)||^2 only for column-
-    orthonormal W.  Every call in ``fit_variant`` comes after a W update,
-    where W is orthonormal; a caller with any other W gets a wrong value.
+    Reconstruction is ||X||^2 - 2 <W.T X, S + H> + ||S + H||^2 summed over
+    views, from ``x_sq`` = sum_v ||X^v||^2 and the stack ``wtx`` of W.T X
+    that the W step returned; it equals sum_v ||X^v - W^v (S^v + H^v)||^2
+    only for column-orthonormal W.  Every call in ``fit_variant`` comes
+    after a W update, where W is orthonormal; a caller with any other W
+    gets a wrong value.
 
     ``spectral`` is the variant's own unweighted spectral norm of st.H
     (tensor nuclear norm, or summed per-view matrix nuclear norms), as the
@@ -250,17 +249,15 @@ def variant_objective(
     recomputed from st.H by a batched or per-view SVD.  The l1 and
     alignment terms add zero for ``no_S`` and ``no_Y``, whose S stays zero
     and whose lambda3 is zero."""
-    fidelity = 0.0
-    for x, w, s, h in zip(ds.views, st.W, st.S, st.H):
-        latent = s + h
-        fidelity += _dot(x, x) - 2.0 * _dot(w.T @ x, latent) + _dot(latent, latent)
-    l1 = hp.lambda1 * sum(float(np.abs(s).sum()) for s in st.S)
+    latent = st.S + st.H
+    fidelity = x_sq - 2.0 * _dot(wtx, latent) + _sq_norm(latent)
+    l1 = hp.lambda1 * float(np.abs(st.S).sum())
     if spectral is None:
         if hp.variant == "matrix_nuclear":
             spectral = sum(float(thin_svd(h)[1].sum()) for h in st.H)
         else:
-            spectral = tensor_nuclear_norm(stack_rotate(st.H))
-    align = hp.lambda3 * sum(_sq_norm(h - c @ st.Y) for h, c in zip(st.H, st.C))
+            spectral = tensor_nuclear_norm(st.H)
+    align = hp.lambda3 * _sq_norm(st.H - st.C @ st.Y)
     return float(fidelity + l1 + hp.lambda2 * spectral + align)
 
 
@@ -278,7 +275,7 @@ def clustering_embedding(st: SolverState, variant: str = "full") -> np.ndarray:
     """Matrix handed to k-means: the indicator Y, or the row-concatenated
     structured components for the variant that never forms Y."""
     if variant == "no_Y":
-        return np.concatenate(st.H, axis=0)
+        return st.H.reshape(-1, st.H.shape[2])
     return st.Y
 
 
@@ -320,30 +317,32 @@ def fit_variant(
     k = resolve_k(ds, hp)
     st = _zero_state(ds, k)
     h_step = _update_H_matrix_nuclear if variant == "matrix_nuclear" else update_H
+    # what the W and H steps report with their updates: W.T X, spectral norm
+    reported = {}
     steps = [("W", lambda: update_W(ds, st))]
     if variant != "no_Y":
         steps.append(("C", lambda: update_C(st)))
     if variant != "no_S":
-        steps.append(("S", lambda: update_S(ds, hp, st)))
-    steps.append(("H", lambda: h_step(ds, hp, st)))
+        steps.append(("S", lambda: update_S(hp, st, reported["W"])))
+    steps.append(("H", lambda: h_step(hp, st, reported["W"])))
     if variant != "no_Y":
         steps.append(("Y", lambda: update_Y(st)))
     prev_embed = clustering_embedding(st, variant).copy()
     trace: list[TraceRecord] = []
+    # overflow surfaces as a non-finite block or objective, which
+    # _apply_block and the objective check report as NumericError;
+    # numpy's own warnings would only repeat it
+    with np.errstate(all="ignore"):
+        x_sq = sum(_sq_norm(x) for x in ds.views)
     for t in range(1, hp.max_iter + 1):
         tic = time.perf_counter()
-        # overflow surfaces as a non-finite block or objective, which
-        # _apply_block and the objective check report as NumericError;
-        # numpy's own warnings would only repeat it
         with np.errstate(all="ignore"):
             for block, step in steps:
-                norm = _apply_block(st, block, step, t)
-                if block == "H":
-                    spectral = norm
+                reported[block] = _apply_block(st, block, step, t)
             embed = clustering_embedding(st, variant)
             prev_norm = _sq_norm(prev_embed)
             change = _sq_norm(embed - prev_embed)
-            obj = (variant_objective(ds, hp, st, spectral=spectral)
+            obj = (variant_objective(hp, st, reported["W"], x_sq, spectral=reported["H"])
                    if record_objective else float("nan"))
         if prev_norm > 0:
             delta = change / prev_norm

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from dstl.errors import InputError, NumericError
-from dstl.slimtensor import SlimTensor
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +53,21 @@ def simplex_sort_oracle(g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# slim tensor oracles (full-spectrum, loop-based)
+# solver inputs a fit derives from the data
+
+
+def projections(views, ws) -> np.ndarray:
+    """(m, k, n) stack of W.T X per view, as the W step returns it."""
+    return np.stack([w.T @ x for w, x in zip(ws, views)])
+
+
+def data_energy(views) -> float:
+    """sum_v ||X^v||^2, as fit_variant sums it once per fit."""
+    return sum(float(np.sum(x * x)) for x in views)
+
+
+# ---------------------------------------------------------------------------
+# tensor oracles (full-spectrum, loop-based) on (m, k, n) stacks
 
 # residual imaginary mass tolerated when inverting a symmetric spectrum
 IMAG_RESIDUAL_TOL = 1e-8
@@ -62,7 +75,7 @@ IMAG_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FourierSlices:
-    """Full mode-3 spectrum: complex (k, m, n) array of frontal slices.
+    """Full mode-3 spectrum: complex (m, k, n) array of frontal slices.
 
     ``real_origin`` records that the spectrum came from a real tensor and
     is therefore conjugate symmetric along the third mode.
@@ -72,13 +85,13 @@ class FourierSlices:
     real_origin: bool = True
 
 
-def fft_mode3(t: SlimTensor) -> FourierSlices:
+def fft_mode3(t: np.ndarray) -> FourierSlices:
     """Unnormalized forward FFT along the sample mode (full spectrum): the
     reference semantics the half-spectrum routines reproduce."""
-    return FourierSlices(slices=np.fft.fft(t.data, axis=2), real_origin=True)
+    return FourierSlices(slices=np.fft.fft(t, axis=2), real_origin=True)
 
 
-def ifft_mode3(f: FourierSlices) -> SlimTensor:
+def ifft_mode3(f: FourierSlices) -> np.ndarray:
     """Inverse FFT along the sample mode (applies the 1/n factor).
 
     For a symmetric spectrum the inverse is real up to rounding; the
@@ -97,17 +110,17 @@ def ifft_mode3(f: FourierSlices) -> SlimTensor:
                 f"inverse FFT of a symmetric spectrum left imaginary residual "
                 f"{residual:.3e} (bound {bound:.3e})"
             )
-    return SlimTensor(np.ascontiguousarray(inv.real))
+    return np.ascontiguousarray(inv.real)
 
 
 def tnn_oracle(data: np.ndarray) -> float:
     """Tensor nuclear norm by the definition: FFT every mode-3 tube, then sum
     matrix nuclear norms of all n frontal slices of the spectrum."""
-    k, m, n = data.shape
-    spec = np.empty((k, m, n), dtype=complex)
-    for i in range(k):
-        for v in range(m):
-            spec[i, v, :] = np.fft.fft(data[i, v, :])
+    m, k, n = data.shape
+    spec = np.empty((m, k, n), dtype=complex)
+    for v in range(m):
+        for i in range(k):
+            spec[v, i, :] = np.fft.fft(data[v, i, :])
     total = 0.0
     for j in range(n):
         total += float(np.linalg.svd(spec[:, :, j], compute_uv=False).sum())
@@ -117,7 +130,7 @@ def tnn_oracle(data: np.ndarray) -> float:
 def tubal_shrinkage_oracle(data: np.ndarray, rho: float) -> np.ndarray:
     """Per-slice complex singular value thresholding over the full FFT
     spectrum, inverted tube by tube; threshold is n * rho per slice."""
-    k, m, n = data.shape
+    n = data.shape[2]
     spec = np.fft.fft(data, axis=2)
     out = np.empty_like(spec)
     for j in range(n):

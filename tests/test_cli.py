@@ -200,6 +200,22 @@ def test_eval_rejects_mismatched_predictions(tmp_path):
     assert rc == 2
 
 
+def test_labels_past_int64_are_invalid_input(tmp_path, capsys):
+    # in the dataset's labels file and in an eval --pred file alike
+    manifest = make_synth(tmp_path)
+    huge = "\n".join(["0"] * 59 + ["99999999999999999999"]) + "\n"
+    pred = tmp_path / "pred.csv"
+    pred.write_text(huge)
+    labels = manifest.parent / "labels.csv"
+    for argv, bad in ((["eval", "--data", str(manifest), "--pred", str(pred)], pred),
+                      (fit_args(manifest, tmp_path / "o"), labels)):
+        labels.write_text(huge if bad == labels else labels.read_text())
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "line 60" in err
+
+
 def test_eval_requires_labels(tmp_path):
     rng = np.random.default_rng(1)
     ds = MultiViewDataset((rng.standard_normal((4, 10)),))
@@ -318,6 +334,33 @@ def test_unwritable_output_file_is_invalid_input(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(out / name) in err
         assert "Traceback" not in err
+
+
+def test_synth_unwritable_output_file_is_invalid_input(tmp_path, capsys):
+    for name in ("view0.csv", "labels.csv", "manifest.json"):
+        out = tmp_path / f"blocked-{name}"
+        (out / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main(["synth", "--out", str(out), "--n", "20", "--c", "2",
+                         "--m", "1", "--dims", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / name) in err
+
+
+@pytest.mark.parametrize("command", ["fit", "ablate", "synth", "bench"])
+def test_negative_seed_is_invalid_input(tmp_path, capsys, command):
+    manifest = make_synth(tmp_path)
+    argv = {
+        "fit": fit_args(manifest, tmp_path / "o"),
+        "ablate": ["ablate", "--data", str(manifest), "--out", str(tmp_path / "o"),
+                   "--repeats", "1"],
+        "synth": ["synth", "--out", str(tmp_path / "o")],
+        "bench": ["bench", "--sizes", "30", "--out", str(tmp_path / "o")],
+    }[command]
+    capsys.readouterr()
+    assert cli.main([*argv, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
 
 
 def test_non_utf8_view_is_invalid_input(tmp_path, capsys):

@@ -119,6 +119,24 @@ def test_labels_reader_rejects_non_integer(tmp_path):
     assert "line 3" in str(exc.value)
 
 
+def test_labels_reader_rejects_labels_past_int64(tmp_path):
+    bad = tmp_path / "y.csv"
+    for text in ("0\n99999999999999999999\n", "0\n-9223372036854775809\n"):
+        bad.write_text(text)
+        with pytest.raises(InputError) as exc:
+            read_labels_csv(bad)
+        assert "y.csv" in str(exc.value) and "line 2" in str(exc.value)
+    bad.write_text("9223372036854775807\n-9223372036854775808\n")
+    assert read_labels_csv(bad).tolist() == [2**63 - 1, -(2**63)]
+
+
+def test_huge_class_id_is_rejected_without_enumerating_classes():
+    # a class id near the int64 limit implies ~2**62 classes, almost all empty
+    with pytest.raises(InputError) as exc:
+        MultiViewDataset((np.ones((2, 3)),), labels=np.array([0, 2**62, 1]))
+    assert "have no samples" in str(exc.value) and "the first is 2" in str(exc.value)
+
+
 def test_normalize_none_is_identity():
     ds = generate_synthetic(SynthSpec(n=20, c=2, m=1, dims=(4,), seed=0))
     assert normalize(ds, "none") is ds
@@ -217,6 +235,8 @@ def test_synthetic_validation():
         SynthSpec(corrupt_frac=0.6)
     with pytest.raises(InputError):
         SynthSpec(m=2, dims=(4,))
+    with pytest.raises(InputError):
+        SynthSpec(seed=-1)
 
 
 def test_latent_points_are_separable():

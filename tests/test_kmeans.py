@@ -100,6 +100,8 @@ def test_rejects_bad_input():
         KMeansConfig(c=0)
     with pytest.raises(InputError):
         KMeansConfig(c=2, restarts=0)
+    with pytest.raises(InputError):
+        KMeansConfig(c=2, seed=-1)
 
 
 def test_overflowing_distances_are_a_numeric_failure():

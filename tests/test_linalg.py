@@ -137,6 +137,20 @@ def test_svt_power_of_two_scale_is_exact():
         assert np.array_equal(big_norms, norms * f)
 
 
+def test_svt_of_a_subnormal_stack_is_finite():
+    # a stack whose largest entry is subnormal is thresholded on the grid of
+    # subnormals, not reported as a numeric failure
+    rng = np.random.default_rng(12)
+    tiny = np.ldexp(1.0, -1060)
+    for shape in ((4, 3, 2), (4, 2, 3)):
+        a = rng.standard_normal(shape) * tiny
+        out, norms = svt(a, 0.0)
+        assert np.max(np.abs(out - a)) <= 64 * np.ldexp(1.0, -1074)
+        assert np.all(np.isfinite(norms)) and np.all(norms > 0)
+        out, norms = svt(a, 1.0)
+        assert np.max(np.abs(out)) == 0.0 and np.max(norms) == 0.0
+
+
 def test_svt_zero_and_annihilating_threshold():
     out, norms = svt(np.zeros((3, 4, 2)), 0.5)
     assert np.array_equal(out, np.zeros((3, 4, 2))) and np.array_equal(norms, np.zeros(3))

@@ -4,13 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dstl.errors import InputError, NumericError
-from dstl.slimtensor import (
-    SlimTensor,
-    stack_rotate,
-    tensor_nuclear_norm,
-    tubal_shrinkage,
-    unstack,
-)
+from dstl.slimtensor import stack_rotate, tensor_nuclear_norm, tubal_shrinkage, unstack
 
 from conftest import (
     FourierSlices,
@@ -23,28 +17,29 @@ from conftest import (
 
 
 def random_tensor(rng, k=None, m=None, n=None, scale=1.0):
+    """Random (m, k, n) views-first stack."""
     k = k if k is not None else int(rng.integers(1, 7))
     m = m if m is not None else int(rng.integers(1, 7))
     n = n if n is not None else int(rng.integers(1, 7))
-    return SlimTensor(rng.standard_normal((k, m, n)) * scale)
+    return rng.standard_normal((m, k, n)) * scale
 
 
 def test_stack_rotate_entry_mapping():
     rng = np.random.default_rng(0)
     mats = [rng.standard_normal((4, 6)) for _ in range(3)]
     t = stack_rotate(mats)
-    assert t.data.shape == (4, 3, 6)
+    assert t.shape == (3, 4, 6)
     for v in range(3):
-        assert np.array_equal(t.data[:, v, :], mats[v])
-    # entrywise: tensor(i, v, j) is entry (i, j) of view v
-    assert t.data[2, 1, 5] == mats[1][2, 5]
+        assert np.array_equal(t[v], mats[v])
+    # entrywise: stack(v, i, j) is entry (i, j) of view v
+    assert t[1, 2, 5] == mats[1][2, 5]
 
 
 def test_stack_single_view():
     m0 = np.arange(6.0).reshape(2, 3)
     t = stack_rotate([m0])
-    assert t.data.shape == (2, 1, 3)
-    assert np.array_equal(t.data[:, 0, :], m0)
+    assert t.shape == (1, 2, 3)
+    assert np.array_equal(t[0], m0)
 
 
 def test_unstack_round_trip():
@@ -64,10 +59,13 @@ def test_stack_rejects_mismatched_shapes():
 
 
 def test_slim_tensor_validation():
-    with pytest.raises(InputError):
-        SlimTensor(np.zeros((2, 2)))
-    with pytest.raises(InputError):
-        SlimTensor(np.zeros((2, 0, 3)))
+    # both spectral routines need a non-empty 3-d stack
+    for bad in (np.zeros((2, 2)), np.zeros((2, 0, 3))):
+        with pytest.raises(InputError):
+            tensor_nuclear_norm(bad)
+        for rho in (0.0, 0.5):
+            with pytest.raises(InputError):
+                tubal_shrinkage(bad, rho)
 
 
 def test_fft_constant_tube():
@@ -75,7 +73,7 @@ def test_fft_constant_tube():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((3, 4))
     n = 5
-    t = SlimTensor(np.repeat(m[:, :, None], n, axis=2))
+    t = np.repeat(m[:, :, None], n, axis=2)
     spec = fft_mode3(t)
     scale = np.max(np.abs(m))
     assert np.max(np.abs(spec.slices[:, :, 0] - n * m)) <= 1e-12 * n * scale
@@ -87,8 +85,8 @@ def test_fft_single_slice_is_identity():
     rng = np.random.default_rng(3)
     t = random_tensor(rng, n=1)
     spec = fft_mode3(t)
-    assert spec.slices.shape == t.data.shape
-    assert np.max(np.abs(spec.slices[:, :, 0] - t.data[:, :, 0])) <= 1e-14
+    assert spec.slices.shape == t.shape
+    assert np.max(np.abs(spec.slices[:, :, 0] - t[:, :, 0])) <= 1e-14
 
 
 def test_fft_ifft_round_trip():
@@ -96,7 +94,7 @@ def test_fft_ifft_round_trip():
     for _ in range(20):
         t = random_tensor(rng)
         back = ifft_mode3(fft_mode3(t))
-        assert np.max(np.abs(back.data - t.data)) <= 1e-10
+        assert np.max(np.abs(back - t)) <= 1e-10
 
 
 def test_ifft_rejects_asymmetric_spectrum():
@@ -107,11 +105,11 @@ def test_ifft_rejects_asymmetric_spectrum():
 
 
 def test_tnn_zero_and_homogeneity():
-    assert tensor_nuclear_norm(SlimTensor(np.zeros((3, 2, 4)))) == 0.0
+    assert tensor_nuclear_norm(np.zeros((2, 3, 4))) == 0.0
     rng = np.random.default_rng(6)
     t = random_tensor(rng)
     a = 3.7
-    scaled = SlimTensor(a * t.data)
+    scaled = a * t
     assert abs(tensor_nuclear_norm(scaled) - a * tensor_nuclear_norm(t)) <= 1e-8 * (
         1.0 + tensor_nuclear_norm(scaled)
     )
@@ -120,9 +118,9 @@ def test_tnn_zero_and_homogeneity():
 def test_tnn_constant_tube_example():
     # constant-along-mode-3 tensor: norm is n * (matrix nuclear norm of M)
     rng = np.random.default_rng(7)
-    m = rng.standard_normal((4, 3))
+    m = rng.standard_normal((3, 4))
     n = 6
-    t = SlimTensor(np.repeat(m[:, :, None], n, axis=2))
+    t = np.repeat(m[:, :, None], n, axis=2)
     want = n * float(np.linalg.svd(m, compute_uv=False).sum())
     assert abs(tensor_nuclear_norm(t) - want) <= 1e-10 * (1.0 + want)
 
@@ -131,7 +129,7 @@ def test_tnn_matches_loop_oracle():
     rng = np.random.default_rng(8)
     for _ in range(200):
         t = random_tensor(rng, scale=float(rng.choice([0.1, 1.0, 10.0])))
-        want = tnn_oracle(t.data)
+        want = tnn_oracle(t)
         got = tensor_nuclear_norm(t)
         assert abs(got - want) <= 1e-10 * (1.0 + want)
 
@@ -140,8 +138,8 @@ def test_tubal_shrinkage_zero_rho_is_identity():
     rng = np.random.default_rng(9)
     t = random_tensor(rng)
     out, _ = tubal_shrinkage(t, 0.0)
-    assert np.array_equal(out.data, t.data)
-    assert out.data is not t.data
+    assert np.array_equal(out, t)
+    assert out is not t
 
 
 def test_tubal_shrinkage_single_slice_equals_matrix_svt():
@@ -151,8 +149,8 @@ def test_tubal_shrinkage_single_slice_equals_matrix_svt():
         t = random_tensor(rng, n=1)
         rho = float(rng.uniform(0.01, 2.0))
         out, _ = tubal_shrinkage(t, rho)
-        want = matrix_svt_oracle(t.data[:, :, 0], rho)
-        assert np.max(np.abs(out.data[:, :, 0] - want)) <= 1e-10
+        want = matrix_svt_oracle(t[:, :, 0], rho)
+        assert np.max(np.abs(out[:, :, 0] - want)) <= 1e-10
 
 
 def test_tubal_shrinkage_matches_full_spectrum_oracle():
@@ -161,16 +159,16 @@ def test_tubal_shrinkage_matches_full_spectrum_oracle():
         t = random_tensor(rng)
         rho = float(rng.uniform(0.0, 1.5))
         out, _ = tubal_shrinkage(t, rho)
-        want = tubal_shrinkage_oracle(t.data, rho)
+        want = tubal_shrinkage_oracle(t, rho)
         denom = 1.0 + np.linalg.norm(want)
-        assert np.linalg.norm(out.data - want) <= 1e-8 * denom
+        assert np.linalg.norm(out - want) <= 1e-8 * denom
 
 
 def test_tubal_shrinkage_large_rho_annihilates():
     rng = np.random.default_rng(12)
     t = random_tensor(rng, k=4, m=3, n=5)
     out, norm = tubal_shrinkage(t, 1e6)
-    assert np.max(np.abs(out.data)) == 0.0
+    assert np.max(np.abs(out)) == 0.0
     assert norm == 0.0
 
 
@@ -180,8 +178,8 @@ def test_tubal_shrinkage_output_real_and_norm_shrinks():
         t = random_tensor(rng)
         rho = float(rng.uniform(0.0, 1.0))
         out, _ = tubal_shrinkage(t, rho)
-        assert out.data.dtype == np.float64
-        assert np.all(np.isfinite(out.data))
+        assert out.dtype == np.float64
+        assert np.all(np.isfinite(out))
         assert tensor_nuclear_norm(out) <= tensor_nuclear_norm(t) + 1e-8
 
 
@@ -192,12 +190,12 @@ def test_tubal_shrinkage_prox_optimality():
     rho = 0.3
 
     def value(arr):
-        return rho * tnn_oracle(arr) + 0.5 * np.sum((arr - t.data) ** 2)
+        return rho * tnn_oracle(arr) + 0.5 * np.sum((arr - t) ** 2)
 
     out, _ = tubal_shrinkage(t, rho)
-    v0 = value(out.data)
+    v0 = value(out)
     for _ in range(500):
-        cand = out.data + rng.standard_normal(out.data.shape) * rng.choice(
+        cand = out + rng.standard_normal(out.shape) * rng.choice(
             [1e-3, 0.1, 1.0]
         )
         assert v0 <= value(cand) + 1e-8
@@ -205,7 +203,7 @@ def test_tubal_shrinkage_prox_optimality():
 
 def test_tubal_shrinkage_rejects_negative_rho():
     with pytest.raises(InputError):
-        tubal_shrinkage(SlimTensor(np.zeros((2, 2, 2))), -1.0)
+        tubal_shrinkage(np.zeros((2, 2, 2)), -1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,7 +231,7 @@ def test_tubal_shrinkage_norm_is_the_output_norm(
     # the norm read off the shrunk singular values is the nuclear norm of
     # the tensor actually returned, at every shape, parity of n and scale
     scale = 10.0 ** scale_exp
-    data = np.random.default_rng(seed).standard_normal((k, m, n)) * scale
+    data = np.random.default_rng(seed).standard_normal((m, k, n)) * scale
     # "small" shrinks part of the spectrum and "tiny" almost none of it,
     # down to thresholds far below the slices' largest singular values;
     # every Fourier slice's largest singular value is at most sum |data|,
@@ -244,9 +242,9 @@ def test_tubal_shrinkage_norm_is_the_output_norm(
         "tiny": 10.0**tiny_exp * scale,
         "annihilate": 2.0 * float(np.abs(data).sum()) / n,
     }[rho_kind]
-    out, norm = tubal_shrinkage(SlimTensor(data), rho)
-    want = tnn_oracle(out.data)
+    out, norm = tubal_shrinkage(data, rho)
+    want = tnn_oracle(out)
     assert abs(norm - want) <= 1e-10 * (1.0 + norm)
     if rho_kind == "annihilate":
         assert norm == 0.0
-        assert np.max(np.abs(out.data)) == 0.0
+        assert np.max(np.abs(out)) == 0.0

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import dstl.slimtensor as slimtensor
 import dstl.solver as solver
@@ -27,16 +29,22 @@ from dstl.solver import (
     variant_objective,
 )
 
-from conftest import random_column_stochastic, random_orthonormal, tnn_oracle
+from conftest import (
+    data_energy,
+    projections,
+    random_column_stochastic,
+    random_orthonormal,
+    tnn_oracle,
+)
 
 
 def zero_state(ds, k):
-    n = ds.n_samples
+    m, n = ds.n_views, ds.n_samples
     return SolverState(
         W=[np.zeros((d, k)) for d in ds.dims],
-        S=[np.zeros((k, n)) for _ in ds.views],
-        H=[np.zeros((k, n)) for _ in ds.views],
-        C=[np.zeros((k, k)) for _ in ds.views],
+        S=np.zeros((m, k, n)),
+        H=np.zeros((m, k, n)),
+        C=np.zeros((m, k, k)),
         Y=np.zeros((k, n)),
     )
 
@@ -45,11 +53,16 @@ def random_state(rng, ds, k):
     n = ds.n_samples
     return SolverState(
         W=[random_orthonormal(rng, d, k) for d in ds.dims],
-        S=[rng.standard_normal((k, n)) for _ in ds.views],
-        H=[rng.standard_normal((k, n)) for _ in ds.views],
-        C=[random_orthonormal(rng, k, k) for _ in ds.views],
+        S=np.stack([rng.standard_normal((k, n)) for _ in ds.views]),
+        H=np.stack([rng.standard_normal((k, n)) for _ in ds.views]),
+        C=np.stack([random_orthonormal(rng, k, k) for _ in ds.views]),
         Y=random_column_stochastic(rng, k, n),
     )
+
+
+def objective(ds, hp, st):
+    """variant_objective at st, with W.T X and ||X||^2 formed from ds."""
+    return variant_objective(hp, st, projections(ds.views, st.W), data_energy(ds.views))
 
 
 def small_dataset(seed=0, n=40, c=3, m=2, dims=(8, 7)):
@@ -66,7 +79,7 @@ def oracle_objective(ds, hp, st):
         for x, w, s, h in zip(ds.views, st.W, st.S, st.H)
     )
     l1 = hp.lambda1 * sum(float(np.abs(s).sum()) for s in st.S)
-    spectral = hp.lambda2 * tnn_oracle(np.stack(st.H, axis=1))
+    spectral = hp.lambda2 * tnn_oracle(st.H)
     align = hp.lambda3 * sum(
         float(np.sum((h - c @ st.Y) ** 2)) for h, c in zip(st.H, st.C)
     )
@@ -78,7 +91,7 @@ def test_objective_of_zero_state_is_data_energy():
     hp = Hyperparams(k=3)
     st = zero_state(ds, 3)
     want = sum(float(np.sum(x**2)) for x in ds.views)
-    assert abs(variant_objective(ds, hp, st) - want) <= 1e-10 * want
+    assert abs(objective(ds, hp, st) - want) <= 1e-10 * want
 
 
 def test_objective_matches_term_oracle():
@@ -88,7 +101,7 @@ def test_objective_matches_term_oracle():
     for _ in range(10):
         st = random_state(rng, ds, 3)
         want = oracle_objective(ds, hp, st)
-        got = variant_objective(ds, hp, st)
+        got = objective(ds, hp, st)
         assert abs(got - want) <= 1e-10 * (1.0 + want)
 
 
@@ -100,17 +113,19 @@ def test_update_w_fixed_point():
     g = [rng.standard_normal((k, n)) for _ in range(2)]
     ds = MultiViewDataset(tuple(w @ gi for w, gi in zip(w0, g)))
     st = zero_state(ds, k)
-    st.S = [0.4 * gi for gi in g]
-    st.H = [0.6 * gi for gi in g]
-    for got, want in zip(update_W(ds, st), w0):
+    st.S = 0.4 * np.stack(g)
+    st.H = 0.6 * np.stack(g)
+    ws, wtx = update_W(ds, st)
+    for got, want in zip(ws, w0):
         assert np.max(np.abs(got - want)) <= 1e-8
+    assert np.array_equal(wtx, projections(ds.views, ws))
 
 
 def test_update_w_minimizes_fidelity():
     rng = np.random.default_rng(2)
     ds = small_dataset()
     st = random_state(rng, ds, 3)
-    new_w = update_W(ds, st)
+    new_w, _ = update_W(ds, st)
 
     def fidelity(ws):
         return sum(
@@ -131,7 +146,7 @@ def test_update_c_identity_when_h_equals_y():
     y = random_column_stochastic(rng, k, n)
     ds = MultiViewDataset((rng.standard_normal((6, n)),))
     st = zero_state(ds, k)
-    st.H = [y.copy()]
+    st.H = y[None].copy()
     st.Y = y
     c = update_C(st)[0]
     assert np.max(np.abs(c - np.eye(k))) <= 1e-8
@@ -141,10 +156,11 @@ def test_update_s_prox_identity_and_saturation():
     rng = np.random.default_rng(4)
     ds = small_dataset()
     st = random_state(rng, ds, 3)
-    free = update_S(ds, Hyperparams(lambda1=0.0, k=3), st)
+    wtx = projections(ds.views, st.W)
+    free = update_S(Hyperparams(lambda1=0.0, k=3), st, wtx)
     for s, w, x, h in zip(free, st.W, ds.views, st.H):
         assert np.array_equal(s, w.T @ x - h)
-    crushed = update_S(ds, Hyperparams(lambda1=1e9, k=3), st)
+    crushed = update_S(Hyperparams(lambda1=1e9, k=3), st, wtx)
     for s in crushed:
         assert np.array_equal(s, np.zeros_like(s))
 
@@ -154,22 +170,22 @@ def test_update_h_lambda2_zero_returns_blend_target():
     ds = small_dataset()
     hp = Hyperparams(lambda1=0.5, lambda2=0.0, lambda3=0.2, k=3)
     st = random_state(rng, ds, 3)
-    got, _ = update_H(ds, hp, st)
+    got, _ = update_H(hp, st, projections(ds.views, st.W))
     lam3 = hp.lambda3
     for h, w, x, s, c in zip(got, st.W, ds.views, st.S, st.C):
         want = (w.T @ x - s) / (lam3 + 1.0) + (lam3 / (lam3 + 1.0)) * (c @ st.Y)
         assert np.max(np.abs(h - want)) <= 1e-14
 
 
-def decomposing_h_step(ds, hp, st):
+def decomposing_h_step(hp, st, wtx):
     """The H step of either kind as it ran at lambda2 = 0 before it skipped
     the decomposition: the prox at zero weight, with the norm the objective
     weighs by zero still computed."""
-    targets = solver._h_targets(ds, hp, st)
+    targets = solver._h_targets(hp, st, wtx)
     if hp.variant == "matrix_nuclear":
-        h, norms = solver.svt(np.stack(targets), 0.0)
-        return list(h), float(norms.sum())
-    return targets, slimtensor.tensor_nuclear_norm(slimtensor.stack_rotate(targets))
+        h, norms = solver.svt(targets, 0.0)
+        return h, float(norms.sum())
+    return targets, slimtensor.tensor_nuclear_norm(targets)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -214,7 +230,7 @@ def test_update_h_large_lambda2_annihilates():
     rng = np.random.default_rng(6)
     ds = small_dataset()
     st = random_state(rng, ds, 3)
-    got, norm = update_H(ds, Hyperparams(lambda2=1e9, k=3), st)
+    got, norm = update_H(Hyperparams(lambda2=1e9, k=3), st, projections(ds.views, st.W))
     for h in got:
         assert np.max(np.abs(h)) == 0.0
     assert norm == 0.0
@@ -226,8 +242,8 @@ def test_update_y_fixed_point_on_simplex():
     h0 = random_column_stochastic(rng, k, n)
     ds = MultiViewDataset((rng.standard_normal((5, n)), rng.standard_normal((6, n))))
     st = zero_state(ds, k)
-    st.C = [np.eye(k), np.eye(k)]
-    st.H = [h0.copy(), h0.copy()]
+    st.C = np.stack([np.eye(k), np.eye(k)])
+    st.H = np.stack([h0, h0])
     y = update_Y(st)
     assert np.max(np.abs(y - h0)) <= 1e-12
 
@@ -238,10 +254,10 @@ def test_update_y_snaps_dominant_coordinate_to_vertex():
     k, n = 3, 9
     ds = MultiViewDataset((rng.standard_normal((4, n)),))
     st = zero_state(ds, k)
-    st.C = [np.eye(k)]
+    st.C = np.eye(k)[None]
     col = np.zeros((k, n))
     col[0] = 10.0
-    st.H = [col]
+    st.H = col[None]
     y = update_Y(st)
     want = np.zeros((k, n))
     want[0] = 1.0
@@ -252,17 +268,18 @@ def test_block_updates_never_increase_objective():
     ds = small_dataset(seed=3)
     hp = Hyperparams(lambda1=0.8, lambda2=0.05, lambda3=1e-2, k=3)
     st, _ = fit_variant(ds, hp, record_objective=False)  # warm, feasible state
-    last = variant_objective(ds, hp, st)
+    last = objective(ds, hp, st)
+    wtx = lambda: projections(ds.views, st.W)
     for _ in range(3):
         for step in (
-            lambda: setattr(st, "W", update_W(ds, st)),
+            lambda: setattr(st, "W", update_W(ds, st)[0]),
             lambda: setattr(st, "C", update_C(st)),
-            lambda: setattr(st, "S", update_S(ds, hp, st)),
-            lambda: setattr(st, "H", update_H(ds, hp, st)[0]),
+            lambda: setattr(st, "S", update_S(hp, st, wtx())),
+            lambda: setattr(st, "H", update_H(hp, st, wtx())[0]),
             lambda: setattr(st, "Y", update_Y(st)),
         ):
             step()
-            now = variant_objective(ds, hp, st)
+            now = objective(ds, hp, st)
             assert now <= last + 1e-8 * (1.0 + abs(last))
             last = now
 
@@ -358,10 +375,10 @@ def test_fit_matches_manual_block_sweep():
          [h.copy() for h in st.H], [c.copy() for c in st.C], st.Y.copy())))
     st = zero_state(ds, 3)
     for t in range(3):
-        st.W = update_W(ds, st)
+        st.W, wtx = update_W(ds, st)
         st.C = update_C(st)
-        st.S = update_S(ds, hp, st)
-        st.H, _ = update_H(ds, hp, st)
+        st.S = update_S(hp, st, wtx)
+        st.H, _ = update_H(hp, st, wtx)
         st.Y = update_Y(st)
         ws, ss, hs, cs, y = seen[t]
         for a, b in zip(st.W, ws):
@@ -421,7 +438,7 @@ def test_variant_no_s_keeps_s_zero():
     want = (
         sum(float(np.sum((x - w @ h) ** 2))
             for x, w, h in zip(ds.views, st.W, st.H))
-        + hp.lambda2 * tnn_oracle(np.stack(st.H, axis=1))
+        + hp.lambda2 * tnn_oracle(st.H)
         + hp.lambda3 * sum(float(np.sum((h - c @ st.Y) ** 2))
                            for h, c in zip(st.H, st.C))
     )
@@ -482,7 +499,7 @@ def test_variant_no_y_shape_and_objective():
         sum(float(np.sum((x - w @ (s + h)) ** 2))
             for x, w, s, h in zip(ds.views, st.W, st.S, st.H))
         + hp.lambda1 * sum(float(np.abs(s).sum()) for s in st.S)
-        + hp.lambda2 * tnn_oracle(np.stack(st.H, axis=1))
+        + hp.lambda2 * tnn_oracle(st.H)
     )
     assert abs(trace[-1].objective - want) <= 1e-10 * (1.0 + want)
 
@@ -594,7 +611,90 @@ def test_hyperparams_validation():
     with pytest.raises(InputError):
         Hyperparams(k=0)
     for bad in (dict(k=2.5), dict(k=True), dict(k="3"), dict(max_iter=2.5),
-                dict(max_iter=True), dict(max_iter=None), dict(seed=0.5)):
+                dict(max_iter=True), dict(max_iter=None), dict(seed=0.5),
+                dict(seed=-1)):
         with pytest.raises(InputError):
             Hyperparams(**bad)
     Hyperparams(k=np.int64(3), max_iter=np.int32(5), seed=np.int64(1))
+
+
+
+_LAMBDAS = hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=hst.sampled_from(VARIANTS),
+    dims=hst.lists(hst.integers(1, 4), min_size=1, max_size=3),
+    n=hst.integers(1, 9),
+    k_frac=hst.floats(0.0, 1.0),
+    kind=hst.sampled_from(["gaussian", "zero", "constant"]),
+    scale_exp=hst.sampled_from([-150, -20, 0, 20, 150, 155, 160]),
+    lambdas=hst.tuples(_LAMBDAS, _LAMBDAS, _LAMBDAS),
+    seed=hst.integers(0, 2**16),
+)
+@example(variant="full", dims=[3, 2], n=1, k_frac=0.0, kind="gaussian", scale_exp=0,
+         lambdas=(1.0, 0.01, 1e-4), seed=0)
+@example(variant="matrix_nuclear", dims=[2, 4], n=2, k_frac=1.0, kind="gaussian",
+         scale_exp=150, lambdas=(0.0, 1e-8, 0.0), seed=1)
+@example(variant="no_S", dims=[3], n=5, k_frac=1.0, kind="constant", scale_exp=-150,
+         lambdas=(1e300, 1e300, 1e300), seed=2)
+@example(variant="no_Y", dims=[4, 4, 4], n=9, k_frac=1.0, kind="zero", scale_exp=160,
+         lambdas=(0.0, 0.0, 0.0), seed=3)
+@example(variant="full", dims=[2], n=1, k_frac=0.0, kind="gaussian", scale_exp=20,
+         lambdas=(0.0, 0.0, 0.0), seed=0)
+@example(variant="full", dims=[4, 3], n=7, k_frac=0.5, kind="gaussian", scale_exp=155,
+         lambdas=(5.0, 0.01, 1e-4), seed=4)
+@example(variant="full", dims=[2], n=2, k_frac=1.0, kind="gaussian", scale_exp=-150,
+         lambdas=(1.0, 0.0, 1.237296983955347e+23), seed=0)
+@example(variant="full", dims=[2], n=2, k_frac=0.0, kind="gaussian", scale_exp=-20,
+         lambdas=(1.0, 1.0, 1.7976931348623166e+288), seed=0)
+def test_whole_fit_properties(variant, dims, n, k_frac, kind, scale_exp, lambdas, seed):
+    # every sweep of every variant, at the edges: n = 1 or 2, one view,
+    # k = min d_v, all-zero and constant views, scales 1e+-150 and weights
+    # 0 or 1e-8 ... 1e300.  The bounds are those of the oracle test above
+    # (1e-10), criterion 3 (1e-8) and criterion 4 (1e-10), read in the
+    # data's own units: the objective of views scaled by s, with lambda1
+    # and lambda2 scaled alike, is s^2 times the unit-scale one (up to the
+    # alignment term), so "1 +" becomes "s^2 +".
+    k = 1 + int(k_frac * (min(dims) - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        views = [rng.standard_normal((d, n)) for d in dims]
+        peak = max(float(np.max(np.abs(x))) for x in views)
+        views = [x / peak for x in views]  # the largest entry is exactly +-1
+    else:
+        views = [np.full((d, n), 1.0 if kind == "constant" else 0.0) for d in dims]
+    scale = 10.0**scale_exp
+    ds = MultiViewDataset(tuple(x * scale for x in views))
+    hp = Hyperparams(*lambdas, k=k, max_iter=6, epsilon=1e-300, variant=variant)
+    lam3 = 0.0 if variant == "no_Y" else hp.lambda3
+    eps = np.finfo(float).eps
+    records = []
+
+    def check(st, rec):
+        # H and Y rounded to working precision (a few ulps per entry) sit
+        # lambda3 * ||dH||^2 and m * lambda3 * ||dY||^2 above their block
+        # minima, so no float64 iterate resolves the objective below this
+        floor = lam3 * (4 * eps) ** 2 * (np.sum(st.H**2) + len(dims) * np.sum(st.Y**2))
+        records.append((rec.objective, variant_oracle_objective(ds, hp, st),
+                        constraint_violations(st, variant), floor))
+
+    overflows = kind != "zero" and scale_exp > 152  # ||X||^2 is past float64
+    try:
+        fit_variant(ds, hp, callback=check)
+    except NumericError:
+        assert overflows, "numeric failure inside the working range"
+        return
+    assert not overflows, "no numeric failure past the working range"
+    unit = 1.0 if kind == "zero" else scale**2
+    prev = None
+    for obj, want, viol, floor in records:
+        assert abs(obj - want) <= 1e-10 * (unit + abs(want)), (obj, want)
+        if prev is not None:
+            assert obj - prev <= 1e-8 * (unit + abs(prev)) + floor, (prev, obj, floor)
+        prev = obj
+        assert viol["w_orthonormality"] <= 1e-10
+        if variant != "no_Y":
+            assert viol["c_orthonormality"] <= 1e-10
+            assert viol["y_column_sum"] <= 1e-10 and viol["y_negativity"] == 0.0

@@ -40,6 +40,8 @@ def test_benchmark_work_counters(spans):
     assert tubal["calls"] == len(trace) == 3
     assert tubal["work"] == tubal["calls"] * (31 // 2 + 1)
     assert summary["slimtensor.tensor_nuclear_norm"]["calls"] == 0
+    # the state is stacked views-first, so no sweep restacks or unstacks H
+    assert summary["slimtensor.restack"]["calls"] == 0
     assert summary["kmeans.kmeans"]["calls"] == 1
     assert summary["kmeans.kmeans"]["work"] == cfg.restarts
 
