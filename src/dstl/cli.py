@@ -60,6 +60,10 @@ _METRICS = (
 
 _NO_SCORE = {"mean": None, "std": None}
 
+# metrics.json keys between the five scores and the environment, in file order
+_FIT_KEYS = ("iterations", "stop_reason", "fit_seconds", "variant", "hyperparams",
+             "clusters_found", "error")
+
 # built-in log ladder for the lambda1/lambda2 sweep (`ablate --grid default`)
 TUNING_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0)
 
@@ -190,30 +194,21 @@ def _environment() -> dict:
     }
 
 
-def _metrics_payload(result, hp: Hyperparams) -> dict:
-    scores = result["scores"]
-    payload = {}
-    for name, _ in _METRICS:
-        payload[name] = dict(scores[name]) if scores is not None else dict(_NO_SCORE)
-    payload["iterations"] = len(result["trace"])
-    payload["stop_reason"] = stop_reason(result["trace"], hp)
-    payload["fit_seconds"] = result["fit_seconds"]
-    payload["variant"] = hp.variant
-    payload["hyperparams"] = _hyperparams_payload(hp, result["k"])
-    payload["clusters_found"] = int(np.unique(result["labels"]).size)
-    payload["error"] = None
-    payload["environment"] = _environment()
-    return payload
+def _metrics_record(scores: dict | None, **fit) -> dict:
+    """A metrics.json record: the five scores (null without labels), the
+    fit keys (null unless given), then the environment."""
+    record = {name: dict(scores[name] if scores else _NO_SCORE) for name, _ in _METRICS}
+    record.update((key, fit.get(key)) for key in _FIT_KEYS)
+    return {**record, "environment": _environment()}
 
 
 def _write_numeric_failure(out: Path, ds: MultiViewDataset, hp: Hyperparams,
                            exc: NumericError) -> None:
     """metrics.json for a fit or its k-means that failed numerically: the
     same keys, with stop_reason numeric_failure and the error message."""
-    payload = {name: dict(_NO_SCORE) for name, _ in _METRICS}
-    payload.update(iterations=None, stop_reason="numeric_failure", fit_seconds=None,
-                   variant=hp.variant, hyperparams=_hyperparams_payload(hp, resolve_k(ds, hp)),
-                   clusters_found=None, error=str(exc), environment=_environment())
+    payload = _metrics_record(None, stop_reason="numeric_failure", variant=hp.variant,
+                              hyperparams=_hyperparams_payload(hp, resolve_k(ds, hp)),
+                              error=str(exc))
     write_output(make_dir(out) / "metrics.json", write_text, _json_text(payload))
 
 
@@ -233,7 +228,12 @@ def _write_fit_outputs(out: Path, result, hp: Hyperparams) -> dict:
     write_output(out / "labels.csv", write_labels_csv, result["labels"])
     write_output(out / "embedding.csv", write_matrix_csv, result["embedding"])
     write_output(out / "trace.csv", write_text, _trace_text(result["trace"]))
-    payload = _metrics_payload(result, hp)
+    trace = result["trace"]
+    payload = _metrics_record(
+        result["scores"], iterations=len(trace), stop_reason=stop_reason(trace, hp),
+        fit_seconds=result["fit_seconds"], variant=hp.variant,
+        hyperparams=_hyperparams_payload(hp, result["k"]),
+        clusters_found=int(np.unique(result["labels"]).size))
     write_output(out / "metrics.json", write_text, _json_text(payload))
     return payload
 
@@ -282,12 +282,9 @@ def cmd_eval(args) -> int:
         raise InputError(
             f"{args.pred}: {pred.size} predictions for {ds.n_samples} samples"
         )
-    payload: dict = {}
-    for name, fn in _METRICS:
-        payload[name] = {"mean": float(fn(pred, ds.labels)), "std": 0.0}
-    payload.update({"iterations": None, "stop_reason": None, "fit_seconds": None,
-                    "variant": None, "hyperparams": None, "clusters_found": None,
-                    "error": None, "environment": _environment()})
+    payload = _metrics_record(
+        {name: {"mean": float(fn(pred, ds.labels)), "std": 0.0} for name, fn in _METRICS}
+    )
     if args.out is not None:
         write_output(make_dir(args.out) / "metrics.json", write_text, _json_text(payload))
     print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name, _ in _METRICS))

@@ -216,13 +216,15 @@ def generate_synthetic(spec: SynthSpec) -> MultiViewDataset:
 
 
 def _text_lines(path: Path):
-    """Lines of a UTF-8 text file; an unreadable or undecodable file is an
-    InputError naming the path."""
+    """Lines of a UTF-8 text file; a missing, unreadable or undecodable
+    file is an InputError naming the path once."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        # an OSError's own text repeats the path; its strerror does not
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {path}: {reason}") from None
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -288,8 +290,6 @@ def read_labels_csv(path: str | Path) -> np.ndarray:
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     """Load a dataset from its JSON manifest; all errors are InputError."""
     p = Path(manifest_path)
-    if not p.is_file():
-        raise InputError(f"manifest not found: {p}")
     try:
         doc = json.loads("".join(_text_lines(p)))
     except json.JSONDecodeError as exc:
@@ -304,10 +304,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise InputError(f"{p}: views[{i}] must be an object with a 'path' string")
-        vp = base / entry["path"]
-        if not vp.is_file():
-            raise InputError(f"{p}: views[{i}]: file not found: {vp}")
-        views.append(read_matrix_csv(vp))
+        views.append(read_matrix_csv(base / entry["path"]))
     widths = {v.shape[1] for v in views}
     if len(widths) > 1:
         detail = ", ".join(
@@ -320,8 +317,6 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         if not isinstance(labels_rel, str):
             raise InputError(f"{p}: 'labels' must be a path string or null")
         lp = base / labels_rel
-        if not lp.is_file():
-            raise InputError(f"{p}: labels file not found: {lp}")
         labels = read_labels_csv(lp)
         if labels.size != views[0].shape[1]:
             raise InputError(

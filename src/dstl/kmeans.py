@@ -99,10 +99,10 @@ def _centroid_sums(cols: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
     return np.stack([np.bincount(labels, weights=row, minlength=c) for row in cols], axis=1)
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray, cfg: KMeansConfig):
-    """Lloyd iterations from given centers; returns labels, inertia and
-    the per-iteration inertia history (non-increasing)."""
-    cols = np.ascontiguousarray(x.T)
+def _lloyd(x: np.ndarray, cols: np.ndarray, centers: np.ndarray, cfg: KMeansConfig):
+    """Lloyd iterations from given centers on the points as the rows of x,
+    with cols the same points as a contiguous (d, n) matrix; returns
+    labels, inertia and the per-iteration inertia history (non-increasing)."""
     history = []
     labels = None
     prev_labels = None
@@ -164,7 +164,7 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig):
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
         centers = _plusplus_init(x, cfg.c, rng)
-        labels, inertia, _ = _lloyd(rows, centers, cfg)
+        labels, inertia, _ = _lloyd(rows, x, centers, cfg)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels, float(best_inertia)

@@ -19,24 +19,29 @@ Blocks are updated in the fixed order W, C, S, H, Y from an all-zero
 state; the loop stops once the relative squared change of the indicator
 falls to epsilon (``stop_reason`` names why a run stopped).  Each sweep
 forms W.T X once, in the W step, which returns it for the S and H steps
-and the objective; ||X||^2 is summed once per fit.
+and the objective; ||X||^2 is summed once per fit.  One H step serves
+both spectral penalties: the same batched singular value thresholding
+acts on the Fourier slices of the slim tensor, or on the views for
+``matrix_nuclear``.
 
 The objective recorded after each sweep takes one decomposition per
-sweep, the H step's own, and none at lambda2 = 0: the H steps return the
-spectral norm of the H they produce, read off the singular values they
-have just shrunk, and the fidelity term uses the orthonormal-basis identity
+sweep, the H step's own, and none at lambda2 = 0: the H step returns the
+spectral norm of the H it produces, read off the singular values it
+has just shrunk, and the fidelity term uses the orthonormal-basis identity
 ||X - W T||^2 = ||X||^2 - 2 <W.T X, T> + ||T||^2, so no d x n residual
 is formed.  The l1 and alignment terms are summed directly.
 
-Variants drop one ingredient at a time: ``no_S`` pins S at zero,
-``matrix_nuclear`` swaps the tensor spectral penalty for independent
-per-view matrix nuclear norms, and ``no_Y`` drops the consensus coupling
-(clustering then runs on the row-concatenated H^v).
+Variants drop one ingredient at a time: ``no_S`` skips the S step, so S
+stays zero, ``matrix_nuclear`` swaps the tensor spectral penalty for
+independent per-view matrix nuclear norms, and ``no_Y`` skips the C and
+Y steps, dropping the consensus coupling (clustering then runs on the
+row-concatenated H^v).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -44,10 +49,12 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .errors import InputError, NumericError
-from .linalg import procrustes_max_trace, soft_threshold, svt, thin_svd
+from .linalg import procrustes_max_trace, soft_threshold, svt
 from .simplex import project_columns
-# no fit calls stack_rotate or unstack; perfbench/spans.py traces them in this module
-from .slimtensor import stack_rotate, tensor_nuclear_norm, tubal_shrinkage, unstack
+from .slimtensor import tubal_shrinkage
+# no fit calls these; perfbench/spans.py traces them in this module
+from .linalg import thin_svd
+from .slimtensor import stack_rotate, tensor_nuclear_norm, unstack
 
 __all__ = [
     "VARIANTS",
@@ -145,20 +152,17 @@ def resolve_k(ds: MultiViewDataset, hp: Hyperparams) -> int:
     return k
 
 
-def _apply_block(st: SolverState, block: str, step: Callable, t: int):
-    """Set one block to its update; a numeric failure inside the step, or a
-    non-finite result, raises NumericError naming the block and iteration.
-    Returns what the W and H steps report with their update (W.T X and
-    the spectral norm), None for the other blocks."""
+@contextmanager
+def _updating(st: SolverState, block: str, t: int):
+    """Guard one block update: a numeric failure inside it, or a non-finite
+    block after it, raises NumericError naming the block and iteration."""
     try:
-        value = step()
+        yield
     except NumericError as exc:
         raise NumericError(f"block {block} at iteration {t}: {exc}") from exc
-    value, extra = value if block in ("W", "H") else (value, None)
+    value = getattr(st, block)
     if not all(np.isfinite(a).all() for a in (value if isinstance(value, list) else [value])):
         raise NumericError(f"block {block} has non-finite entries at iteration {t}")
-    setattr(st, block, value)
-    return extra
 
 
 def update_W(ds: MultiViewDataset, st: SolverState) -> tuple[list, np.ndarray]:
@@ -189,29 +193,22 @@ def _h_targets(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> np.ndarray:
 
 
 def update_H(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact prox step of the tensor spectral penalty at the blended target.
+    """Exact prox step of the variant's spectral penalty at the blended
+    target: tubal singular value thresholding, or for ``matrix_nuclear``
+    singular value thresholding of each view.
 
-    Returns the new H and its tensor nuclear norm; at lambda2 = 0 the prox
-    is the identity and the norm, which the objective weighs by zero, is
-    reported as 0.0 without a decomposition."""
+    Returns the new H and its spectral norm (the tensor nuclear norm, or
+    the sum of the per-view nuclear norms); at lambda2 = 0 the prox is the
+    identity and the norm, which the objective weighs by zero, is reported
+    as 0.0 without a decomposition."""
     targets = _h_targets(hp, st, wtx)
     if hp.lambda2 == 0:
         return targets, 0.0
-    return tubal_shrinkage(targets, hp.lambda2 / (2.0 * (hp.lambda3 + 1.0)))
-
-
-def _update_H_matrix_nuclear(
-    hp: Hyperparams, st: SolverState, wtx: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Variant H step: independent per-view singular value thresholding.
-
-    Returns the new H and the sum of its per-view nuclear norms, reported
-    as 0.0 at lambda2 = 0, as in ``update_H``."""
-    targets = _h_targets(hp, st, wtx)
-    if hp.lambda2 == 0:
-        return targets, 0.0
-    h, norms = svt(targets, hp.lambda2 / (2.0 * (hp.lambda3 + 1.0)))
-    return h, float(norms.sum())
+    tau = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
+    if hp.variant == "matrix_nuclear":
+        h, norms = svt(targets, tau)
+        return h, float(norms.sum())
+    return tubal_shrinkage(targets, tau)
 
 
 def update_Y(st: SolverState) -> np.ndarray:
@@ -230,8 +227,7 @@ def _sq_norm(a: np.ndarray) -> float:
 
 
 def variant_objective(
-    hp: Hyperparams, st: SolverState, wtx: np.ndarray, x_sq: float,
-    spectral: float | None = None,
+    hp: Hyperparams, st: SolverState, wtx: np.ndarray, x_sq: float, spectral: float
 ) -> float:
     """Model objective: reconstruction + l1 + spectral penalty + consensus
     alignment.
@@ -245,18 +241,12 @@ def variant_objective(
 
     ``spectral`` is the variant's own unweighted spectral norm of st.H
     (tensor nuclear norm, or summed per-view matrix nuclear norms), as the
-    H step that produced st.H returned it; without it the norm is
-    recomputed from st.H by a batched or per-view SVD.  The l1 and
+    H step that produced st.H returned it.  The l1 and
     alignment terms add zero for ``no_S`` and ``no_Y``, whose S stays zero
     and whose lambda3 is zero."""
     latent = st.S + st.H
     fidelity = x_sq - 2.0 * _dot(wtx, latent) + _sq_norm(latent)
     l1 = hp.lambda1 * float(np.abs(st.S).sum())
-    if spectral is None:
-        if hp.variant == "matrix_nuclear":
-            spectral = sum(float(thin_svd(h)[1].sum()) for h in st.H)
-        else:
-            spectral = tensor_nuclear_norm(st.H)
     align = hp.lambda3 * _sq_norm(st.H - st.C @ st.Y)
     return float(fidelity + l1 + hp.lambda2 * spectral + align)
 
@@ -316,33 +306,33 @@ def fit_variant(
         hp = replace(hp, lambda3=0.0)
     k = resolve_k(ds, hp)
     st = _zero_state(ds, k)
-    h_step = _update_H_matrix_nuclear if variant == "matrix_nuclear" else update_H
-    # what the W and H steps report with their updates: W.T X, spectral norm
-    reported = {}
-    steps = [("W", lambda: update_W(ds, st))]
-    if variant != "no_Y":
-        steps.append(("C", lambda: update_C(st)))
-    if variant != "no_S":
-        steps.append(("S", lambda: update_S(hp, st, reported["W"])))
-    steps.append(("H", lambda: h_step(hp, st, reported["W"])))
-    if variant != "no_Y":
-        steps.append(("Y", lambda: update_Y(st)))
     prev_embed = clustering_embedding(st, variant).copy()
     trace: list[TraceRecord] = []
     # overflow surfaces as a non-finite block or objective, which
-    # _apply_block and the objective check report as NumericError;
+    # _updating and the objective check report as NumericError;
     # numpy's own warnings would only repeat it
     with np.errstate(all="ignore"):
         x_sq = sum(_sq_norm(x) for x in ds.views)
     for t in range(1, hp.max_iter + 1):
         tic = time.perf_counter()
         with np.errstate(all="ignore"):
-            for block, step in steps:
-                reported[block] = _apply_block(st, block, step, t)
+            with _updating(st, "W", t):
+                st.W, wtx = update_W(ds, st)
+            if variant != "no_Y":
+                with _updating(st, "C", t):
+                    st.C = update_C(st)
+            if variant != "no_S":
+                with _updating(st, "S", t):
+                    st.S = update_S(hp, st, wtx)
+            with _updating(st, "H", t):
+                st.H, spectral = update_H(hp, st, wtx)
+            if variant != "no_Y":
+                with _updating(st, "Y", t):
+                    st.Y = update_Y(st)
             embed = clustering_embedding(st, variant)
             prev_norm = _sq_norm(prev_embed)
             change = _sq_norm(embed - prev_embed)
-            obj = (variant_objective(hp, st, reported["W"], x_sq, spectral=reported["H"])
+            obj = (variant_objective(hp, st, wtx, x_sq, spectral)
                    if record_objective else float("nan"))
         if prev_norm > 0:
             delta = change / prev_norm

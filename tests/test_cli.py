@@ -313,6 +313,20 @@ def test_missing_manifest_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["manifest.json", "view1.csv", "labels.csv", "pred.csv"])
+def test_missing_input_file_is_invalid_input_naming_it_once(tmp_path, capsys, missing):
+    manifest = make_synth(tmp_path)
+    gone = manifest.parent / missing
+    gone.unlink(missing_ok=True)
+    argv = (["eval", "--data", str(manifest), "--pred", str(gone)] if missing == "pred.csv"
+            else fit_args(manifest, tmp_path / "o"))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert err[0].count(str(gone)) == 1
+
+
 def test_out_naming_a_file_is_invalid_input(tmp_path, capsys):
     manifest = make_synth(tmp_path)
     taken = tmp_path / "taken"

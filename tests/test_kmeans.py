@@ -65,7 +65,7 @@ def test_lloyd_inertia_history_non_increasing():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((60, 3))
     centers = x[:5].copy()
-    _, _, history = _lloyd(x, centers, KMeansConfig(c=5, seed=0))
+    _, _, history = _lloyd(x, np.ascontiguousarray(x.T), centers, KMeansConfig(c=5, seed=0))
     assert len(history) >= 1
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-9)
@@ -76,7 +76,7 @@ def test_lloyd_repairs_empty_clusters():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((30, 2)) * 3
     centers = np.repeat(x[:1], 3, axis=0).copy()
-    labels, inertia, _ = _lloyd(x, centers, KMeansConfig(c=3, seed=0))
+    labels, inertia, _ = _lloyd(x, np.ascontiguousarray(x.T), centers, KMeansConfig(c=3, seed=0))
     assert np.bincount(labels, minlength=3).min() >= 1
     assert np.isfinite(inertia)
 

@@ -61,8 +61,10 @@ def random_state(rng, ds, k):
 
 
 def objective(ds, hp, st):
-    """variant_objective at st, with W.T X and ||X||^2 formed from ds."""
-    return variant_objective(hp, st, projections(ds.views, st.W), data_energy(ds.views))
+    """variant_objective at st, with W.T X and ||X||^2 formed from ds and
+    the tensor nuclear norm from the loop oracle."""
+    return variant_objective(hp, st, projections(ds.views, st.W), data_energy(ds.views),
+                             tnn_oracle(st.H))
 
 
 def small_dataset(seed=0, n=40, c=3, m=2, dims=(8, 7)):
@@ -195,7 +197,6 @@ def test_lambda2_zero_fit_decomposes_nothing_in_h(variant, monkeypatch):
                      epsilon=1e-300, variant=variant)
     with monkeypatch.context() as mp:
         mp.setattr(solver, "update_H", decomposing_h_step)
-        mp.setattr(solver, "_update_H_matrix_nuclear", decomposing_h_step)
         _, before = fit_variant(ds, hp)
 
     def forbidden(*args, **kwargs):

@@ -46,13 +46,21 @@ def test_benchmark_work_counters(spans):
     assert summary["kmeans.kmeans"]["work"] == cfg.restarts
 
 
-def test_matrix_nuclear_h_step_makes_no_thin_svd_call(spans):
-    # both H steps threshold through svt; thin_svd is left to the objective's
-    # fallback and, unwrapped, to Procrustes
+SKIPPED_BLOCKS = {"full": "", "no_S": "S", "matrix_nuclear": "", "no_Y": "CY"}
+
+
+@pytest.mark.parametrize("variant", dstl.VARIANTS)
+def test_every_block_step_is_traced(spans, variant):
+    # each variant's sweep runs its blocks through the traced names, the
+    # matrix_nuclear H step included; both spectral penalties threshold
+    # through svt, so thin_svd is left to Procrustes, unwrapped
     ds = dstl.generate_synthetic(dstl.SynthSpec(n=31, c=3, m=2, dims=(6, 5), seed=0))
-    hp = dstl.Hyperparams(k=3, epsilon=1e-300, max_iter=3, variant="matrix_nuclear")
+    hp = dstl.Hyperparams(k=3, epsilon=1e-300, max_iter=3, variant=variant)
     with spans.installed(spans.Recorder()) as rec:
         dstl.fit_variant(ds, hp)
     summary = spans.summarize(rec.spans)
-    assert summary["solver.update_W"]["calls"] == 3
+    for block in "WCSHY":
+        want = 0 if block in SKIPPED_BLOCKS[variant] else 3
+        assert summary[f"solver.update_{block}"]["calls"] == want, block
+    assert summary["solver.variant_objective"]["calls"] == 3
     assert summary["linalg.thin_svd"]["calls"] == 0
