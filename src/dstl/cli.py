@@ -184,14 +184,26 @@ def _hyperparams_payload(hp: Hyperparams, k: int) -> dict:
 
 
 def _environment() -> dict:
-    """The package, numpy and Python versions and the OpenBLAS thread
-    setting (None when unset) that a run's outputs came from."""
+    """The package, numpy, BLAS and Python versions and the OpenBLAS
+    thread setting (None when unset) that a run's outputs came from."""
     return {
         "dstl": __version__,
         "numpy": np.__version__,
+        "blas": _blas_library(),
         "python": platform.python_version(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
+
+
+def _blas_library() -> str | None:
+    """Name and version of the BLAS numpy was built with, as numpy reports
+    them; None where it reports none (numpy < 1.25 cannot say)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    name = blas.get("name")
+    return f"{name} {blas.get('version', '')}".strip() if name else None
 
 
 def _metrics_record(scores: dict | None, **fit) -> dict:

@@ -84,8 +84,10 @@ def test_fit_outputs(tmp_path, capsys):
         "iterations", "stop_reason", "fit_seconds", "variant", "hyperparams",
         "clusters_found", "error", "environment",
     }
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert payload["environment"] == {
         "dstl": dstl.__version__, "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
         "python": platform.python_version(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }

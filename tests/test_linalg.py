@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from dstl import linalg
 from dstl.errors import InputError, NumericError
 from dstl.linalg import procrustes_max_trace, soft_threshold, svt, thin_svd
 
@@ -57,18 +60,46 @@ def test_thin_svd_rejects_bad_input():
         thin_svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def random_basis(rng, d, r, complex_):
+    """d x r matrix with orthonormal columns, real or complex."""
+    g = rng.standard_normal((d, r))
+    if complex_:
+        g = g + 1j * rng.standard_normal((d, r))
+    return np.linalg.qr(g)[0]
+
+
+def spectral_matrix(rng, p, q, sigma, complex_):
+    """p x q matrix with random singular vectors and singular values sigma."""
+    r = len(sigma)
+    return (random_basis(rng, p, r, complex_) * sigma) @ random_basis(rng, q, r, complex_).conj().T
+
+
 def graded_matrix(rng, p, q, complex_):
     """p x q matrix with random singular vectors and singular values
     log-spaced from 1 down to 1e-12."""
+    return spectral_matrix(rng, p, q, np.logspace(0, -12, min(p, q)), complex_)
+
+
+def mixed_stack(rng, count, p, q, complex_):
+    """count p x q matrices of six kinds in turn: random, orthogonal
+    columns of the smaller side (a diagonal Gram matrix), zero, a repeated
+    singular value, rank one, and graded from 1 to 1e-12."""
     r = min(p, q)
 
-    def basis(d):
-        g = rng.standard_normal((d, r))
-        if complex_:
-            g = g + 1j * rng.standard_normal((d, r))
-        return np.linalg.qr(g)[0]
+    def orthogonal():
+        x = random_basis(rng, max(p, q), r, complex_) * rng.uniform(0.5, 2.0, r)
+        return x if p >= q else x.T
 
-    return (basis(p) * np.logspace(0, -12, r)) @ basis(q).conj().T
+    kinds = [
+        lambda: rng.standard_normal((p, q)) + (1j * rng.standard_normal((p, q)) if complex_ else 0),
+        orthogonal,
+        lambda: np.zeros((p, q)),
+        lambda: spectral_matrix(rng, p, q, np.array([1.3, 1.3, 0.4])[:r], complex_),
+        lambda: spectral_matrix(rng, p, q, np.array([1.7, 0.0, 0.0])[:r], complex_),
+        lambda: graded_matrix(rng, p, q, complex_),
+    ]
+    return np.stack([kinds[i % len(kinds)]() for i in range(count)]).astype(
+        complex if complex_ else float)
 
 
 @settings(max_examples=400, deadline=None)
@@ -106,12 +137,20 @@ def test_svt_graded_spectrum_matches_oracle(p, q, complex_, tau_exp, seed):
 
 
 def test_svt_stack_matches_per_matrix_oracle():
+    # the mixed stacks put matrices the Jacobi branch finishes in 1 to 5
+    # sweeps side by side, so a rotation that leaks into a matrix whose
+    # pair is no longer live shows
     rng = np.random.default_rng(9)
-    for shape in [(7, 5, 3), (4, 3, 5), (2, 3, 4, 4), (6, 1, 4), (5, 4, 1)]:
+    random_shapes = [(7, 5, 3), (4, 3, 5), (2, 3, 4, 4), (6, 1, 4), (5, 4, 1)]
+    mixed_shapes = [(2001, 5, 3), (2001, 3, 5)]
+    for shape in random_shapes + mixed_shapes:
         for complex_ in (False, True):
-            a = rng.standard_normal(shape)
-            if complex_:
-                a = a + 1j * rng.standard_normal(shape)
+            if shape in mixed_shapes:
+                a = mixed_stack(rng, *shape, complex_)
+            else:
+                a = rng.standard_normal(shape)
+                if complex_:
+                    a = a + 1j * rng.standard_normal(shape)
             tau = float(rng.uniform(0.1, 1.5))
             out, norms = svt(a, tau)
             assert out.shape == a.shape and norms.shape == shape[:-2]
@@ -180,6 +219,40 @@ def test_svt_non_finite_input_is_a_numeric_error(bad, complex_):
         svt(a, 0.1)
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         svt(a.swapaxes(-1, -2), 0.1)
+
+
+def test_svt_jacobi_that_does_not_converge_is_a_numeric_error(monkeypatch):
+    # a random 3-column stack needs 4 sweeps of rotations and a fifth that
+    # finds nothing left; capped at one sweep, svt names itself in the error
+    a = np.random.default_rng(13).standard_normal((50, 5, 3))
+    monkeypatch.setattr(linalg, "_JACOBI_SWEEPS", 1)
+    with pytest.raises(NumericError, match="svt"):
+        svt(a, 0.5)
+    monkeypatch.setattr(linalg, "_JACOBI_SWEEPS", 5)
+    out, _ = svt(a, 0.5)
+    assert np.max(np.abs(out[0] - matrix_svt_oracle(a[0], 0.5))) <= 1e-12
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
+def test_svt_jacobi_rotation_angle_neither_overflows_nor_divides_by_zero(phase):
+    # Gram matrices with entries 1e150 times apart, where the cotangent of
+    # the rotation angle, (g_jj - g_ii) / (2 |g_ij|), is about 1e165 and
+    # its square overflows (first matrix), or where |g_ij|^2 and
+    # (g_jj - g_ii)^2 both underflow to zero (second); the pair is live in
+    # each, |g_ij| > eps sqrt(g_ii g_jj).  svt runs outside the solver's
+    # errstate, so a floating-point warning would reach the caller
+    tiny = 1e-150
+    a = np.zeros((2, 4, 3), dtype=complex)
+    a[0, 0, 0], a[0, 0, 1], a[0, 1, 1], a[0, 2, 2] = 1.0, 2.0 * EPS * tiny * phase, tiny, 0.5
+    a[1, 0, 0], a[1, 1, 1], a[1, 1, 2], a[1, 2, 1], a[1, 2, 2] = 1.0, tiny, 0.1 * tiny * phase, \
+        0.1 * tiny, tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, norms = svt(a, 0.25)
+    for k in range(2):
+        assert np.max(np.abs(out[k] - matrix_svt_oracle(a[k], 0.25))) <= 1e-12
+        sv = np.linalg.svd(a[k], compute_uv=False)
+        assert abs(norms[k] - np.maximum(sv - 0.25, 0.0).sum()) <= 1e-12
 
 
 def test_procrustes_recovers_rotation():

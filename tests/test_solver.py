@@ -561,23 +561,24 @@ _THREAD_PROBE = textwrap.dedent("""
     import hashlib
     import numpy as np
     from dstl import Hyperparams, SynthSpec, fit_variant, generate_synthetic
-    ds = generate_synthetic(SynthSpec(n=4000, c=10, m=5, dims=(40, 35, 30, 25, 20),
-                                      corrupt_frac=0.1, seed=1))
-    for variant in ("full", "matrix_nuclear"):
+    k10m5 = SynthSpec(n=4000, c=10, m=5, dims=(40, 35, 30, 25, 20), corrupt_frac=0.1, seed=1)
+    k5m3 = SynthSpec(n=4000, c=5, m=3, dims=(30, 30, 30), corrupt_frac=0.1, seed=1)
+    for spec, variant in ((k10m5, "full"), (k10m5, "matrix_nuclear"), (k5m3, "full")):
         hp = Hyperparams(lambda1=5.0, lambda2=0.01, epsilon=1e-300, max_iter=12,
                          variant=variant)
-        st, trace = fit_variant(ds, hp)
+        st, trace = fit_variant(generate_synthetic(spec), hp)
         digest = hashlib.sha256()
         for arr in (*st.H, st.Y):
             digest.update(np.ascontiguousarray(arr).tobytes())
         digest.update(repr([rec.objective for rec in trace]).encode())
-        print(variant, digest.hexdigest())
+        print(spec.m, variant, digest.hexdigest())
 """)
 
 
 def test_fit_does_not_depend_on_blas_threads_at_k10m5():
     # the ablation benchmark's shape: H, Y and the trace objectives of both
-    # H steps are byte-identical under one and two BLAS threads
+    # H steps are byte-identical under one and two BLAS threads; so are
+    # they at k5 m3, whose Fourier slices take svt's Jacobi branch
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -585,7 +586,7 @@ def test_fit_does_not_depend_on_blas_threads_at_k10m5():
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout)
-    assert len(runs[0].splitlines()) == 2
+    assert len(runs[0].splitlines()) == 3
     assert runs[0] == runs[1]
 
 

@@ -4,12 +4,14 @@
 and counts work units from their arguments.  Resolving the names and
 running a tiny traced fit here makes a rename, a deletion or a signature
 change fail the test suite, not only a traced benchmark run.  The tests
-only read ``perfbench/``.
+only read ``perfbench/``.  The last test pins which eigen step ``svt``
+takes at the benchmark's shapes, which no span separates.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dstl
@@ -64,3 +66,20 @@ def test_every_block_step_is_traced(spans, variant):
         assert summary[f"solver.update_{block}"]["calls"] == want, block
     assert summary["solver.variant_objective"]["calls"] == 3
     assert summary["linalg.thin_svd"]["calls"] == 0
+
+
+@pytest.mark.parametrize("m, k, variant, calls", [
+    (3, 5, "full", 0), (5, 10, "full", 3), (5, 10, "matrix_nuclear", 3)])
+def test_svt_eigen_step_follows_the_gram_width(monkeypatch, m, k, variant, calls):
+    # svt's branch at the benchmark's shapes: the k5 m3 Fourier slices
+    # (3-column Gram matrices) take the Jacobi and call no eigh; the k10 m5
+    # slices (5 columns) and views (10) make one batched eigh per sweep
+    eigh = np.linalg.eigh
+    shapes = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: shapes.append(g.shape) or eigh(g))
+    ds = dstl.generate_synthetic(
+        dstl.SynthSpec(n=64, c=k, m=m, dims=(40, 35, 30, 25, 20)[:m], seed=0))
+    hp = dstl.Hyperparams(lambda1=5.0, lambda2=0.01, epsilon=1e-300, max_iter=3,
+                          variant=variant)
+    dstl.fit_variant(ds, hp)
+    assert len(shapes) == calls, shapes
