@@ -374,12 +374,17 @@ def cmd_bench(args) -> int:
     table = "n,fit_seconds,peak_mb,iterations"
     table += ",kmeans_seconds\n" if args.include_kmeans else "\n"
     for n in sizes:
+        spec = _synth_spec(args, n)
+        # time an untraced fit by process CPU time; tracemalloc slows every
+        # allocation, so the memory peak comes from a second, traced run
+        ds = normalize(generate_synthetic(spec), args.normalize)
+        tic = time.process_time()
+        st, trace = fit_variant(ds, hp, record_objective=False)
+        fit_seconds = time.process_time() - tic
         tracemalloc.start()
         try:
-            ds = normalize(generate_synthetic(_synth_spec(args, n)), args.normalize)
-            tic = time.perf_counter()
-            st, trace = fit_variant(ds, hp, record_objective=False)
-            fit_seconds = time.perf_counter() - tic
+            fit_variant(normalize(generate_synthetic(spec), args.normalize), hp,
+                        record_objective=False)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()

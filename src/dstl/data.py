@@ -269,6 +269,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
 def read_labels_csv(path: str | Path) -> np.ndarray:
     """Parse a one-integer-per-line labels file."""
     path = Path(path)
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
     values = []
     for i, line in enumerate(_text_lines(path)):
         line = line.strip()
@@ -280,7 +281,7 @@ def read_labels_csv(path: str | Path) -> np.ndarray:
             raise InputError(
                 f"{path}: line {i + 1}: not an integer label: {line!r}"
             ) from None
-        if not np.iinfo(np.int64).min <= values[-1] <= np.iinfo(np.int64).max:
+        if not lo <= values[-1] <= hi:
             raise InputError(f"{path}: line {i + 1}: label outside int64: {line!r}")
     if not values:
         raise InputError(f"{path}: empty labels file")

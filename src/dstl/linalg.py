@@ -31,6 +31,10 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Gram stacks with at most this many columns take their eigenvectors from
 # the vectorized Jacobi below; from 4 columns on LAPACK eigh is as fast
 _JACOBI_MAX_Q = 3
+# ... when the stack holds at least this many matrices per row of each:
+# the Jacobi's fixed cost per call needs a large batch, and its einsum
+# contractions over the p rows run without BLAS
+_JACOBI_BATCH_PER_ROW = 60
 # cyclic Jacobi sweeps before svt gives up, the last one only confirming
 # that nothing is left to rotate; random 3-column stacks take 5
 _JACOBI_SWEEPS = 30
@@ -48,18 +52,20 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     norm of column i of A V, not sqrt(lambda_i).  A non-finite sigma or a
     failed eigen step raises NumericError.
 
-    The eigen step is chosen from the shape alone.  A Gram matrix of at
-    most 3 columns (every Fourier slice of a fit with 2 or 3 views) gets
-    its eigenvectors from a cyclic Jacobi over the whole stack at once:
+    The eigen step is chosen from the shape alone.  A stack of p x q
+    matrices with q <= 3 that holds at least 60 p of them (the Fourier
+    slices of a k5 m3 fit from n = 600 on, never the view stacks of
+    matrix_nuclear, whose p is n) gets its eigenvectors from a cyclic
+    Jacobi over the whole stack at once:
     the stack is read batch-last, as (p, q, ...) views of its memory, G,
     A V and the output are einsum contractions, and each rotation is a
     few elementwise operations, applied to the matrices whose pair (i, j)
     is still live, |g_ij| > eps sqrt(|g_ii|) sqrt(|g_jj|).  It stops after
     a sweep that finds no live pair, and raises NumericError if that has
     not happened within _JACOBI_SWEEPS sweeps.  It calls no BLAS, so its
-    rounding does not depend on the BLAS thread count.  From 4 columns on,
-    where the Jacobi ties or loses, the per-matrix LAPACK eigh of a
-    batched matmul Gram is used instead.
+    rounding does not depend on the BLAS thread count.  Elsewhere, where
+    the Jacobi ties or loses, the per-matrix LAPACK eigh of a batched
+    matmul Gram is used instead.
 
     Precision: V exactly diagonalizes G + E, ||E|| <= delta / 2 with delta
     = c eps sigma_max^2: forming G is backward stable, and so are eigh and
@@ -82,7 +88,8 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     a = a.swapaxes(-1, -2) if wide else a
     # capped at 2**1021, so that a subnormal stack does not scale by inf
     scale = np.ldexp(1.0, -max(int(np.frexp(np.abs(a).max())[1]), -1021))
-    jacobi = a.shape[-1] <= _JACOBI_MAX_Q
+    batch = int(np.prod(a.shape[:-2]))
+    jacobi = a.shape[-1] <= _JACOBI_MAX_Q and batch >= _JACOBI_BATCH_PER_ROW * a.shape[-2]
     if jacobi:
         b = np.moveaxis(a, (-2, -1), (0, 1))
         g = np.einsum("ri...,rj...->ij...", np.conjugate(b) * scale, b) * scale

@@ -149,7 +149,109 @@ def matrix_svt_oracle(a: np.ndarray, tau: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# k-means oracles (the kernel the GEMM assignment replaced)
+# k-means oracles: the (n, c) GEMM-score k-means the layout rewrite replaced,
+# and the kernel that GEMM assignment replaced in turn
+
+
+KMEANS_MAX_LLOYD_ITER = 300
+KMEANS_LLOYD_TOL = 1e-7
+
+
+def _plusplus_init_oracle(cols: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding on the columns of a (d, n) matrix, each center
+    drawn by Generator.choice(n, p=d2 / d2.sum())."""
+    n = cols.shape[1]
+    centers = np.empty((c, cols.shape[0]))
+    centers[0] = cols[:, rng.integers(n)]
+    d2 = ((cols - centers[0][:, None]) ** 2).sum(axis=0)
+    for i in range(1, c):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[i] = cols[:, idx]
+        np.minimum(d2, ((cols - centers[i][:, None]) ** 2).sum(axis=0), out=d2)
+    return centers
+
+
+def nc_product(x: np.ndarray, cols: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """x.c for every point and center as the (n, c) GEMM x @ centers.T."""
+    return x @ centers.T
+
+
+def cn_product(x: np.ndarray, cols: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """x.c as the transpose of the (c, n) GEMM centers @ cols that
+    dstl.kmeans forms.  OpenBLAS rounds the two layouts alike at d <= 15
+    and at the benchmark's n, but not always at d >= 16 and small n."""
+    return (centers @ cols).T
+
+
+def _gemm_assign_oracle(x: np.ndarray, cols: np.ndarray, centers: np.ndarray, product):
+    """Labels by argmin of the GEMM score ||c||^2 - 2 x.c, its products x.c
+    an (n, c) matrix from product(x, cols, centers), and the exact squared
+    distance of each row of x to its labelled center."""
+    score = product(x, cols, centers)
+    score *= -2.0
+    score += (centers * centers).sum(axis=1)
+    labels = np.argmin(score, axis=1)
+    diff = centers[labels]
+    np.subtract(x, diff, out=diff)
+    diff *= diff
+    return labels, diff.sum(axis=1)
+
+
+def _lloyd_oracle(x: np.ndarray, cols: np.ndarray, centers: np.ndarray, c: int, product):
+    labels = None
+    prev_labels = None
+    inertia = np.inf
+    for _ in range(KMEANS_MAX_LLOYD_ITER):
+        labels, point_d2 = _gemm_assign_oracle(x, cols, centers, product)
+        counts = np.bincount(labels, minlength=c)
+        empties = np.nonzero(counts == 0)[0]
+        if empties.size:
+            cand = point_d2.copy()
+            for ci in empties:
+                far = int(np.argmax(cand))
+                centers[ci] = x[far]
+                cand[far] = -np.inf
+            labels, point_d2 = _gemm_assign_oracle(x, cols, centers, product)
+            counts = np.bincount(labels, minlength=c)
+        new_inertia = float(point_d2.sum())
+        converged = (
+            (prev_labels is not None and np.array_equal(labels, prev_labels))
+            or new_inertia == 0.0
+            or (np.isfinite(inertia) and inertia - new_inertia <= KMEANS_LLOYD_TOL * inertia)
+        )
+        inertia = new_inertia
+        if converged:
+            break
+        sums = np.stack([np.bincount(labels, weights=row, minlength=c) for row in cols], axis=1)
+        nonzero = counts > 0
+        centers[nonzero] = sums[nonzero] / counts[nonzero, None]
+        prev_labels = labels
+    return labels, inertia
+
+
+def kmeans_oracle(points: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
+                  product=nc_product):
+    """k-means as dstl ran it before its restarts were laid out by their
+    reductions: the same seeds, convergence rule and reseeding, with
+    Generator.choice draws, fancy-indexed centers and argmin labels over
+    an (n, c) score, its GEMM by default the (n, c) product dstl formed.
+    Takes valid finite (d, n) input; returns (labels, inertia) of the best
+    restart, the first on ties."""
+    cols = np.ascontiguousarray(points, dtype=float)
+    x = np.ascontiguousarray(cols.T)
+    best_labels = None
+    best_inertia = np.inf
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        centers = _plusplus_init_oracle(cols, c, rng)
+        labels, inertia = _lloyd_oracle(x, cols, centers, c, product)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, float(best_inertia)
 
 
 def assign_oracle(x: np.ndarray, centers: np.ndarray):

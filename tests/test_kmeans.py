@@ -11,10 +11,11 @@ from hypothesis import strategies as hst
 
 import dstl
 from dstl.errors import InputError, NumericError
-from dstl.kmeans import KMeansConfig, _assign, _centroid_sums, _lloyd, kmeans
+from dstl.kmeans import KMeansConfig, _assign, _centroid_sums, _draw, _lloyd, kmeans
 from dstl.metrics import accuracy
 
-from conftest import assign_oracle, centroid_sums_oracle
+from conftest import (assign_oracle, centroid_sums_oracle, cn_product, kmeans_oracle,
+                      random_column_stochastic)
 
 
 def blobs(rng, c, per, d=2, spread=10.0):
@@ -147,7 +148,7 @@ def test_assign_and_centroid_sums_match_the_broadcast_oracles(c, extra, d, scale
         centers = rng.standard_normal((c, d)) * scale
     else:  # duplicate centers tie on every point
         centers = x[rng.integers(n, size=c)].copy()
-    labels, point_d2 = _assign(x, centers)
+    labels, point_d2 = _assign(x, np.ascontiguousarray(x.T), centers)
     want_labels, d2 = assign_oracle(x, centers)
     rows = np.arange(n)
     # the returned distance is the exact one at the returned label, ...
@@ -163,6 +164,79 @@ def test_assign_and_centroid_sums_match_the_broadcast_oracles(c, extra, d, scale
     some_labels = rng.integers(c, size=n)
     sums = _centroid_sums(np.ascontiguousarray(x.T), some_labels, c)
     assert np.array_equal(sums, centroid_sums_oracle(x, some_labels, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=hst.integers(1, 12),
+    extra=hst.integers(0, 80),
+    d=hst.integers(1, 60),
+    distinct=hst.integers(1, 92),
+    scale_exp=hst.sampled_from([-100, -3, 0, 3, 100]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(c=12, extra=0, d=60, distinct=1, scale_exp=0, seed=0)
+@example(c=6, extra=40, d=3, distinct=4, scale_exp=100, seed=1)
+@example(c=5, extra=80, d=5, distinct=92, scale_exp=-100, seed=2)
+@example(c=10, extra=60, d=50, distinct=92, scale_exp=0, seed=3)
+def test_kmeans_matches_the_oracle_bit_for_bit(c, extra, d, distinct, scale_exp, seed):
+    # n points drawn from `distinct` rows: fewer distinct points than
+    # clusters forces empty clusters and the reseeding path.  The oracle
+    # takes its score from the same (c, n) product, because at d >= 16
+    # and small n the two GEMM layouts can round apart, and a tie under
+    # rounding then goes another way
+    rng = np.random.default_rng(seed)
+    n = c + extra
+    base = rng.standard_normal((d, min(distinct, n))) * 10.0 ** scale_exp
+    x = base[:, rng.integers(base.shape[1], size=n)]
+    labels, inertia = kmeans(x, KMeansConfig(c=c, restarts=3, seed=seed))
+    want_labels, want_inertia = kmeans_oracle(x, c, restarts=3, seed=seed, product=cn_product)
+    assert np.array_equal(labels, want_labels)
+    assert inertia.hex() == want_inertia.hex()
+
+
+@pytest.mark.parametrize("d, n, c, seeds", [(5, 8000, 5, (0, 1, 2)), (10, 4000, 10, (0,)),
+                                            (50, 4000, 10, (0,))])
+def test_kmeans_matches_the_nc_gemm_oracle_at_the_benchmark_shapes(d, n, c, seeds):
+    # the shapes of the Y, full-variant and 50-row no_Y k-means calls,
+    # where the (c, n) score rounds as the (n, c) one did
+    rng = np.random.default_rng(d)
+    if d == c:
+        x = random_column_stochastic(rng, c, n)
+    else:
+        x = rng.standard_normal((d, c)) @ random_column_stochastic(rng, c, n)
+        x += 0.5 * rng.standard_normal((d, n))
+    for seed in seeds:
+        labels, inertia = kmeans(x, KMeansConfig(c=c, seed=seed))
+        want_labels, want_inertia = kmeans_oracle(x, c, seed=seed)
+        assert np.array_equal(labels, want_labels)
+        assert inertia.hex() == want_inertia.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=hst.integers(1, 400),
+    zero_frac=hst.floats(0.0, 1.0),
+    power=hst.integers(0, 8),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(n=1, zero_frac=0.0, power=0, seed=0)
+@example(n=300, zero_frac=0.99, power=0, seed=1)
+@example(n=50, zero_frac=0.5, power=8, seed=2)
+def test_seeding_draw_is_generator_choice_draw_for_draw(n, zero_frac, power, seed):
+    # squared distances as k-means++ weighs them, with zero weights where
+    # points coincide with a chosen center
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) ** power
+    w[rng.random(n) < zero_frac] = 0.0
+    w[rng.integers(n)] = 1.0
+    p = w / w.sum()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        idx = _draw(p, ours)
+        assert idx == theirs.choice(n, p=p)
+        assert p[idx] > 0
+    assert ours.random() == theirs.random()  # both streams used one draw each
 
 
 _WIDE_KMEANS = """

@@ -124,16 +124,20 @@ def test_svt_graded_spectrum_matches_oracle(p, q, complex_, tau_exp, seed):
     a = graded_matrix(np.random.default_rng(seed), p, q, complex_)
     sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
     tau = 10.0**tau_exp * sigma_max
-    out, norm = svt(a, tau)
     want = matrix_svt_oracle(a, tau)
-    assert out.shape == a.shape
-    assert np.linalg.norm(out - want) <= 1e-8 * (1.0 + np.linalg.norm(want))
-    got = float(np.linalg.svd(out, compute_uv=False).sum())
-    bound = 1e-10 * (1.0 + norm)
-    if tau < 1e-8 * sigma_max:
-        # the resolution bound derived in the svt docstring, with c = 1
-        bound += min(p, q) * np.sqrt(EPS) * sigma_max
-    assert abs(norm - got) <= bound
+    # alone, and as the first of a stack large enough for the Jacobi when
+    # min(p, q) <= 3
+    stack = np.broadcast_to(a, (linalg._JACOBI_BATCH_PER_ROW * max(p, q),) + a.shape)
+    stacked_out, stacked_norms = svt(stack, tau)
+    for out, norm in (svt(a, tau), (stacked_out[0], stacked_norms[0])):
+        assert out.shape == a.shape
+        assert np.linalg.norm(out - want) <= 1e-8 * (1.0 + np.linalg.norm(want))
+        got = float(np.linalg.svd(out, compute_uv=False).sum())
+        bound = 1e-10 * (1.0 + norm)
+        if tau < 1e-8 * sigma_max:
+            # the resolution bound derived in the svt docstring, with c = 1
+            bound += min(p, q) * np.sqrt(EPS) * sigma_max
+        assert abs(norm - got) <= bound
 
 
 def test_svt_stack_matches_per_matrix_oracle():
@@ -224,7 +228,7 @@ def test_svt_non_finite_input_is_a_numeric_error(bad, complex_):
 def test_svt_jacobi_that_does_not_converge_is_a_numeric_error(monkeypatch):
     # a random 3-column stack needs 4 sweeps of rotations and a fifth that
     # finds nothing left; capped at one sweep, svt names itself in the error
-    a = np.random.default_rng(13).standard_normal((50, 5, 3))
+    a = np.random.default_rng(13).standard_normal((linalg._JACOBI_BATCH_PER_ROW * 5, 5, 3))
     monkeypatch.setattr(linalg, "_JACOBI_SWEEPS", 1)
     with pytest.raises(NumericError, match="svt"):
         svt(a, 0.5)
@@ -246,6 +250,7 @@ def test_svt_jacobi_rotation_angle_neither_overflows_nor_divides_by_zero(phase):
     a[0, 0, 0], a[0, 0, 1], a[0, 1, 1], a[0, 2, 2] = 1.0, 2.0 * EPS * tiny * phase, tiny, 0.5
     a[1, 0, 0], a[1, 1, 1], a[1, 1, 2], a[1, 2, 1], a[1, 2, 2] = 1.0, tiny, 0.1 * tiny * phase, \
         0.1 * tiny, tiny
+    a = np.tile(a, (linalg._JACOBI_BATCH_PER_ROW * 2, 1, 1))  # a stack the Jacobi takes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out, norms = svt(a, 0.25)

@@ -69,16 +69,18 @@ def test_every_block_step_is_traced(spans, variant):
 
 
 @pytest.mark.parametrize("m, k, variant, calls", [
-    (3, 5, "full", 0), (5, 10, "full", 3), (5, 10, "matrix_nuclear", 3)])
+    (3, 5, "full", 0), (5, 10, "full", 3), (5, 10, "matrix_nuclear", 3),
+    (3, 3, "matrix_nuclear", 3)])
 def test_svt_eigen_step_follows_the_gram_width(monkeypatch, m, k, variant, calls):
     # svt's branch at the benchmark's shapes: the k5 m3 Fourier slices
-    # (3-column Gram matrices) take the Jacobi and call no eigh; the k10 m5
-    # slices (5 columns) and views (10) make one batched eigh per sweep
+    # (301 matrices of 5 x 3) take the Jacobi and call no eigh; the k10 m5
+    # slices (5 columns) and views (10) make one batched eigh per sweep, and
+    # so do the k3 views, 3 matrices of 600 x 3
     eigh = np.linalg.eigh
     shapes = []
     monkeypatch.setattr(np.linalg, "eigh", lambda g: shapes.append(g.shape) or eigh(g))
     ds = dstl.generate_synthetic(
-        dstl.SynthSpec(n=64, c=k, m=m, dims=(40, 35, 30, 25, 20)[:m], seed=0))
+        dstl.SynthSpec(n=600, c=k, m=m, dims=(40, 35, 30, 25, 20)[:m], seed=0))
     hp = dstl.Hyperparams(lambda1=5.0, lambda2=0.01, epsilon=1e-300, max_iter=3,
                           variant=variant)
     dstl.fit_variant(ds, hp)
