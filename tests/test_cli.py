@@ -10,6 +10,7 @@ import pytest
 
 import dstl
 import dstl.cli as cli
+import dstl.linalg as linalg
 import dstl.slimtensor as slimtensor
 import dstl.solver as solver
 from dstl.data import (
@@ -405,16 +406,21 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
                                              ("matrix_nuclear", solver)])
 def test_svt_failure_exits_numeric_failure_naming_block_h(tmp_path, monkeypatch, capsys,
                                                           variant, module):
-    # a non-finite spectrum inside either H step's svt call
-    manifest = make_synth(tmp_path)
+    # a non-finite spectrum inside either H step's svt call; at n = 400 the
+    # full variant's 201 Fourier slices of 3 x 2 reach the Jacobi branch
     svt = module.svt
     monkeypatch.setattr(module, "svt", lambda a, tau: svt(a * np.nan, tau))
-    capsys.readouterr()
-    assert cli.main(fit_args(manifest, tmp_path / "o", ["--variant", variant])) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: block H at iteration 1: ") and "svt" in err
-    payload = json.loads((tmp_path / "o" / "metrics.json").read_text())
-    assert payload["stop_reason"] == "numeric_failure" and payload["variant"] == variant
+    jacobi, calls = linalg._jacobi_eigenvectors, []
+    monkeypatch.setattr(linalg, "_jacobi_eigenvectors", lambda g: calls.append(g) or jacobi(g))
+    for n in ("60", "400") if variant == "full" else ("60",):
+        manifest = make_synth(tmp_path, f"data{n}", **{"--n": n})
+        capsys.readouterr()
+        assert cli.main(fit_args(manifest, tmp_path / n, ["--variant", variant])) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: block H at iteration 1: ") and "svt" in err
+        payload = json.loads((tmp_path / n / "metrics.json").read_text())
+        assert payload["stop_reason"] == "numeric_failure" and payload["variant"] == variant
+        assert bool(calls) == (n == "400")
 
 
 def test_overflow_exits_numeric_failure(tmp_path, capsys):

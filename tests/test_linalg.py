@@ -140,7 +140,29 @@ def test_svt_graded_spectrum_matches_oracle(p, q, complex_, tau_exp, seed):
         assert abs(norm - got) <= bound
 
 
-def test_svt_stack_matches_per_matrix_oracle():
+@pytest.fixture
+def both_branches(monkeypatch):
+    """Runs a test body on a small stack as it is, which svt's batch gate
+    sends to eigh, and tiled along its first axis to 60 p matrices, which
+    take the Jacobi when their Gram matrices have at most 3 columns; checks
+    that each went that way."""
+    calls = []
+    jacobi = linalg._jacobi_eigenvectors
+    monkeypatch.setattr(linalg, "_jacobi_eigenvectors", lambda g: calls.append(g) or jacobi(g))
+
+    def stacks(a):
+        p, q = max(a.shape[-2:]), min(a.shape[-2:])
+        reps = -(-linalg._JACOBI_BATCH_PER_ROW * p // int(np.prod(a.shape[:-2])))
+        yield a
+        assert not calls
+        yield np.tile(a, (reps,) + (1,) * (a.ndim - 1))
+        assert bool(calls) == (q <= 3)
+        calls.clear()
+
+    return stacks
+
+
+def test_svt_stack_matches_per_matrix_oracle(both_branches):
     # the mixed stacks put matrices the Jacobi branch finishes in 1 to 5
     # sweeps side by side, so a rotation that leaks into a matrix whose
     # pair is no longer live shows
@@ -150,58 +172,65 @@ def test_svt_stack_matches_per_matrix_oracle():
     for shape in random_shapes + mixed_shapes:
         for complex_ in (False, True):
             if shape in mixed_shapes:
-                a = mixed_stack(rng, *shape, complex_)
+                stacks = [mixed_stack(rng, *shape, complex_)]
             else:
                 a = rng.standard_normal(shape)
                 if complex_:
                     a = a + 1j * rng.standard_normal(shape)
+                stacks = both_branches(a)
             tau = float(rng.uniform(0.1, 1.5))
-            out, norms = svt(a, tau)
-            assert out.shape == a.shape and norms.shape == shape[:-2]
-            assert out.dtype == a.dtype
-            for idx in np.ndindex(*shape[:-2]):
-                want = matrix_svt_oracle(a[idx], tau)
-                assert np.max(np.abs(out[idx] - want)) <= 1e-12
-                sv = np.linalg.svd(a[idx], compute_uv=False)
-                assert abs(norms[idx] - np.maximum(sv - tau, 0.0).sum()) <= 1e-12
+            for a in stacks:
+                check_per_matrix(a, tau)
 
 
-def test_svt_power_of_two_scale_is_exact():
+def check_per_matrix(a, tau):
+    out, norms = svt(a, tau)
+    assert out.shape == a.shape and norms.shape == a.shape[:-2]
+    assert out.dtype == a.dtype
+    for idx in np.ndindex(*a.shape[:-2]):
+        want = matrix_svt_oracle(a[idx], tau)
+        assert np.max(np.abs(out[idx] - want)) <= 1e-12
+        sv = np.linalg.svd(a[idx], compute_uv=False)
+        assert abs(norms[idx] - np.maximum(sv - tau, 0.0).sum()) <= 1e-12
+
+
+def test_svt_power_of_two_scale_is_exact(both_branches):
     # the kernel's own scale is a power of two, so scaling the input and tau
     # by another one scales the result exactly, far past where A^H A
     # overflows (2**1000) or underflows (2**-1000) unscaled
     rng = np.random.default_rng(10)
-    a = rng.standard_normal((9, 5, 3)) + 1j * rng.standard_normal((9, 5, 3))
-    out, norms = svt(a, 0.7)
-    for e in (-1000, -500, 500, 1000):
-        f = np.ldexp(1.0, e)
-        big_out, big_norms = svt(a * f, 0.7 * f)
-        assert np.array_equal(big_out, out * f)
-        assert np.array_equal(big_norms, norms * f)
+    for a in both_branches(rng.standard_normal((9, 5, 3)) + 1j * rng.standard_normal((9, 5, 3))):
+        out, norms = svt(a, 0.7)
+        for e in (-1000, -500, 500, 1000):
+            f = np.ldexp(1.0, e)
+            big_out, big_norms = svt(a * f, 0.7 * f)
+            assert np.array_equal(big_out, out * f)
+            assert np.array_equal(big_norms, norms * f)
 
 
-def test_svt_of_a_subnormal_stack_is_finite():
+def test_svt_of_a_subnormal_stack_is_finite(both_branches):
     # a stack whose largest entry is subnormal is thresholded on the grid of
     # subnormals, not reported as a numeric failure
     rng = np.random.default_rng(12)
     tiny = np.ldexp(1.0, -1060)
     for shape in ((4, 3, 2), (4, 2, 3)):
-        a = rng.standard_normal(shape) * tiny
-        out, norms = svt(a, 0.0)
-        assert np.max(np.abs(out - a)) <= 64 * np.ldexp(1.0, -1074)
-        assert np.all(np.isfinite(norms)) and np.all(norms > 0)
-        out, norms = svt(a, 1.0)
+        for a in both_branches(rng.standard_normal(shape) * tiny):
+            out, norms = svt(a, 0.0)
+            assert np.max(np.abs(out - a)) <= 64 * np.ldexp(1.0, -1074)
+            assert np.all(np.isfinite(norms)) and np.all(norms > 0)
+            out, norms = svt(a, 1.0)
+            assert np.max(np.abs(out)) == 0.0 and np.max(norms) == 0.0
+
+
+def test_svt_zero_and_annihilating_threshold(both_branches):
+    for z in both_branches(np.zeros((3, 4, 2))):
+        out, norms = svt(z, 0.5)
+        assert np.array_equal(out, z) and np.array_equal(norms, np.zeros(len(z)))
+    for a in both_branches(np.random.default_rng(11).standard_normal((3, 4, 2))):
+        out, norms = svt(a, 1e3)
         assert np.max(np.abs(out)) == 0.0 and np.max(norms) == 0.0
-
-
-def test_svt_zero_and_annihilating_threshold():
-    out, norms = svt(np.zeros((3, 4, 2)), 0.5)
-    assert np.array_equal(out, np.zeros((3, 4, 2))) and np.array_equal(norms, np.zeros(3))
-    a = np.random.default_rng(11).standard_normal((3, 4, 2))
-    out, norms = svt(a, 1e3)
-    assert np.max(np.abs(out)) == 0.0 and np.max(norms) == 0.0
-    out, norms = svt(a, 0.0)
-    assert np.max(np.abs(out - a)) <= 1e-14
+        out, norms = svt(a, 0.0)
+        assert np.max(np.abs(out - a)) <= 1e-14
 
 
 def test_svt_rejects_bad_input():
@@ -214,15 +243,15 @@ def test_svt_rejects_bad_input():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("complex_", [False, True])
-def test_svt_non_finite_input_is_a_numeric_error(bad, complex_):
+def test_svt_non_finite_input_is_a_numeric_error(bad, complex_, both_branches):
     # like thin_svd: a LAPACK failure or non-finite singular values are a
     # numeric failure, never bad user input
     a = np.ones((3, 4, 2)) * (1.0 + 1j if complex_ else 1.0)
     a[1, 2, 0] = bad
-    with np.errstate(all="ignore"), pytest.raises(NumericError):
-        svt(a, 0.1)
-    with np.errstate(all="ignore"), pytest.raises(NumericError):
-        svt(a.swapaxes(-1, -2), 0.1)
+    for b in (a, a.swapaxes(-1, -2)):
+        for stack in both_branches(b):
+            with np.errstate(all="ignore"), pytest.raises(NumericError):
+                svt(stack, 0.1)
 
 
 def test_svt_jacobi_that_does_not_converge_is_a_numeric_error(monkeypatch):
