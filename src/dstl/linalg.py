@@ -28,16 +28,17 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-# Gram stacks with at most this many columns take their eigenvectors from
-# the vectorized Jacobi below; from 4 columns on LAPACK eigh is as fast
-_JACOBI_MAX_Q = 3
+# Gram stacks with at most this many columns take their eigenvectors in
+# closed form, from _gram_eigenvectors below; from 4 columns on LAPACK eigh
+_CLOSED_FORM_MAX_Q = 3
 # ... when the stack holds at least this many matrices per row of each:
-# the Jacobi's fixed cost per call needs a large batch, and its einsum
-# contractions over the p rows run without BLAS
-_JACOBI_BATCH_PER_ROW = 60
-# cyclic Jacobi sweeps before svt gives up, the last one only confirming
-# that nothing is left to rotate; random 3-column stacks take 5
-_JACOBI_SWEEPS = 30
+# below that the per-matrix LAPACK eigh and BLAS products are faster than
+# the closed form's elementwise passes and einsum contractions over p rows
+_CLOSED_FORM_BATCH_PER_ROW = 60
+# matrices per chunk of the closed form's batch: its temporaries are then
+# 16-32 KB, which malloc hands from one chunk to the next, where whole-batch
+# temporaries would be fresh pages on every call
+_CLOSED_FORM_CHUNK = 2048
 
 
 def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -55,31 +56,39 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     The eigen step is chosen from the shape alone.  A stack of p x q
     matrices with q <= 3 that holds at least 60 p of them (the Fourier
     slices of a k5 m3 fit from n = 600 on, never the view stacks of
-    matrix_nuclear, whose p is n) gets its eigenvectors from a cyclic
-    Jacobi over the whole stack at once:
-    the stack is read batch-last, as (p, q, ...) views of its memory, G,
-    A V and the output are einsum contractions, and each rotation is a
-    few elementwise operations, applied to the matrices whose pair (i, j)
-    is still live, |g_ij| > eps sqrt(|g_ii|) sqrt(|g_jj|).  It stops after
-    a sweep that finds no live pair, and raises NumericError if that has
-    not happened within _JACOBI_SWEEPS sweeps.  It calls no BLAS, so its
-    rounding does not depend on the BLAS thread count.  Elsewhere, where
-    the Jacobi ties or loses, the per-matrix LAPACK eigh of a batched
-    matmul Gram is used instead.
+    matrix_nuclear, whose p is n) gets its eigenvectors in closed form
+    (_gram_eigenvectors), a fixed sequence of elementwise operations with
+    no iteration.  That branch works batch-last, on (p, q, chunk) copies of
+    2048 matrices at a time: G, A V and the output are einsum contractions
+    over contiguous rows of the batch.  It calls no BLAS, so its rounding
+    does not depend on the BLAS thread count.  Elsewhere the per-matrix
+    LAPACK eigh of a batched matmul Gram is used instead.
 
-    Precision: V exactly diagonalizes G + E, ||E|| <= delta / 2 with delta
-    = c eps sigma_max^2: forming G is backward stable, and so are eigh and
-    Jacobi, whose stopping rule leaves each off-diagonal entry below
-    eps sqrt(g_ii g_jj) <= eps ||G||.  So each
-    sigma^2 is within delta of its exact value: sigma below sqrt(delta)
-    is not resolved.  Columns of A V are orthogonal up to delta, as
-    (A v_i)^H A v_j = -v_i^H E v_j, so the output X = A V D V^H (D
-    diagonal, 0 <= D <= I) has X^H X = V D (diag(sigma^2) + F) D V^H with
-    F off-diagonal, ||F|| <= delta.  As ||sqrt(M) - sqrt(N)|| <=
-    sqrt(||M - N||) for M, N >= 0, the returned norm is the nuclear norm
-    of X within min(p, q) sqrt(delta): the tests assert that with c = 1
-    for tau < 1e-8 sigma_max, and 1e-10 (1 + norm) above, where the kept
-    sigma reach sqrt(delta) and the error is second order in F.
+    Precision: both eigen steps return V with ||V^H V - I|| <= c eps and
+    the off-diagonal part of V^H G V below c eps ||G||.  LAPACK eigh is
+    backward stable.  In the closed form, the 2 x 2 rotation is exact, the
+    complement [u1 u2] of v is orthonormal to O(eps), and v has a residual
+    ||(G - l I) v|| of O(eps ||G||): r carries an error of O(eps), and l =
+    m + 2 p cos(acos |r| / 3) moves by at most p / 3 times it (the
+    derivative of cos(acos r / 3) lies in [1/9, 1/6] on [0, 1]), so l is
+    accurate to O(eps ||G||) even where the other two eigenvalues coalesce
+    and acos alone has a sqrt(eps) sensitivity; the two nonzero singular
+    values of G - l I are the gaps from l, which, l being the most
+    isolated, lie within a factor of 2 of each other, so the largest
+    adjugate column, of norm at least their product over sqrt(3), leaves a
+    residual of O(eps ||G||) once normalized.  The tests hold the closed
+    form to 4 eps ||G|| and 8 eps.  So V is within O(eps) of a unitary Q
+    that exactly diagonalizes G + E, ||E|| <= delta / 2 with delta = c eps
+    sigma_max^2 (forming G is backward stable too), and each sigma^2 is
+    within delta of its exact value: sigma below sqrt(delta) is not
+    resolved.  Columns of A Q are orthogonal up to delta, as (A q_i)^H A
+    q_j = -q_i^H E q_j, so the output X = A Q D Q^H (D diagonal, 0 <= D
+    <= I) has X^H X = Q D (diag(sigma^2) + F) D Q^H with F off-diagonal,
+    ||F|| <= delta.  As ||sqrt(M) - sqrt(N)|| <= sqrt(||M - N||) for M, N
+    >= 0, the returned norm is the nuclear norm of X within min(p, q)
+    sqrt(delta): the tests assert that with c = 1 for tau < 1e-8
+    sigma_max, and 1e-10 (1 + norm) above, where the kept sigma reach
+    sqrt(delta) and the error is second order in F.
     """
     a = np.asarray(a)
     if a.ndim < 2 or not np.isfinite(tau) or tau < 0:
@@ -88,93 +97,169 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     a = a.swapaxes(-1, -2) if wide else a
     # capped at 2**1021, so that a subnormal stack does not scale by inf
     scale = np.ldexp(1.0, -max(int(np.frexp(np.abs(a).max())[1]), -1021))
-    batch = int(np.prod(a.shape[:-2]))
-    jacobi = a.shape[-1] <= _JACOBI_MAX_Q and batch >= _JACOBI_BATCH_PER_ROW * a.shape[-2]
-    if jacobi:
-        b = np.moveaxis(a, (-2, -1), (0, 1))
-        g = np.einsum("ri...,rj...->ij...", np.conjugate(b) * scale, b) * scale
-        v = _jacobi_eigenvectors(g)
-        av = np.einsum("ri...,ij...->rj...", b, v * scale)
-        # batch-first views, for the shrink rule both paths share
-        v, av = (np.moveaxis(x, (0, 1), (-2, -1)) for x in (v, av))
-    else:
+    batch, (p, q) = int(np.prod(a.shape[:-2])), a.shape[-2:]
+    if q > _CLOSED_FORM_MAX_Q or batch < _CLOSED_FORM_BATCH_PER_ROW * p:
         try:  # eigenvectors of (scale A)^H (scale A)
             _, v = np.linalg.eigh(((np.conjugate(a) * scale).swapaxes(-1, -2) @ a) * scale)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigh failed inside svt on a {a.shape} stack") from exc
         av = a @ (v * scale)
-    sigma = np.linalg.norm(av, axis=-2)
+        kept, factor = _shrink(np.linalg.norm(av, axis=-2), tau, scale, a.shape)
+        av *= factor[..., None, :]
+        out = v.conj() @ av.swapaxes(-1, -2) if wide else av @ v.conj().swapaxes(-1, -2)
+        return out, kept.sum(axis=-1) / scale
+    # batch-last (p, q, batch) views in, a (p, q, batch) array out; each
+    # chunk of the batch is scaled into a contiguous copy
+    rows = np.moveaxis(a.reshape((batch, p, q)), 0, 2)
+    out = np.empty((p, q, batch), dtype=np.result_type(a.dtype, 1.0))
+    kept = np.empty((q, batch))
+    for lo in range(0, batch, _CLOSED_FORM_CHUNK):
+        hi = lo + _CLOSED_FORM_CHUNK
+        b = np.multiply(rows[..., lo:hi], scale, order="C")
+        v = _gram_eigenvectors(np.einsum("rib,rjb->ijb", np.conjugate(b), b))
+        av = np.einsum("rib,ijb->rjb", b, v)
+        kept[:, lo:hi], factor = _shrink(np.linalg.norm(av, axis=0), tau, scale, a.shape)
+        av *= factor
+        np.einsum("rjb,ijb->rib", av, np.conjugate(v), out=out[..., lo:hi])
+    out = np.moveaxis(out, 2, 0).reshape(a.shape)
+    return out.swapaxes(-1, -2) if wide else out, kept.sum(axis=0).reshape(a.shape[:-2]) / scale
+
+
+def _shrink(sigma: np.ndarray, tau: float, scale: float, shape: tuple):
+    """The shrink rule both branches share, on the column norms sigma of
+    scale A V: returns the kept max(sigma - tau scale, 0) and the factors
+    kept / sigma / scale that turn those columns into the output's A V D."""
     if not np.all(np.isfinite(sigma)):
-        raise NumericError(f"svt of a {a.shape} stack gave non-finite singular values")
+        raise NumericError(f"svt of a {shape} stack gave non-finite singular values")
     kept = np.maximum(sigma - tau * scale, 0.0)
     ratio = np.divide(kept, sigma, out=np.zeros_like(kept), where=sigma > 0)
-    av *= (ratio / scale)[..., None, :]
-    if jacobi:
-        out = np.einsum("...rj,...ij->ri...", av, np.conjugate(v))
-        out = np.moveaxis(out, (0, 1), (-2, -1))
-        out = out.swapaxes(-1, -2) if wide else out
-    else:
-        out = v.conj() @ av.swapaxes(-1, -2) if wide else av @ v.conj().swapaxes(-1, -2)
-    return out, kept.sum(axis=-1) / scale
+    return kept, ratio / scale
 
 
-def _jacobi_eigenvectors(g: np.ndarray) -> np.ndarray:
+def _gram_eigenvectors(g: np.ndarray) -> np.ndarray:
     """Unitary V whose columns are eigenvectors of each Hermitian matrix
-    in a batch-last (q, q, ...) stack, by cyclic Jacobi; overwrites g.
+    in a batch-last (q, q, ...) stack, q <= 3, in closed form; only the
+    diagonal and the upper triangle of g are read.
 
-    Only the upper triangle of g is read.  A matrix whose pair (i, j) is
-    not live gets the identity rotation there, which leaves its entries
-    exactly as they are."""
+    q = 2 takes one exact rotation.  For q = 3 (Kopp, Int. J. Mod. Phys. C
+    19, 2008) each matrix is scaled by a power of two to a largest
+    diagonal entry in [1/2, 1), and its most isolated eigenvalue l comes
+    from the trigonometric formula (Smith, CACM 4, 1961) for K = G - m I,
+    m = tr G / 3: with p^2 = ||K||_F^2 / 6 and r = det K / (2 p^3), the
+    eigenvalues are m + 2 p cos((acos r + 2 pi j) / 3); the largest (j = 0)
+    is the most isolated when r >= 0 and the smallest when r < 0, so l = m
+    + sign(r) 2 p cos(acos |r| / 3).  Its eigenvector v is the largest of
+    the three cross products of rows of G - l I, which are the columns of
+    its adjugate, or e_0 if all three vanish (G = l I).  The cross product
+    of v with the axis of its smallest entry, then of v with that, complete
+    v to an orthonormal basis [v u1 u2], and the same exact rotation
+    diagonalizes the 2 x 2 block [u1 u2]^H G [u1 u2]."""
     q = g.shape[0]
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    d = [g[i, i].real.copy() for i in range(q)]
-    vt = np.zeros_like(g)  # vt[j] is column j of V
-    for i in range(q):
-        vt[i, i] = 1.0
+    if q == 1:
+        return np.ones_like(g)
+    if q == 2:
+        c, s = _rotation(g[0, 0].real, g[1, 1].real, g[0, 1])
+        return np.stack([np.stack([c, s]), np.stack([-np.conjugate(s), c])])
+    batch = g.shape[2:]
+    g = g.reshape(3, 3, -1)
+    d0, d1, d2 = (g[i, i].real for i in range(3))
+    # capped like svt's own scale, so that a subnormal matrix does not scale by inf
+    top = np.maximum(np.maximum(d0, d1), d2)
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1021))
+    d0, d1, d2 = d0 * scale, d1 * scale, d2 * scale
+    x, y, z = g[0, 1] * scale, g[0, 2] * scale, g[1, 2] * scale
+    conj = np.conjugate
+    ax, ay, az = _sq_abs(x), _sq_abs(y), _sq_abs(z)
+    mean = (d0 + d1 + d2) / 3.0
+    k0, k1, k2 = d0 - mean, d1 - mean, d2 - mean
+    p = np.sqrt((k0 * k0 + k1 * k1 + k2 * k2 + 2.0 * (ax + ay + az)) / 6.0)
+    xz = x * z
+    det = k0 * (k1 * k2 - az) - k1 * ay - k2 * ax + 2.0 * _re_dot(xz, y)
+    cube = 2.0 * p * p * p
+    r = np.divide(det, cube, out=np.zeros_like(det), where=cube > 0)
+    lam = mean + np.copysign(2.0 * p * np.cos(np.arccos(np.minimum(np.abs(r), 1.0)) / 3.0), r)
+    e0, e1, e2 = d0 - lam, d1 - lam, d2 - lam
+    # the adjugate of G - l I: diagonal a00, a11, a22; its three columns
+    # are (a00, -conj(gam), conj(alp)), (gam, -a11, -conj(bet)) and
+    # (alp, bet, a22), the cross products of rows 1 x 2, 0 x 2 and 0 x 1
+    a00, a11, a22 = e1 * e2 - az, e0 * e2 - ay, e0 * e1 - ax
+    alp, bet, gam = xz - y * e1, y * conj(x) - z * e0, x * e2 - y * conj(z)
+    sa, sb, sg = _sq_abs(alp), _sq_abs(bet), _sq_abs(gam)
+    n12, n02, n01 = a00 * a00 + sg + sa, sg + a11 * a11 + sb, sa + sb + a22 * a22
+    first = (n12 >= n02) & (n12 >= n01)
+    second = ~first & (n02 >= n01)
+    v = [np.where(first, a00, np.where(second, gam, alp)),
+         np.where(first, -conj(gam), np.where(second, -a11, bet)),
+         np.where(first, conj(alp), np.where(second, -conj(bet), a22))]
+    size = np.where(first, n12, np.where(second, n02, n01))
+    small = size < np.finfo(float).tiny
+    if small.any():  # |v|^2 is subnormal: scale v near 1 before its norm
+        f = np.ldexp(1.0, -(np.frexp(size[small])[1] // 2))
+        for w in v:
+            w[small] *= f
+        size[small] = sum(_sq_abs(w[small]) for w in v)
+    found = size > 0
+    inv = 1.0 / np.sqrt(np.where(found, size, 1.0))
+    v = [np.where(found, v[0] * inv, 1.0), v[1] * inv, v[2] * inv]
+    # u1 = conj(v x e_i) / |v x e_i| for i the axis of v's smallest entry
+    m0, m1, m2 = (_sq_abs(w) for w in v)
+    i0 = (m0 <= m1) & (m0 <= m2)
+    i1 = ~i0 & (m1 <= m2)
+    w = [np.where(i0, 0.0, np.where(i1, -v[2], v[1])),
+         np.where(i0, v[2], np.where(i1, 0.0, -v[0])),
+         np.where(i0, -v[1], np.where(i1, v[0], 0.0))]
+    inv = 1.0 / np.sqrt(m0 + m1 + m2 - np.where(i0, m0, np.where(i1, m1, m2)))
+    u1 = [conj(c) * inv for c in w]
+    cv = [conj(c) for c in v]
+    u2 = [(cv[1] * w[2] - cv[2] * w[1]) * inv, (cv[2] * w[0] - cv[0] * w[2]) * inv,
+          (cv[0] * w[1] - cv[1] * w[0]) * inv]
+    # the 2 x 2 block [u1 u2]^H G [u1 u2] from the upper triangle of G
+    gu2 = [d0 * u2[0] + x * u2[1] + y * u2[2],
+           conj(x) * u2[0] + d1 * u2[1] + z * u2[2],
+           conj(y) * u2[0] + conj(z) * u2[1] + d2 * u2[2]]
+    b11 = d0 * _sq_abs(u1[0]) + d1 * _sq_abs(u1[1]) + d2 * _sq_abs(u1[2]) + 2.0 * (
+        _re_dot(x * u1[1], u1[0]) + _re_dot(y * u1[2], u1[0]) + _re_dot(z * u1[2], u1[1]))
+    b22 = _re_dot(gu2[0], u2[0]) + _re_dot(gu2[1], u2[1]) + _re_dot(gu2[2], u2[2])
+    b12 = conj(u1[0]) * gu2[0] + conj(u1[1]) * gu2[1] + conj(u1[2]) * gu2[2]
+    c, s = _rotation(b11, b22, b12)
+    cs = conj(s)
+    rows = [(v[k], c * u1[k] - cs * u2[k], s * u1[k] + c * u2[k]) for k in range(3)]
+    return np.stack([np.stack(row) for row in rows]).reshape((3, 3) + batch)
 
-    def entry(r, i):  # g_ri from the upper triangle
-        return g[r, i] if r < i else np.conjugate(g[i, r])
 
-    def store(r, i, x):
-        g[min(r, i), max(r, i)] = x if r < i else np.conjugate(x)
+def _sq_abs(w: np.ndarray) -> np.ndarray:
+    return w.real * w.real + w.imag * w.imag if np.iscomplexobj(w) else w * w
 
-    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
-    for _ in range(_JACOBI_SWEEPS):
-        done = True
-        for i, j in pairs:
-            beta = g[i, j]
-            size = np.abs(beta)
-            live = size > eps * np.sqrt(np.abs(d[i])) * np.sqrt(np.abs(d[j]))
-            if not live.any():
-                continue
-            done = False
-            # t = tan(theta) of the smaller rotation zeroing g_ij, from
-            # h = (g_jj - g_ii) / 2 and |g_ij| both divided by the larger of
-            # them: nothing overflows, and the denominator is at least 1
-            # (the added ~live makes it so for a pair not live, where t = 0)
-            size *= live
-            h = 0.5 * (d[j] - d[i])
-            big = np.maximum(np.maximum(size, np.abs(h)), tiny)
-            hn, sn = np.abs(h) / big, size / big
-            u = np.copysign(live / big, h) / (hn + np.sqrt(hn * hn + sn * sn) + ~live)
-            t = u * size
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = (c * u) * beta  # sin(theta) times the phase of g_ij
-            c = c.astype(g.dtype)  # a complex c multiplies complex entries faster
-            shift = t * size
-            d[i] -= shift
-            d[j] += shift
-            g[i, j] = np.where(live, 0.0, beta)
-            for r in set(range(q)) - {i, j}:
-                x, y = entry(r, i), entry(r, j)
-                x, y = c * x - np.conjugate(s) * y, s * x + c * y
-                store(r, i, x)
-                store(r, j, y)
-            vt[i], vt[j] = c * vt[i] - np.conjugate(s) * vt[j], s * vt[i] + c * vt[j]
-        if done:
-            return vt.swapaxes(0, 1)
-    raise NumericError(f"svt: the Jacobi eigen step did not converge in {_JACOBI_SWEEPS} "
-                       f"sweeps on a {g.shape[2:]} stack of {q}x{q} Gram matrices")
+
+def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a conj(b)), elementwise."""
+    return a.real * b.real + a.imag * b.imag if np.iscomplexobj(a) else a * b
+
+
+def _rotation(gii: np.ndarray, gjj: np.ndarray, gij: np.ndarray):
+    """(c, s) of the smaller rotation [[c, s], [-conj(s), c]] that makes each
+    positive semidefinite [[gii, gij], [conj(gij), gjj]] diagonal.
+
+    Each matrix is first scaled by a power of two to a larger diagonal
+    entry in [1/2, 1), and an off-diagonal entry that is then below the
+    smallest normal number counts as zero, so that |g_ij| is never rounded
+    on the grid of subnormals.  t = tan(theta) = sign(h) |g_ij| / (|h| +
+    sqrt(h^2 + |g_ij|^2)), h = (g_jj - g_ii) / 2, is taken with h and
+    |g_ij| both divided by the larger of them: nothing overflows, and the
+    denominator is at least 1 (or 1 is added, for a matrix already
+    diagonal with g_ii = g_jj)."""
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(np.maximum(gii, gjj))[1], -1021))
+    gij = gij * scale
+    size = np.abs(gij)
+    size *= size >= np.finfo(float).tiny
+    h = 0.5 * (gjj - gii) * scale
+    big = np.maximum(size, np.abs(h))
+    flat = big == 0
+    big = big + flat
+    hn, sn = np.abs(h) / big, size / big
+    u = np.copysign(1.0, h) / (hn + np.sqrt(hn * hn + sn * sn) + flat)
+    c = 1.0 / np.sqrt(1.0 + (u * sn) ** 2)
+    return c, (c * u / big) * gij
 
 
 def procrustes_max_trace(m: np.ndarray) -> np.ndarray:

@@ -34,13 +34,18 @@ def project_columns(g_cols: np.ndarray) -> np.ndarray:
     d = g.shape[0]
     if d == 1:
         return np.ones_like(g)
-    v = g - g.max(axis=0)
-    u = -np.sort(-v, axis=0)
-    css = np.cumsum(u, axis=0) - 1.0
-    support = u * np.arange(1, d + 1)[:, None] > css
-    last = d - 1 - np.argmax(support[::-1], axis=0)
-    theta = css[last, np.arange(g.shape[1])] / (last + 1.0)
-    y = np.maximum(v - theta, 0.0)
+    y = g - g.max(axis=0)
+    # sorted, summed and searched as the rows of the (n, d) transpose, in
+    # place where a temporary would be a fresh array of g's size
+    u = np.negative(y.T, order="C")
+    u.sort(axis=1)
+    np.negative(u, out=u)
+    css = np.cumsum(u, axis=1)
+    css -= 1.0
+    u *= np.arange(1, d + 1)
+    last = d - 1 - np.argmax((u > css)[:, ::-1], axis=1)
+    y -= np.take_along_axis(css, last[:, None], axis=1)[:, 0] / (last + 1.0)
+    np.maximum(y, 0.0, out=y)
     sums = y.sum(axis=0)
     if not np.all(np.isfinite(y)) or np.max(np.abs(sums - 1.0)) > 1e-8 or y.min() < 0:
         raise NumericError("simplex projection produced an infeasible result")

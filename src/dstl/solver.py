@@ -29,7 +29,9 @@ sweep, the H step's own, and none at lambda2 = 0: the H step returns the
 spectral norm of the H it produces, read off the singular values it
 has just shrunk, and the fidelity term uses the orthonormal-basis identity
 ||X - W T||^2 = ||X||^2 - 2 <W.T X, T> + ||T||^2, so no d x n residual
-is formed.  The l1 and alignment terms are summed directly.
+is formed, except in a fit that explains all but 2^-12 of its data's
+energy, where the identity would be mostly rounding.  The l1 and
+alignment terms are summed directly.
 
 Variants drop one ingredient at a time: ``no_S`` skips the S step, so S
 stays zero, ``matrix_nuclear`` swaps the tensor spectral penalty for
@@ -226,8 +228,14 @@ def _sq_norm(a: np.ndarray) -> float:
     return _dot(a, a)
 
 
+# variant_objective sums its fidelity term directly below this many
+# eps ||X||^2 (2^-12 ||X||^2): there the identity's error of a few
+# eps ||X||^2 could pass 1e-10 of its value
+_IDENTITY_FLOOR = 2.0**40
+
+
 def variant_objective(
-    hp: Hyperparams, st: SolverState, wtx: np.ndarray, x_sq: float, spectral: float
+    hp: Hyperparams, st: SolverState, views, wtx: np.ndarray, x_sq: float, spectral: float
 ) -> float:
     """Model objective: reconstruction + l1 + spectral penalty + consensus
     alignment.
@@ -237,7 +245,12 @@ def variant_objective(
     that the W step returned; it equals sum_v ||X^v - W^v (S^v + H^v)||^2
     only for column-orthonormal W.  Every call in ``fit_variant`` comes
     after a W update, where W is orthonormal; a caller with any other W
-    gets a wrong value.
+    gets a wrong value.  The identity's absolute rounding error is a few
+    eps ||X||^2, so a fit that reconstructs its data would read as noise
+    around zero, or below it; where the identity gives less than
+    _IDENTITY_FLOOR eps ||X||^2 (2^-12 ||X||^2), the same term is summed
+    from the ``views`` as sum_v ||X^v - W^v W^v.T X^v||^2 + ||W.T X -
+    (S + H)||^2, free of that cancellation.
 
     ``spectral`` is the variant's own unweighted spectral norm of st.H
     (tensor nuclear norm, or summed per-view matrix nuclear norms), as the
@@ -246,6 +259,9 @@ def variant_objective(
     and whose lambda3 is zero."""
     latent = st.S + st.H
     fidelity = x_sq - 2.0 * _dot(wtx, latent) + _sq_norm(latent)
+    if fidelity < _IDENTITY_FLOOR * np.finfo(float).eps * x_sq:
+        fidelity = sum(_sq_norm(x - w @ p) for x, w, p in zip(views, st.W, wtx)) \
+            + _sq_norm(wtx - latent)
     l1 = hp.lambda1 * float(np.abs(st.S).sum())
     align = hp.lambda3 * _sq_norm(st.H - st.C @ st.Y)
     return float(fidelity + l1 + hp.lambda2 * spectral + align)
@@ -332,7 +348,7 @@ def fit_variant(
             embed = clustering_embedding(st, variant)
             prev_norm = _sq_norm(prev_embed)
             change = _sq_norm(embed - prev_embed)
-            obj = (variant_objective(hp, st, wtx, x_sq, spectral)
+            obj = (variant_objective(hp, st, ds.views, wtx, x_sq, spectral)
                    if record_objective else float("nan"))
         if prev_norm > 0:
             delta = change / prev_norm

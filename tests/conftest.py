@@ -52,6 +52,22 @@ def simplex_sort_oracle(g: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def project_columns_oracle(g: np.ndarray) -> np.ndarray:
+    """The library's simplex projection as it ran on the (d, n) layout,
+    sorting, summing and searching down each column; the row-layout kernel
+    must give the same bits."""
+    d = g.shape[0]
+    if d == 1:
+        return np.ones_like(g)
+    v = g - g.max(axis=0)
+    u = -np.sort(-v, axis=0)
+    css = np.cumsum(u, axis=0) - 1.0
+    support = u * np.arange(1, d + 1)[:, None] > css
+    last = d - 1 - np.argmax(support[::-1], axis=0)
+    theta = css[last, np.arange(g.shape[1])] / (last + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # solver inputs a fit derives from the data
 

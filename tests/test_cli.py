@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import dstl
 import dstl.cli as cli
@@ -407,11 +413,11 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
 def test_svt_failure_exits_numeric_failure_naming_block_h(tmp_path, monkeypatch, capsys,
                                                           variant, module):
     # a non-finite spectrum inside either H step's svt call; at n = 400 the
-    # full variant's 201 Fourier slices of 3 x 2 reach the Jacobi branch
+    # full variant's 201 Fourier slices of 3 x 2 reach the closed-form branch
     svt = module.svt
     monkeypatch.setattr(module, "svt", lambda a, tau: svt(a * np.nan, tau))
-    jacobi, calls = linalg._jacobi_eigenvectors, []
-    monkeypatch.setattr(linalg, "_jacobi_eigenvectors", lambda g: calls.append(g) or jacobi(g))
+    closed, calls = linalg._gram_eigenvectors, []
+    monkeypatch.setattr(linalg, "_gram_eigenvectors", lambda g: calls.append(g) or closed(g))
     for n in ("60", "400") if variant == "full" else ("60",):
         manifest = make_synth(tmp_path, f"data{n}", **{"--n": n})
         capsys.readouterr()
@@ -546,3 +552,80 @@ def test_fit_outputs_do_not_depend_on_blas_threads(tmp_path):
         runs.append(((out / "labels.csv").read_bytes(),
                      (out / "embedding.csv").read_bytes(), trace))
     assert runs[0] == runs[1]
+
+
+_CLI_LAMBDAS = hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=hst.sampled_from(dstl.VARIANTS),
+    dims=hst.lists(hst.integers(1, 4), min_size=1, max_size=3),
+    n=hst.integers(1, 9),
+    k_frac=hst.floats(0.0, 1.0),
+    kind=hst.sampled_from(["gaussian", "zero", "constant"]),
+    scale_exp=hst.sampled_from([-150, -20, 0, 20, 150, 155, 160]),
+    lambdas=hst.tuples(_CLI_LAMBDAS, _CLI_LAMBDAS, _CLI_LAMBDAS),
+    epsilon=hst.sampled_from([1e-300, 1e-4]),
+    seed=hst.integers(0, 2**16),
+)
+@example(variant="full", dims=[2], n=1, k_frac=0.0, kind="gaussian", scale_exp=10,
+         lambdas=(0.0, 0.0, 0.0), epsilon=1e-4, seed=0)
+@example(variant="no_Y", dims=[4, 4, 4], n=9, k_frac=1.0, kind="zero", scale_exp=160,
+         lambdas=(0.0, 0.0, 0.0), epsilon=1e-300, seed=3)
+@example(variant="matrix_nuclear", dims=[3, 2], n=7, k_frac=1.0, kind="gaussian",
+         scale_exp=155, lambdas=(5.0, 0.01, 1e-4), epsilon=1e-4, seed=4)
+@example(variant="no_S", dims=[3], n=5, k_frac=1.0, kind="constant", scale_exp=-150,
+         lambdas=(1e300, 1e300, 1e300), epsilon=1e-300, seed=2)
+def test_fit_exit_code_stop_reason_and_clusters_agree_at_the_edges(
+        variant, dims, n, k_frac, kind, scale_exp, lambdas, epsilon, seed):
+    # test_whole_fit_properties' edges through `dstl fit` on CSV: n = 1 or
+    # 2, one view, k = min d_v, zero and constant views, scales 1e+-150
+    # (1e155 and 1e160 overflow).  Every input is valid, so the exit code is
+    # 0 or, past the working range, 3, and metrics.json, trace.csv,
+    # labels.csv and stderr tell the same story
+    k = 1 + int(k_frac * (min(dims) - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        views = [rng.standard_normal((d, n)) for d in dims]
+        peak = max(float(np.max(np.abs(x))) for x in views)
+        views = [x / peak for x in views]
+    else:
+        views = [np.full((d, n), 1.0 if kind == "constant" else 0.0) for d in dims]
+    classes = min(n, k)
+    ds = MultiViewDataset(tuple(x * 10.0**scale_exp for x in views),
+                          np.arange(n) % classes)
+    overflows = kind != "zero" and scale_exp > 152
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_dataset(ds, Path(tmp) / "data")
+        out = Path(tmp) / "out"
+        argv = ["fit", "--data", str(manifest), "--out", str(out), "--k", str(k),
+                "--lambda1", repr(lambdas[0]), "--lambda2", repr(lambdas[1]),
+                "--lambda3", repr(lambdas[2]), "--epsilon", repr(epsilon),
+                "--max-iter", "4", "--variant", variant, "--repeats", "2"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["variant"] == variant and payload["hyperparams"]["k"] == k
+        if rc == 3:
+            assert overflows, err.getvalue()
+            assert payload["stop_reason"] == "numeric_failure"
+            assert payload["iterations"] is None and payload["clusters_found"] is None
+            assert err.getvalue() == f"numeric failure: {payload['error']}\n"
+            assert not (out / "labels.csv").exists()
+            return
+        assert rc == 0 and not overflows, err.getvalue()
+        assert err.getvalue() == "" and payload["error"] is None
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert payload["iterations"] == len(rows)
+        last_delta = float(rows[-1].split(",")[2])
+        if payload["stop_reason"] == "converged":
+            assert 2 <= len(rows) <= 4 and last_delta <= epsilon
+        else:
+            assert payload["stop_reason"] == "max_iter"
+            assert len(rows) == 4 and not last_delta <= epsilon
+        labels = read_labels_csv(out / "labels.csv")
+        assert labels.size == n
+        assert payload["clusters_found"] == np.unique(labels).size
+        assert 1 <= payload["clusters_found"] <= classes

@@ -125,9 +125,9 @@ def test_svt_graded_spectrum_matches_oracle(p, q, complex_, tau_exp, seed):
     sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
     tau = 10.0**tau_exp * sigma_max
     want = matrix_svt_oracle(a, tau)
-    # alone, and as the first of a stack large enough for the Jacobi when
-    # min(p, q) <= 3
-    stack = np.broadcast_to(a, (linalg._JACOBI_BATCH_PER_ROW * max(p, q),) + a.shape)
+    # alone, and as the first of a stack large enough for the closed-form
+    # eigen step when min(p, q) <= 3
+    stack = np.broadcast_to(a, (linalg._CLOSED_FORM_BATCH_PER_ROW * max(p, q),) + a.shape)
     stacked_out, stacked_norms = svt(stack, tau)
     for out, norm in (svt(a, tau), (stacked_out[0], stacked_norms[0])):
         assert out.shape == a.shape
@@ -144,15 +144,15 @@ def test_svt_graded_spectrum_matches_oracle(p, q, complex_, tau_exp, seed):
 def both_branches(monkeypatch):
     """Runs a test body on a small stack as it is, which svt's batch gate
     sends to eigh, and tiled along its first axis to 60 p matrices, which
-    take the Jacobi when their Gram matrices have at most 3 columns; checks
-    that each went that way."""
+    take the closed-form eigen step when their Gram matrices have at most 3
+    columns; checks that each went that way."""
     calls = []
-    jacobi = linalg._jacobi_eigenvectors
-    monkeypatch.setattr(linalg, "_jacobi_eigenvectors", lambda g: calls.append(g) or jacobi(g))
+    closed = linalg._gram_eigenvectors
+    monkeypatch.setattr(linalg, "_gram_eigenvectors", lambda g: calls.append(g) or closed(g))
 
     def stacks(a):
         p, q = max(a.shape[-2:]), min(a.shape[-2:])
-        reps = -(-linalg._JACOBI_BATCH_PER_ROW * p // int(np.prod(a.shape[:-2])))
+        reps = -(-linalg._CLOSED_FORM_BATCH_PER_ROW * p // int(np.prod(a.shape[:-2])))
         yield a
         assert not calls
         yield np.tile(a, (reps,) + (1,) * (a.ndim - 1))
@@ -163,11 +163,12 @@ def both_branches(monkeypatch):
 
 
 def test_svt_stack_matches_per_matrix_oracle(both_branches):
-    # the mixed stacks put matrices the Jacobi branch finishes in 1 to 5
-    # sweeps side by side, so a rotation that leaks into a matrix whose
-    # pair is no longer live shows
+    # the mixed stacks put matrices whose eigenvectors the closed form takes
+    # from different adjugate columns and complement axes side by side, with
+    # zero, diagonal, repeated and rank-one Gram matrices among them, so a
+    # selection that leaks into a neighbouring matrix shows
     rng = np.random.default_rng(9)
-    random_shapes = [(7, 5, 3), (4, 3, 5), (2, 3, 4, 4), (6, 1, 4), (5, 4, 1)]
+    random_shapes = [(7, 5, 3), (4, 3, 5), (2, 3, 4, 4), (6, 1, 4), (5, 4, 1), (3, 2, 5, 3)]
     mixed_shapes = [(2001, 5, 3), (2001, 3, 5)]
     for shape in random_shapes + mixed_shapes:
         for complex_ in (False, True):
@@ -181,6 +182,20 @@ def test_svt_stack_matches_per_matrix_oracle(both_branches):
             tau = float(rng.uniform(0.1, 1.5))
             for a in stacks:
                 check_per_matrix(a, tau)
+
+
+def test_svt_closed_form_does_not_depend_on_the_chunk_size(monkeypatch):
+    # the closed form works through the batch in chunks; every step is
+    # elementwise over the batch, so chunks of 7 (a ragged last one
+    # included) give the bits of a single chunk
+    rng = np.random.default_rng(16)
+    for shape in ((2001, 5, 3), (2001, 3, 5), (1000, 4, 2)):
+        a = mixed_stack(rng, *shape, True)
+        whole = svt(a, 0.4)
+        monkeypatch.setattr(linalg, "_CLOSED_FORM_CHUNK", 7)
+        for x, y in zip(svt(a, 0.4), whole):
+            assert np.array_equal(x, y)
+        monkeypatch.undo()
 
 
 def check_per_matrix(a, tau):
@@ -254,16 +269,65 @@ def test_svt_non_finite_input_is_a_numeric_error(bad, complex_, both_branches):
                 svt(stack, 0.1)
 
 
-def test_svt_jacobi_that_does_not_converge_is_a_numeric_error(monkeypatch):
-    # a random 3-column stack needs 4 sweeps of rotations and a fifth that
-    # finds nothing left; capped at one sweep, svt names itself in the error
-    a = np.random.default_rng(13).standard_normal((linalg._JACOBI_BATCH_PER_ROW * 5, 5, 3))
-    monkeypatch.setattr(linalg, "_JACOBI_SWEEPS", 1)
-    with pytest.raises(NumericError, match="svt"):
-        svt(a, 0.5)
-    monkeypatch.setattr(linalg, "_JACOBI_SWEEPS", 5)
-    out, _ = svt(a, 0.5)
-    assert np.max(np.abs(out[0] - matrix_svt_oracle(a[0], 0.5))) <= 1e-12
+def hermitian_stack(rng, eigenvalues, complex_, count=500):
+    """count Hermitian matrices with these eigenvalues and random
+    eigenvectors, exactly Hermitian as stored."""
+    q = len(eigenvalues)
+    z = rng.standard_normal((count, q, q))
+    if complex_:
+        z = z + 1j * rng.standard_normal((count, q, q))
+    basis = np.linalg.qr(z)[0]
+    g = (basis * np.asarray(eigenvalues, dtype=float)) @ basis.conj().swapaxes(-1, -2)
+    return (g + g.conj().swapaxes(-1, -2)) / 2
+
+
+# exact and near-double eigenvalues (1e-9 and 1e-13 apart, at either end),
+# exact and near-triple ones, a graded spectrum, rank one, zero, and a pair
+# at 1e-300 of the largest or a whole matrix there
+_EIGEN_SPECTRA = [
+    (1, 1, .3), (1, .3, .3), (1, 1 + 1e-9, .3), (1, 1 + 1e-13, .3), (1, .3, .3 + 1e-9),
+    (1, .3 + 1e-13, .3), (1, 1, 1), (1, 1 + 1e-9, 1 - 1e-9), (1, 1 + 1e-13, 1 - 1e-13),
+    (1, 1e-12, 1e-24), (1, 0, 0), (0, 0, 0), (1, 1e-300, 1e-300),
+    (1e-300, 1e-300 * (1 + 1e-13), .3e-300)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_closed_form_eigenvectors_have_a_backward_error_of_a_few_eps(complex_):
+    # V from the closed-form eigen step diagonalizes each Gram matrix to
+    # ||offdiag(V^H G V)|| <= 4 eps ||G|| with ||V^H V - I|| <= 8 eps (2-norms,
+    # measured in extended precision), the constants the svt docstring's
+    # precision argument states; 500 matrices per spectrum, 3 x 3 and
+    # (its last two eigenvalues) 2 x 2, and 5 x q Gram matrices at q = 1, 2, 3
+    rng = np.random.default_rng(14)
+    stacks = [hermitian_stack(rng, lams[3 - q:], complex_)
+              for lams in _EIGEN_SPECTRA for q in (2, 3)]
+    for q in (1, 2, 3):
+        a = rng.standard_normal((500, 5, q)) * (1.0 + 1j if complex_ else 1.0)
+        stacks.append(a.conj().swapaxes(-1, -2) @ a)
+    # eigenvalues 1e-78 apart around a double one: the adjugate columns
+    # have squared norms near 1e-312, below the smallest normal number
+    g = np.zeros((500, 3, 3), dtype=complex if complex_ else float)
+    g[:, [0, 1, 2], [0, 1, 2]] = 0.75
+    off = rng.standard_normal((500, 3)) * 1e-78 * (np.exp(0.3j) if complex_ else 1.0)
+    g[:, [0, 0, 1], [1, 2, 2]], g[:, [1, 2, 2], [0, 0, 1]] = off, np.conjugate(off)
+    stacks.append(g)
+    # equal diagonal entries and a subnormal off-diagonal one, whose
+    # modulus would be rounded on the grid of subnormals
+    g = np.zeros((500, 2, 2), dtype=g.dtype)
+    g[:, 0, 0] = g[:, 1, 1] = 0.75
+    g[:, 0, 1] = rng.uniform(1, 2, 500) * 1e-315 * (np.exp(0.3j) if complex_ else 1.0)
+    g[:, 1, 0] = np.conjugate(g[:, 0, 1])
+    stacks.append(g)
+    for g in stacks:
+        q = g.shape[-1]
+        v = linalg._gram_eigenvectors(np.moveaxis(g, (-2, -1), (0, 1)))
+        v = np.moveaxis(v, (0, 1), (-2, -1)).astype(np.clongdouble)
+        vh = v.conj().swapaxes(-1, -2)
+        d = vh @ g.astype(np.clongdouble) @ v
+        off_diag = np.linalg.norm((d * (1 - np.eye(q))).astype(complex), 2, axis=(-2, -1))
+        assert np.all(off_diag <= 4 * EPS * np.linalg.norm(g, 2, axis=(-2, -1))), g[0]
+        assert np.all(np.linalg.norm((vh @ v - np.eye(q)).astype(complex), 2, axis=(-2, -1))
+                      <= 8 * EPS), g[0]
 
 
 @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
@@ -279,7 +343,7 @@ def test_svt_jacobi_rotation_angle_neither_overflows_nor_divides_by_zero(phase):
     a[0, 0, 0], a[0, 0, 1], a[0, 1, 1], a[0, 2, 2] = 1.0, 2.0 * EPS * tiny * phase, tiny, 0.5
     a[1, 0, 0], a[1, 1, 1], a[1, 1, 2], a[1, 2, 1], a[1, 2, 2] = 1.0, tiny, 0.1 * tiny * phase, \
         0.1 * tiny, tiny
-    a = np.tile(a, (linalg._JACOBI_BATCH_PER_ROW * 2, 1, 1))  # a stack the Jacobi takes
+    a = np.tile(a, (linalg._CLOSED_FORM_BATCH_PER_ROW * 2, 1, 1))  # the closed form's stack
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out, norms = svt(a, 0.25)

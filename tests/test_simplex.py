@@ -4,7 +4,7 @@ import pytest
 from dstl.errors import InputError, NumericError
 from dstl.simplex import project_columns
 
-from conftest import simplex_sort_oracle
+from conftest import project_columns_oracle, simplex_sort_oracle
 
 
 def project(g):
@@ -125,6 +125,19 @@ def test_batch_feasibility_and_shape():
     assert out.shape == gm.shape
     assert np.all(out >= 0)
     assert np.max(np.abs(out.sum(axis=0) - 1.0)) <= 1e-12
+
+
+def test_row_layout_matches_the_column_oracle_bit_for_bit():
+    # random columns, columns with many ties (few distinct values, repeated
+    # maxima) and columns at +-1e150, at the solver's shapes and smaller
+    rng = np.random.default_rng(15)
+    for d, n in ((2, 1), (3, 7), (5, 8000), (10, 4000), (17, 300)):
+        for g in (rng.standard_normal((d, n)),
+                  rng.integers(-2, 3, (d, n)) * 0.5,
+                  np.repeat(rng.standard_normal((1, n)), d, axis=0),
+                  rng.standard_normal((d, n)) * 1e150,
+                  rng.integers(-1, 2, (d, n)) * -1e150 + rng.standard_normal((d, n))):
+            assert np.array_equal(project_columns(g), project_columns_oracle(g))
 
 
 def test_rejects_bad_input():

@@ -63,8 +63,8 @@ def random_state(rng, ds, k):
 def objective(ds, hp, st):
     """variant_objective at st, with W.T X and ||X||^2 formed from ds and
     the tensor nuclear norm from the loop oracle."""
-    return variant_objective(hp, st, projections(ds.views, st.W), data_energy(ds.views),
-                             tnn_oracle(st.H))
+    return variant_objective(hp, st, ds.views, projections(ds.views, st.W),
+                             data_energy(ds.views), tnn_oracle(st.H))
 
 
 def small_dataset(seed=0, n=40, c=3, m=2, dims=(8, 7)):
@@ -308,6 +308,29 @@ def variant_oracle_objective(ds, hp, st):
         return oracle_objective(ds, hp, st)
     per_view = sum(float(np.linalg.svd(h, compute_uv=False).sum()) for h in st.H)
     return oracle_objective(ds, replace(hp, lambda2=0.0), st) + hp.lambda2 * per_view
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e150])
+def test_objective_of_a_fit_that_reconstructs_its_data_is_not_rounding(scale):
+    # one 2 x 1 Gaussian view, k = 1 and every lambda 0: from the second
+    # sweep on W (S + H) reconstructs X, where the fidelity identity alone
+    # read -32768 at scale 1e10 and 3.0e284 at 1e150 against direct values
+    # of 1.8e-11 and 3.3e268.  The trace must match the direct residual
+    # within the oracle tests' 1e-10, taken relative to eps ||X||^2 where
+    # the residual is smaller
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 1))
+    ds = MultiViewDataset((x / np.max(np.abs(x)) * scale,))
+    hp = Hyperparams(0.0, 0.0, 0.0, k=1, max_iter=4, epsilon=1e-300)
+    x_sq = data_energy(ds.views)
+    records = []
+    fit_variant(ds, hp, callback=lambda st, rec: records.append(
+        (rec.objective, variant_oracle_objective(ds, hp, st))))
+    assert len(records) >= 2
+    for obj, want in records:
+        assert obj >= 0.0
+        assert abs(obj - want) <= 1e-10 * (np.finfo(float).eps * x_sq + abs(want)), (obj, want)
+    assert records[-1][1] < 1e-20 * x_sq  # the fit does reconstruct the data
 
 
 @pytest.mark.parametrize("variant", ["full", "no_S", "matrix_nuclear", "no_Y"])
@@ -578,7 +601,7 @@ _THREAD_PROBE = textwrap.dedent("""
 def test_fit_does_not_depend_on_blas_threads_at_k10m5():
     # the ablation benchmark's shape: H, Y and the trace objectives of both
     # H steps are byte-identical under one and two BLAS threads; so are
-    # they at k5 m3, whose Fourier slices take svt's Jacobi branch
+    # they at k5 m3, whose Fourier slices take svt's closed-form eigen step
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -658,7 +681,9 @@ def test_whole_fit_properties(variant, dims, n, k_frac, kind, scale_exp, lambdas
     # (1e-10), criterion 3 (1e-8) and criterion 4 (1e-10), read in the
     # data's own units: the objective of views scaled by s, with lambda1
     # and lambda2 scaled alike, is s^2 times the unit-scale one (up to the
-    # alignment term), so "1 +" becomes "s^2 +".
+    # alignment term), and "1 +" becomes "eps s^2 +", the rounding of
+    # ||X||^2 itself, near which the objective sums its fidelity term
+    # directly.
     k = 1 + int(k_frac * (min(dims) - 1))
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
@@ -692,9 +717,9 @@ def test_whole_fit_properties(variant, dims, n, k_frac, kind, scale_exp, lambdas
     unit = 1.0 if kind == "zero" else scale**2
     prev = None
     for obj, want, viol, floor in records:
-        assert abs(obj - want) <= 1e-10 * (unit + abs(want)), (obj, want)
+        assert abs(obj - want) <= 1e-10 * (eps * unit + abs(want)), (obj, want)
         if prev is not None:
-            assert obj - prev <= 1e-8 * (unit + abs(prev)) + floor, (prev, obj, floor)
+            assert obj - prev <= 1e-8 * (eps * unit + abs(prev)) + floor, (prev, obj, floor)
         prev = obj
         assert viol["w_orthonormality"] <= 1e-10
         if variant != "no_Y":

@@ -73,7 +73,7 @@ def test_every_block_step_is_traced(spans, variant):
     (3, 3, "matrix_nuclear", 3)])
 def test_svt_eigen_step_follows_the_gram_width(monkeypatch, m, k, variant, calls):
     # svt's branch at the benchmark's shapes: the k5 m3 Fourier slices
-    # (301 matrices of 5 x 3) take the Jacobi and call no eigh; the k10 m5
+    # (301 matrices of 5 x 3) take the closed form and call no eigh; the k10 m5
     # slices (5 columns) and views (10) make one batched eigh per sweep, and
     # so do the k3 views, 3 matrices of 600 x 3
     eigh = np.linalg.eigh
