@@ -28,17 +28,11 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-# Gram stacks with at most this many columns take their eigenvectors in
-# closed form, from _gram_eigenvectors below; from 4 columns on LAPACK eigh
-_CLOSED_FORM_MAX_Q = 3
-# ... when the stack holds at least this many matrices per row of each:
-# below that the per-matrix LAPACK eigh and BLAS products are faster than
-# the closed form's elementwise passes and einsum contractions over p rows
-_CLOSED_FORM_BATCH_PER_ROW = 60
-# matrices per chunk of the closed form's batch: its temporaries are then
-# 16-32 KB, which malloc hands from one chunk to the next, where whole-batch
-# temporaries would be fresh pages on every call
-_CLOSED_FORM_CHUNK = 2048
+# entries per chunk of svt's batch, 2048 matrices of 5 x 3 (the Fourier
+# slices of a k5 m3 fit): the temporaries are then 16-32 KB, which malloc
+# hands from one chunk to the next, where whole-batch ones would be fresh
+# pages on every call
+_CHUNK_ENTRIES = 2048 * 15
 
 
 def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -53,16 +47,16 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     norm of column i of A V, not sqrt(lambda_i).  A non-finite sigma or a
     failed eigen step raises NumericError.
 
-    The eigen step is chosen from the shape alone.  A stack of p x q
-    matrices with q <= 3 that holds at least 60 p of them (the Fourier
-    slices of a k5 m3 fit from n = 600 on, never the view stacks of
-    matrix_nuclear, whose p is n) gets its eigenvectors in closed form
-    (_gram_eigenvectors), a fixed sequence of elementwise operations with
-    no iteration.  That branch works batch-last, on (p, q, chunk) copies of
-    2048 matrices at a time: G, A V and the output are einsum contractions
-    over contiguous rows of the batch.  It calls no BLAS, so its rounding
-    does not depend on the BLAS thread count.  Elsewhere the per-matrix
-    LAPACK eigh of a batched matmul Gram is used instead.
+    Shape rule: svt is built for many small matrices.  It works batch-last,
+    on (p, q, chunk) copies of a fixed number of entries, and G, A V and
+    the output are einsum contractions over the p rows, so a long matrix
+    should be reduced first, as the matrix_nuclear H step does: A = R^H
+    Q^H with Q^H row-orthonormal has the singular values of the small R^H,
+    and thresholding R^H then multiplying by Q^H thresholds A.  The Gram
+    width q alone picks the eigen step (_gram_eigenvectors): for q <= 3 a
+    closed form, elementwise operations with no iteration and no BLAS, so
+    that the rounding does not depend on the BLAS thread count, and LAPACK
+    eigh from q = 4 on.
 
     Precision: both eigen steps return V with ||V^H V - I|| <= c eps and
     the off-diagonal part of V^H G V below c eps ||G||.  LAPACK eigh is
@@ -91,59 +85,50 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     sqrt(delta) and the error is second order in F.
     """
     a = np.asarray(a)
-    if a.ndim < 2 or not np.isfinite(tau) or tau < 0:
-        raise InputError(f"svt needs matrices and tau >= 0, got ndim={a.ndim}, tau={tau}")
+    if a.ndim < 2 or a.size == 0 or not np.isfinite(tau) or tau < 0:
+        raise InputError(f"svt needs a non-empty stack and tau >= 0, got {a.shape}, tau={tau}")
     wide = a.shape[-2] < a.shape[-1]
     a = a.swapaxes(-1, -2) if wide else a
-    # capped at 2**1021, so that a subnormal stack does not scale by inf
-    scale = np.ldexp(1.0, -max(int(np.frexp(np.abs(a).max())[1]), -1021))
+    scale = _inverse_power_of_two(np.abs(a).max())
     batch, (p, q) = int(np.prod(a.shape[:-2])), a.shape[-2:]
-    if q > _CLOSED_FORM_MAX_Q or batch < _CLOSED_FORM_BATCH_PER_ROW * p:
-        try:  # eigenvectors of (scale A)^H (scale A)
-            _, v = np.linalg.eigh(((np.conjugate(a) * scale).swapaxes(-1, -2) @ a) * scale)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigh failed inside svt on a {a.shape} stack") from exc
-        av = a @ (v * scale)
-        kept, factor = _shrink(np.linalg.norm(av, axis=-2), tau, scale, a.shape)
-        av *= factor[..., None, :]
-        out = v.conj() @ av.swapaxes(-1, -2) if wide else av @ v.conj().swapaxes(-1, -2)
-        return out, kept.sum(axis=-1) / scale
     # batch-last (p, q, batch) views in, a (p, q, batch) array out; each
     # chunk of the batch is scaled into a contiguous copy
     rows = np.moveaxis(a.reshape((batch, p, q)), 0, 2)
     out = np.empty((p, q, batch), dtype=np.result_type(a.dtype, 1.0))
     kept = np.empty((q, batch))
-    for lo in range(0, batch, _CLOSED_FORM_CHUNK):
-        hi = lo + _CLOSED_FORM_CHUNK
+    chunk = max(_CHUNK_ENTRIES // (p * q), 1)
+    for lo in range(0, batch, chunk):
+        hi = lo + chunk
         b = np.multiply(rows[..., lo:hi], scale, order="C")
         v = _gram_eigenvectors(np.einsum("rib,rjb->ijb", np.conjugate(b), b))
         av = np.einsum("rib,ijb->rjb", b, v)
-        kept[:, lo:hi], factor = _shrink(np.linalg.norm(av, axis=0), tau, scale, a.shape)
-        av *= factor
+        sigma = np.linalg.norm(av, axis=0)
+        if not np.all(np.isfinite(sigma)):
+            raise NumericError(f"svt of a {a.shape} stack gave non-finite singular values")
+        # shrunk / sigma / scale turns the columns of A V into the output's A V D
+        kept[:, lo:hi] = shrunk = np.maximum(sigma - tau * scale, 0.0)
+        av *= np.divide(shrunk, sigma, out=np.zeros_like(shrunk), where=sigma > 0) / scale
         np.einsum("rjb,ijb->rib", av, np.conjugate(v), out=out[..., lo:hi])
     out = np.moveaxis(out, 2, 0).reshape(a.shape)
     return out.swapaxes(-1, -2) if wide else out, kept.sum(axis=0).reshape(a.shape[:-2]) / scale
 
 
-def _shrink(sigma: np.ndarray, tau: float, scale: float, shape: tuple):
-    """The shrink rule both branches share, on the column norms sigma of
-    scale A V: returns the kept max(sigma - tau scale, 0) and the factors
-    kept / sigma / scale that turn those columns into the output's A V D."""
-    if not np.all(np.isfinite(sigma)):
-        raise NumericError(f"svt of a {shape} stack gave non-finite singular values")
-    kept = np.maximum(sigma - tau * scale, 0.0)
-    ratio = np.divide(kept, sigma, out=np.zeros_like(kept), where=sigma > 0)
-    return kept, ratio / scale
+def _inverse_power_of_two(x):
+    """2^-e for each x = f 2^e, f in [1/2, 1), with e capped at -1021 so
+    that a subnormal x does not scale by inf (and x = 0 gives 1)."""
+    return np.ldexp(1.0, -np.maximum(np.frexp(x)[1], -1021))
 
 
 def _gram_eigenvectors(g: np.ndarray) -> np.ndarray:
     """Unitary V whose columns are eigenvectors of each Hermitian matrix
-    in a batch-last (q, q, ...) stack, q <= 3, in closed form; only the
-    diagonal and the upper triangle of g are read.
+    in a batch-last (q, q, ...) stack.
 
-    q = 2 takes one exact rotation.  For q = 3 (Kopp, Int. J. Mod. Phys. C
-    19, 2008) each matrix is scaled by a power of two to a largest
-    diagonal entry in [1/2, 1), and its most isolated eigenvalue l comes
+    From q = 4 on, LAPACK eigh of the stack moved batch-first, which
+    reads the lower triangle.  Up to q = 3, a closed form that reads only
+    the diagonal and the upper triangle: q = 1 gives 1 and q = 2 one
+    exact rotation.  For q = 3 (Kopp, Int. J. Mod. Phys. C 19, 2008) each
+    matrix is scaled by a power of two to a largest diagonal entry in
+    [1/2, 1), and its most isolated eigenvalue l comes
     from the trigonometric formula (Smith, CACM 4, 1961) for K = G - m I,
     m = tr G / 3: with p^2 = ||K||_F^2 / 6 and r = det K / (2 p^3), the
     eigenvalues are m + 2 p cos((acos r + 2 pi j) / 3); the largest (j = 0)
@@ -160,12 +145,18 @@ def _gram_eigenvectors(g: np.ndarray) -> np.ndarray:
     if q == 2:
         c, s = _rotation(g[0, 0].real, g[1, 1].real, g[0, 1])
         return np.stack([np.stack([c, s]), np.stack([-np.conjugate(s), c])])
+    if q > 3:
+        try:
+            _, v = np.linalg.eigh(np.moveaxis(g, (0, 1), (-2, -1)))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigh failed inside svt on a {g.shape} Gram stack") from exc
+        # a contiguous copy: the einsum products read V along the batch, and
+        # a strided V made svt about 12% slower on k10 m5 Fourier slices
+        return np.ascontiguousarray(np.moveaxis(v, (-2, -1), (0, 1)))
     batch = g.shape[2:]
     g = g.reshape(3, 3, -1)
     d0, d1, d2 = (g[i, i].real for i in range(3))
-    # capped like svt's own scale, so that a subnormal matrix does not scale by inf
-    top = np.maximum(np.maximum(d0, d1), d2)
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1021))
+    scale = _inverse_power_of_two(np.maximum(np.maximum(d0, d1), d2))
     d0, d1, d2 = d0 * scale, d1 * scale, d2 * scale
     x, y, z = g[0, 1] * scale, g[0, 2] * scale, g[1, 2] * scale
     conj = np.conjugate
@@ -248,7 +239,7 @@ def _rotation(gii: np.ndarray, gjj: np.ndarray, gij: np.ndarray):
     |g_ij| both divided by the larger of them: nothing overflows, and the
     denominator is at least 1 (or 1 is added, for a matrix already
     diagonal with g_ii = g_jj)."""
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(np.maximum(gii, gjj))[1], -1021))
+    scale = _inverse_power_of_two(np.maximum(gii, gjj))
     gij = gij * scale
     size = np.abs(gij)
     size *= size >= np.finfo(float).tiny

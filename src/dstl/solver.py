@@ -80,7 +80,11 @@ VARIANTS = ("full", "no_S", "matrix_nuclear", "no_Y")
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Solver knobs; ``k=None`` resolves to the dataset's class count."""
+    """Solver knobs; ``k=None`` resolves to the dataset's class count.
+
+    The solver never reads ``seed``: a fit starts from an all-zero state.
+    The CLI uses it as the base seed of the k-means repeats (seed + r for
+    repeat r)."""
 
     lambda1: float = 1.0
     lambda2: float = 0.01
@@ -197,7 +201,9 @@ def _h_targets(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> np.ndarray:
 def update_H(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact prox step of the variant's spectral penalty at the blended
     target: tubal singular value thresholding, or for ``matrix_nuclear``
-    singular value thresholding of each view.
+    singular value thresholding of each view, done on the small factor R^T
+    of its thin QR R^T Q^T (Golub & Van Loan, Matrix Computations, 5.2):
+    R^T has the view's singular values, and Q^T has orthonormal rows.
 
     Returns the new H and its spectral norm (the tensor nuclear norm, or
     the sum of the per-view nuclear norms); at lambda2 = 0 the prox is the
@@ -208,8 +214,10 @@ def update_H(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> tuple[np.ndar
         return targets, 0.0
     tau = hp.lambda2 / (2.0 * (hp.lambda3 + 1.0))
     if hp.variant == "matrix_nuclear":
-        h, norms = svt(targets, tau)
-        return h, float(norms.sum())
+        # each k x n view is R^T Q^T, from the thin QR of its transpose
+        q, r = np.linalg.qr(targets.swapaxes(1, 2))
+        h, norms = svt(r.swapaxes(1, 2), tau)
+        return h @ q.swapaxes(1, 2), float(norms.sum())
     return tubal_shrinkage(targets, tau)
 
 

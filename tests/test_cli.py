@@ -16,7 +16,6 @@ from hypothesis import strategies as hst
 
 import dstl
 import dstl.cli as cli
-import dstl.linalg as linalg
 import dstl.slimtensor as slimtensor
 import dstl.solver as solver
 from dstl.data import (
@@ -412,21 +411,24 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
                                              ("matrix_nuclear", solver)])
 def test_svt_failure_exits_numeric_failure_naming_block_h(tmp_path, monkeypatch, capsys,
                                                           variant, module):
-    # a non-finite spectrum inside either H step's svt call; at n = 400 the
-    # full variant's 201 Fourier slices of 3 x 2 reach the closed-form branch
+    # a non-finite spectrum inside either H step's svt call, in both eigen
+    # steps: k3 m2 matrices have Gram matrices of 2 (Fourier slices) or 3
+    # (QR factors of the views) columns and take the closed form; at k4 m4
+    # they have 4 and take eigh
     svt = module.svt
     monkeypatch.setattr(module, "svt", lambda a, tau: svt(a * np.nan, tau))
-    closed, calls = linalg._gram_eigenvectors, []
-    monkeypatch.setattr(linalg, "_gram_eigenvectors", lambda g: calls.append(g) or closed(g))
-    for n in ("60", "400") if variant == "full" else ("60",):
-        manifest = make_synth(tmp_path, f"data{n}", **{"--n": n})
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: calls.append(g) or eigh(g))
+    shapes = {"k3m2": {}, "k4m4": {"--c": "4", "--m": "4", "--dims": "6,5,6,5"}}
+    for name, over in shapes.items():
+        manifest = make_synth(tmp_path, name, **over)
         capsys.readouterr()
-        assert cli.main(fit_args(manifest, tmp_path / n, ["--variant", variant])) == 3
+        assert cli.main(fit_args(manifest, tmp_path / f"out_{name}", ["--variant", variant])) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: block H at iteration 1: ") and "svt" in err
-        payload = json.loads((tmp_path / n / "metrics.json").read_text())
+        payload = json.loads((tmp_path / f"out_{name}" / "metrics.json").read_text())
         assert payload["stop_reason"] == "numeric_failure" and payload["variant"] == variant
-        assert bool(calls) == (n == "400")
+        assert bool(calls) == (name == "k4m4")
 
 
 def test_overflow_exits_numeric_failure(tmp_path, capsys):

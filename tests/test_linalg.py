@@ -102,6 +102,14 @@ def mixed_stack(rng, count, p, q, complex_):
         complex if complex_ else float)
 
 
+def pad_to_eigh(a):
+    """The stack with zero rows and columns appended to make each matrix at
+    least 4 x 4, so that its Gram matrices are wide enough for eigh; the
+    zeros change no singular value and stay zero under thresholding."""
+    p, q = a.shape[-2:]
+    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(0, max(4 - p, 0)), (0, max(4 - q, 0))])
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     p=hst.integers(1, 6),
@@ -124,12 +132,11 @@ def test_svt_graded_spectrum_matches_oracle(p, q, complex_, tau_exp, seed):
     a = graded_matrix(np.random.default_rng(seed), p, q, complex_)
     sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
     tau = 10.0**tau_exp * sigma_max
-    want = matrix_svt_oracle(a, tau)
-    # alone, and as the first of a stack large enough for the closed-form
-    # eigen step when min(p, q) <= 3
-    stack = np.broadcast_to(a, (linalg._CLOSED_FORM_BATCH_PER_ROW * max(p, q),) + a.shape)
-    stacked_out, stacked_norms = svt(stack, tau)
-    for out, norm in (svt(a, tau), (stacked_out[0], stacked_norms[0])):
+    # as it is, which takes the closed-form eigen step when min(p, q) <= 3,
+    # and padded with zeros to at least 4 x 4, which takes eigh
+    for a in (a, pad_to_eigh(a)):
+        want = matrix_svt_oracle(a, tau)
+        out, norm = svt(a, tau)
         assert out.shape == a.shape
         assert np.linalg.norm(out - want) <= 1e-8 * (1.0 + np.linalg.norm(want))
         got = float(np.linalg.svd(out, compute_uv=False).sum())
@@ -142,22 +149,23 @@ def test_svt_graded_spectrum_matches_oracle(p, q, complex_, tau_exp, seed):
 
 @pytest.fixture
 def both_branches(monkeypatch):
-    """Runs a test body on a small stack as it is, which svt's batch gate
-    sends to eigh, and tiled along its first axis to 60 p matrices, which
-    take the closed-form eigen step when their Gram matrices have at most 3
-    columns; checks that each went that way."""
+    """Runs a test body on a small stack as it is, whose Gram matrices take
+    the closed-form eigen step when they have at most 3 columns, and, for
+    such a stack, once more padded by pad_to_eigh, which takes eigh;
+    checks through a spy on eigh that each went that way."""
     calls = []
-    closed = linalg._gram_eigenvectors
-    monkeypatch.setattr(linalg, "_gram_eigenvectors", lambda g: calls.append(g) or closed(g))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: calls.append(g) or eigh(g))
 
     def stacks(a):
-        p, q = max(a.shape[-2:]), min(a.shape[-2:])
-        reps = -(-linalg._CLOSED_FORM_BATCH_PER_ROW * p // int(np.prod(a.shape[:-2])))
+        closed = min(a.shape[-2:]) <= 3
         yield a
-        assert not calls
-        yield np.tile(a, (reps,) + (1,) * (a.ndim - 1))
-        assert bool(calls) == (q <= 3)
+        assert bool(calls) != closed
         calls.clear()
+        if closed:
+            yield pad_to_eigh(a)
+            assert calls
+            calls.clear()
 
     return stacks
 
@@ -186,13 +194,13 @@ def test_svt_stack_matches_per_matrix_oracle(both_branches):
 
 def test_svt_closed_form_does_not_depend_on_the_chunk_size(monkeypatch):
     # the closed form works through the batch in chunks; every step is
-    # elementwise over the batch, so chunks of 7 (a ragged last one
-    # included) give the bits of a single chunk
+    # elementwise over the batch, so chunks of 7 matrices (a ragged last
+    # one included) give the bits of a single chunk
     rng = np.random.default_rng(16)
     for shape in ((2001, 5, 3), (2001, 3, 5), (1000, 4, 2)):
         a = mixed_stack(rng, *shape, True)
         whole = svt(a, 0.4)
-        monkeypatch.setattr(linalg, "_CLOSED_FORM_CHUNK", 7)
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 7 * shape[1] * shape[2])
         for x, y in zip(svt(a, 0.4), whole):
             assert np.array_equal(x, y)
         monkeypatch.undo()
@@ -254,6 +262,10 @@ def test_svt_rejects_bad_input():
     for tau in (-0.1, np.nan, np.inf):
         with pytest.raises(InputError):
             svt(np.eye(3), tau)
+    # an empty stack, or matrices with no entries, have no scale to take
+    for shape in ((0, 3, 2), (2, 0, 3), (3, 0)):
+        with pytest.raises(InputError):
+            svt(np.zeros(shape), 0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -330,20 +342,20 @@ def test_closed_form_eigenvectors_have_a_backward_error_of_a_few_eps(complex_):
                       <= 8 * EPS), g[0]
 
 
-@pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
-def test_svt_jacobi_rotation_angle_neither_overflows_nor_divides_by_zero(phase):
-    # Gram matrices with entries 1e150 times apart, where the cotangent of
-    # the rotation angle, (g_jj - g_ii) / (2 |g_ij|), is about 1e165 and
-    # its square overflows (first matrix), or where |g_ij|^2 and
-    # (g_jj - g_ii)^2 both underflow to zero (second); the pair is live in
-    # each, |g_ij| > eps sqrt(g_ii g_jj).  svt runs outside the solver's
+@pytest.mark.parametrize("phase", [1.0, pytest.param(np.exp(0.7j), id="complex")])
+def test_svt_rotation_angle_neither_overflows_nor_divides_by_zero(phase):
+    # 3-column Gram matrices, which take the closed form and its exact
+    # rotation, with entries 1e150 times apart, where the cotangent of the
+    # rotation angle, (g_jj - g_ii) / (2 |g_ij|), is about 1e165 and its
+    # square overflows (first matrix), or where |g_ij|^2 and (g_jj -
+    # g_ii)^2 both underflow to zero (second); each needs a rotation,
+    # |g_ij| > eps sqrt(g_ii g_jj).  svt runs outside the solver's
     # errstate, so a floating-point warning would reach the caller
     tiny = 1e-150
     a = np.zeros((2, 4, 3), dtype=complex)
     a[0, 0, 0], a[0, 0, 1], a[0, 1, 1], a[0, 2, 2] = 1.0, 2.0 * EPS * tiny * phase, tiny, 0.5
     a[1, 0, 0], a[1, 1, 1], a[1, 1, 2], a[1, 2, 1], a[1, 2, 2] = 1.0, tiny, 0.1 * tiny * phase, \
         0.1 * tiny, tiny
-    a = np.tile(a, (linalg._CLOSED_FORM_BATCH_PER_ROW * 2, 1, 1))  # the closed form's stack
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out, norms = svt(a, 0.25)

@@ -31,6 +31,7 @@ from dstl.solver import (
 
 from conftest import (
     data_energy,
+    matrix_svt_oracle,
     projections,
     random_column_stochastic,
     random_orthonormal,
@@ -506,6 +507,36 @@ def test_variant_matrix_nuclear_h_solves_per_view_prox():
         for _ in range(200):
             cand = h + rng.standard_normal(h.shape) * rng.choice([1e-3, 0.1])
             assert base <= value(cand) + 1e-9
+
+
+@pytest.mark.parametrize("k, n", [(3, 40), (5, 40), (5, 3)])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_matrix_nuclear_h_step_matches_the_per_view_oracle(k, n, scale):
+    # the matrix_nuclear H step thresholds the small factor R^T of each
+    # view's thin QR and multiplies back by Q^T; per view it must give
+    # plain SVT, to the bound the svt stack tests use, scaled with the
+    # views: with k x k factors of 3 columns (the closed form) and 5
+    # (eigh), a 5 x 3 factor at n < k, a zero view and a rank-two view
+    # among random ones, and views scaled by 1e+-150
+    rng = np.random.default_rng(k * n)
+    views = scale * np.stack([
+        rng.standard_normal((k, n)),
+        np.zeros((k, n)),
+        rng.standard_normal((k, 2)) @ rng.standard_normal((2, n)),
+        rng.standard_normal((k, n)),
+    ])
+    m, tau = len(views), 0.8 * scale
+    hp = Hyperparams(lambda2=2.0 * tau, lambda3=0.0, k=k, variant="matrix_nuclear")
+    st = SolverState(W=[], S=np.zeros_like(views), H=np.zeros_like(views),
+                     C=np.zeros((m, k, k)), Y=np.zeros((k, n)))
+    h, norm = update_H(hp, st, views)
+    assert h.shape == views.shape
+    want_norm = 0.0
+    for got, view in zip(h, views):
+        assert np.max(np.abs(got - matrix_svt_oracle(view, tau))) <= 1e-12 * scale
+        want_norm += np.maximum(np.linalg.svd(view, compute_uv=False) - tau, 0.0).sum()
+    assert abs(norm - want_norm) <= m * 1e-12 * scale
+    assert np.max(np.abs(h[1])) == 0.0
 
 
 def test_variant_no_y_shape_and_objective():

@@ -70,12 +70,13 @@ def test_every_block_step_is_traced(spans, variant):
 
 @pytest.mark.parametrize("m, k, variant, calls", [
     (3, 5, "full", 0), (5, 10, "full", 3), (5, 10, "matrix_nuclear", 3),
-    (3, 3, "matrix_nuclear", 3)])
+    (3, 3, "matrix_nuclear", 0)])
 def test_svt_eigen_step_follows_the_gram_width(monkeypatch, m, k, variant, calls):
-    # svt's branch at the benchmark's shapes: the k5 m3 Fourier slices
-    # (301 matrices of 5 x 3) take the closed form and call no eigh; the k10 m5
-    # slices (5 columns) and views (10) make one batched eigh per sweep, and
-    # so do the k3 views, 3 matrices of 600 x 3
+    # svt's eigen step at the benchmark's shapes: the k5 m3 Fourier slices
+    # (301 matrices of 5 x 3) take the closed form and call no eigh; the k10
+    # m5 slices (5 columns) and the k x k QR factors of the k10 views make
+    # one batched eigh per sweep; the 3 x 3 factors of the k3 views take the
+    # closed form
     eigh = np.linalg.eigh
     shapes = []
     monkeypatch.setattr(np.linalg, "eigh", lambda g: shapes.append(g.shape) or eigh(g))
