@@ -316,7 +316,7 @@ def cmd_ablate(args) -> int:
     ds = _load_normalized(args)
     if ds.labels is None:
         raise InputError("ablate needs a dataset with ground-truth labels")
-    grid = _grid_values(args.grid) if args.grid else None
+    grid = _grid_values(args.grid) if args.grid is not None else None
     out = make_dir(args.out)
     rows = []
     for variant in VARIANTS:
@@ -369,8 +369,7 @@ def cmd_bench(args) -> int:
         hp = replace(hp, k=args.c)
     # warm-up outside the timed region: BLAS/FFT setup, code paths
     warm = generate_synthetic(_synth_spec(args, max(10 * args.c, 50)))
-    fit_variant(normalize(warm, args.normalize), replace(hp, max_iter=2),
-                record_objective=False)
+    fit_variant(normalize(warm, args.normalize), replace(hp, max_iter=2))
     table = "n,fit_seconds,peak_mb,iterations"
     table += ",kmeans_seconds\n" if args.include_kmeans else "\n"
     for n in sizes:
@@ -379,12 +378,11 @@ def cmd_bench(args) -> int:
         # allocation, so the memory peak comes from a second, traced run
         ds = normalize(generate_synthetic(spec), args.normalize)
         tic = time.process_time()
-        st, trace = fit_variant(ds, hp, record_objective=False)
+        st, trace = fit_variant(ds, hp)
         fit_seconds = time.process_time() - tic
         tracemalloc.start()
         try:
-            fit_variant(normalize(generate_synthetic(spec), args.normalize), hp,
-                        record_objective=False)
+            fit_variant(normalize(generate_synthetic(spec), args.normalize), hp)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()

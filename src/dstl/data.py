@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_integers
 
 __all__ = [
     "MultiViewDataset",
@@ -159,22 +159,18 @@ class SynthSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.c < 2:
-            raise InputError(f"need c >= 2 clusters, got {self.c}")
+        check_integers(self, c=2, n=1, m=1, seed=0)
         if self.n < self.c:
             raise InputError(f"need n >= c, got n={self.n}, c={self.c}")
-        if self.m < 1:
-            raise InputError(f"need m >= 1 views, got {self.m}")
         if len(self.dims) != self.m:
             raise InputError(f"{len(self.dims)} dims given for m={self.m} views")
         if min(self.dims) < 1:
             raise InputError(f"view dimensions must be >= 1, got {self.dims}")
         if not (0.0 <= self.corrupt_frac <= 0.5):
             raise InputError(f"corrupt_frac must lie in [0, 0.5], got {self.corrupt_frac}")
-        if self.noise_sigma < 0:
-            raise InputError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise InputError(f"noise_sigma must be a finite nonnegative number, "
+                             f"got {self.noise_sigma}")
 
 
 def _latent_blobs(spec: SynthSpec, rng: np.random.Generator):

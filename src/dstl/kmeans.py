@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, check_integers
 
 __all__ = ["KMeansConfig", "kmeans"]
 
@@ -51,12 +51,7 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c < 1:
-            raise InputError(f"need c >= 1 clusters, got {self.c}")
-        if self.restarts < 1:
-            raise InputError(f"need restarts >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise InputError(f"need seed >= 0, got {self.seed}")
+        check_integers(self, c=1, restarts=1, seed=0)
 
 
 def _plusplus_init(cols: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,8 +88,8 @@ def _column_sq_dist(cols: np.ndarray, center: np.ndarray) -> np.ndarray:
     return diff.sum(axis=0)
 
 
-def _assign(x: np.ndarray, cols: np.ndarray, centers: np.ndarray):
-    """Nearest center per point of x (n, d) = cols.T, and the exact squared
+def _assign(rows: np.ndarray, cols: np.ndarray, centers: np.ndarray):
+    """Nearest center per point of rows (n, d) = cols.T, and the exact squared
     distance to it: ties on the GEMM score go to the lowest index."""
     score = centers @ cols
     score *= -2.0
@@ -107,7 +102,7 @@ def _assign(x: np.ndarray, cols: np.ndarray, centers: np.ndarray):
     if len(cols) < 8:  # below pairwise_sum's unroll; see the module docstring
         diff, pts, axis = np.take(centers.T, labels, axis=1), cols, 0
     else:
-        diff, pts, axis = np.take(centers, labels, axis=0), x, 1
+        diff, pts, axis = np.take(centers, labels, axis=0), rows, 1
     np.subtract(pts, diff, out=diff)  # the difference overwrites the gathered copy
     diff *= diff
     return labels, diff.sum(axis=axis)
@@ -119,8 +114,8 @@ def _centroid_sums(cols: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
     return np.stack([np.bincount(labels, weights=row, minlength=c) for row in cols], axis=1)
 
 
-def _lloyd(x: np.ndarray, cols: np.ndarray, centers: np.ndarray, cfg: KMeansConfig):
-    """Lloyd iterations from given centers on the points as the rows of x,
+def _lloyd(rows: np.ndarray, cols: np.ndarray, centers: np.ndarray, cfg: KMeansConfig):
+    """Lloyd iterations from given centers on the points as the (n, d) rows,
     with cols the same points as a contiguous (d, n) matrix; returns
     labels, inertia and the per-iteration inertia history (non-increasing)."""
     history = []
@@ -128,7 +123,7 @@ def _lloyd(x: np.ndarray, cols: np.ndarray, centers: np.ndarray, cfg: KMeansConf
     prev_labels = None
     inertia = np.inf
     for _ in range(MAX_LLOYD_ITER):
-        labels, point_d2 = _assign(x, cols, centers)
+        labels, point_d2 = _assign(rows, cols, centers)
         counts = np.bincount(labels, minlength=cfg.c)
         empties = np.nonzero(counts == 0)[0]
         if empties.size:
@@ -137,9 +132,9 @@ def _lloyd(x: np.ndarray, cols: np.ndarray, centers: np.ndarray, cfg: KMeansConf
             cand = point_d2.copy()
             for ci in empties:
                 far = int(np.argmax(cand))
-                centers[ci] = x[far]
+                centers[ci] = rows[far]
                 cand[far] = -np.inf
-            labels, point_d2 = _assign(x, cols, centers)
+            labels, point_d2 = _assign(rows, cols, centers)
             counts = np.bincount(labels, minlength=cfg.c)
         new_inertia = float(point_d2.sum())
         history.append(new_inertia)
@@ -163,28 +158,28 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig):
 
     Returns (labels, inertia) of the best restart.
     """
-    x = np.ascontiguousarray(points, dtype=float)
-    if x.ndim != 2:
-        raise InputError(f"kmeans expects a (d, n) matrix, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
+    cols = np.ascontiguousarray(points, dtype=float)
+    if cols.ndim != 2:
+        raise InputError(f"kmeans expects a (d, n) matrix, got ndim={cols.ndim}")
+    if not np.all(np.isfinite(cols)):
         raise InputError("kmeans input contains non-finite entries")
-    n = x.shape[1]
+    n = cols.shape[1]
     if n < cfg.c:
         raise InputError(f"cannot form {cfg.c} clusters from {n} points")
     with np.errstate(over="ignore"):
-        top = float(np.max((x * x).sum(axis=0)))
+        top = float(np.max((cols * cols).sum(axis=0)))
         if not np.isfinite(4.0 * n * top):
             raise NumericError(
                 f"k-means on {n} points with squared norms up to {top:.3e} "
                 f"would overflow float64"
             )
-    rows = np.ascontiguousarray(x.T)
+    rows = np.ascontiguousarray(cols.T)
     best_labels = None
     best_inertia = np.inf
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
-        centers = _plusplus_init(x, cfg.c, rng)
-        labels, inertia, _ = _lloyd(rows, x, centers, cfg)
+        centers = _plusplus_init(cols, cfg.c, rng)
+        labels, inertia, _ = _lloyd(rows, cols, centers, cfg)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels, float(best_inertia)

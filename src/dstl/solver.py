@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .data import MultiViewDataset
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, check_integers
 from .linalg import procrustes_max_trace, soft_threshold, svt
 from .simplex import project_columns
 from .slimtensor import tubal_shrinkage
@@ -100,18 +100,11 @@ class Hyperparams:
             val = getattr(self, nm)
             if not np.isfinite(val) or val < 0:
                 raise InputError(f"{nm} must be a finite nonnegative number, got {val}")
-        for nm in ("max_iter", "seed") if self.k is None else ("k", "max_iter", "seed"):
-            val = getattr(self, nm)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-                raise InputError(f"{nm} must be an integer, got {val!r}")
-        if self.k is not None and self.k < 1:
-            raise InputError(f"k must be >= 1, got {self.k}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        if self.k is not None:
+            check_integers(self, k=1)
+        check_integers(self, max_iter=1, seed=0)
         if not (self.epsilon > 0):
             raise InputError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_iter < 1:
-            raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
 
@@ -285,7 +278,7 @@ def stop_reason(trace: list[TraceRecord], hp: Hyperparams) -> str:
     return "max_iter"
 
 
-def clustering_embedding(st: SolverState, variant: str = "full") -> np.ndarray:
+def clustering_embedding(st: SolverState, variant: str) -> np.ndarray:
     """Matrix handed to k-means: the indicator Y, or the row-concatenated
     structured components for the variant that never forms Y."""
     if variant == "no_Y":
@@ -293,7 +286,7 @@ def clustering_embedding(st: SolverState, variant: str = "full") -> np.ndarray:
     return st.Y
 
 
-def constraint_violations(st: SolverState, variant: str = "full") -> dict:
+def constraint_violations(st: SolverState, variant: str) -> dict:
     """Worst feasibility deviations; None for the blocks ``no_Y`` never updates (C, Y)."""
     eye_dev = lambda a: float(np.max(np.abs(a.T @ a - np.eye(a.shape[1]))))
     coupled = variant != "no_Y"
@@ -309,7 +302,6 @@ def fit_variant(
     ds: MultiViewDataset,
     hp: Hyperparams,
     *,
-    record_objective: bool = True,
     callback: Callable[[SolverState, TraceRecord], None] | None = None,
 ):
     """Run the alternating solver for hp.variant.
@@ -356,13 +348,12 @@ def fit_variant(
             embed = clustering_embedding(st, variant)
             prev_norm = _sq_norm(prev_embed)
             change = _sq_norm(embed - prev_embed)
-            obj = (variant_objective(hp, st, ds.views, wtx, x_sq, spectral)
-                   if record_objective else float("nan"))
+            obj = variant_objective(hp, st, ds.views, wtx, x_sq, spectral)
         if prev_norm > 0:
             delta = change / prev_norm
         else:
             delta = 0.0 if change == 0 else float("inf")
-        if record_objective and not np.isfinite(obj):
+        if not np.isfinite(obj):
             raise NumericError(f"objective is not finite at iteration {t}")
         rec = TraceRecord(
             iter=t,

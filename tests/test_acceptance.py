@@ -373,7 +373,7 @@ def test_criterion_4_constraint_invariants(seeded_runs):
                                     float(np.max(np.abs(st.Y.sum(axis=0) - 1.0))))
                 worst["yneg"] = max(worst["yneg"], float(max(0.0, -st.Y.min())))
 
-        fit_variant(ds, hp, record_objective=False, callback=check)
+        fit_variant(ds, hp, callback=check)
 
     ok = (worst["w"] <= 1e-10 and worst["c"] <= 1e-10
           and worst["ysum"] <= 1e-10 and worst["yneg"] == 0.0)
@@ -400,8 +400,7 @@ def test_criterion_5_synthetic_quality_grid():
         accs, nmis = [], []
         for s in seeds:
             ds = datasets[s]
-            st, _ = fit_variant(ds, Hyperparams(lambda1=l1, lambda2=l2, k=5),
-                                record_objective=False)
+            st, _ = fit_variant(ds, Hyperparams(lambda1=l1, lambda2=l2, k=5))
             pred, _ = kmeans(st.Y, KMeansConfig(c=5, seed=s))
             accs.append(accuracy(pred, ds.labels))
             nmis.append(nmi(pred, ds.labels))
@@ -429,7 +428,7 @@ def test_criterion_6_ablation_direction():
                 SynthSpec(corrupt_frac=0.2, seed=seed, **REFERENCE_SPEC)
             )
             hp = Hyperparams(lambda1=LAMBDA1, lambda2=LAMBDA2, k=5, variant=variant)
-            st, _ = fit_variant(ds, hp, record_objective=False)
+            st, _ = fit_variant(ds, hp)
             embed = clustering_embedding(st, variant)
             pred, _ = kmeans(embed, KMeansConfig(c=5, seed=seed))
             accs.append(accuracy(pred, ds.labels))
@@ -489,7 +488,7 @@ def test_criterion_8_real_data_optional():
     best = (0.0, None, None)
     for l1, l2 in product(cli.TUNING_GRID, cli.TUNING_GRID):
         hp = Hyperparams(lambda1=l1, lambda2=l2, k=c)
-        st, _ = fit_variant(ds, hp, record_objective=False)
+        st, _ = fit_variant(ds, hp)
         accs = [
             accuracy(kmeans(st.Y, KMeansConfig(c=c, seed=r))[0], ds.labels)
             for r in range(10)

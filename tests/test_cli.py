@@ -271,7 +271,7 @@ def test_ablate_grid_sweep(tmp_path):
 
 def test_ablate_rejects_empty_grid_and_missing_labels(tmp_path):
     manifest = make_synth(tmp_path)
-    for grid in (",", "0.5,abc"):
+    for grid in ("", ",", "0.5,abc"):
         assert cli.main(["ablate", "--data", str(manifest),
                          "--out", str(tmp_path / "x"), "--grid", grid]) == 2
     rng = np.random.default_rng(2)
@@ -295,6 +295,24 @@ def test_bench_writes_timing_table(tmp_path):
         assert float(r[1]) > 0
         assert float(r[2]) > 0
         assert int(r[3]) == 3
+
+
+def test_bench_evaluates_the_objective_every_sweep(tmp_path, monkeypatch):
+    # bench times the sweep that fit runs, objective evaluation included
+    calls = []
+    objective = solver.variant_objective
+    monkeypatch.setattr(solver, "variant_objective",
+                        lambda *a: calls.append(1) or objective(*a))
+    rc = cli.main(["bench", "--sizes", "40,80", "--c", "3", "--m", "2",
+                   "--dims", "6,5", "--epsilon", "1e-300", "--max-iter", "3",
+                   "--out", str(tmp_path / "bench")])
+    assert rc == 0
+    # 2 warm-up sweeps, then 2 sizes x (timed fit + traced fit) x 3 sweeps
+    assert len(calls) == 2 + 2 * 2 * 3
+    # so, as in fit, an objective that overflows float64 is a numeric failure
+    assert cli.main(["bench", "--sizes", "40", "--c", "2", "--m", "1", "--dims", "6",
+                     "--noise-sigma", "1e153", "--max-iter", "1",
+                     "--out", str(tmp_path / "huge")]) == 3
 
 
 def test_bench_optional_kmeans_column(tmp_path):
@@ -383,6 +401,16 @@ def test_negative_seed_is_invalid_input(tmp_path, capsys, command):
     assert cli.main([*argv, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
+
+
+@pytest.mark.parametrize("command,sigma", [("synth", "nan"), ("bench", "inf")])
+def test_non_finite_noise_sigma_is_invalid_input(tmp_path, capsys, command, sigma):
+    argv = {
+        "synth": ["synth", "--n", "20", "--out", str(tmp_path / "o")],
+        "bench": ["bench", "--sizes", "30", "--out", str(tmp_path / "o")],
+    }[command]
+    assert cli.main([*argv, "--noise-sigma", sigma]) == 2
+    assert capsys.readouterr().err.startswith("error: noise_sigma must be a finite")
 
 
 def test_non_utf8_view_is_invalid_input(tmp_path, capsys):

@@ -237,6 +237,18 @@ def test_synthetic_validation():
         SynthSpec(m=2, dims=(4,))
     with pytest.raises(InputError):
         SynthSpec(seed=-1)
+    # a NaN sigma once meant no noise and inf a non-finite view entry
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(InputError, match="noise_sigma must be a finite nonnegative"):
+            SynthSpec(noise_sigma=sigma)
+    # counts and seeds are integers, as in Hyperparams; numpy integers pass
+    for bad in ({"c": 2.5}, {"n": 30.0}, {"m": 1.0, "dims": (4,)}, {"seed": 1.5},
+                {"n": True, "c": True}):
+        with pytest.raises(InputError, match="must be an integer"):
+            SynthSpec(**bad)
+    spec = SynthSpec(n=np.int64(30), c=np.int32(3), m=np.int64(1), dims=(4,),
+                     seed=np.uint8(2))
+    assert generate_synthetic(spec).n_samples == 30
 
 
 def test_latent_points_are_separable():

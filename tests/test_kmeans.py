@@ -103,6 +103,12 @@ def test_rejects_bad_input():
         KMeansConfig(c=2, restarts=0)
     with pytest.raises(InputError):
         KMeansConfig(c=2, seed=-1)
+    for bad in ({"c": 2.5}, {"c": 3, "restarts": 2.5}, {"c": 3, "seed": 1.5},
+                {"c": True}):
+        with pytest.raises(InputError, match="must be an integer"):
+            KMeansConfig(**bad)
+    cfg = KMeansConfig(c=np.int64(2), restarts=np.int32(2), seed=np.uint16(1))
+    assert kmeans(np.arange(6.0)[None], cfg)[0].size == 6
 
 
 def test_overflowing_distances_are_a_numeric_failure():

@@ -269,7 +269,7 @@ def test_update_y_snaps_dominant_coordinate_to_vertex():
 def test_block_updates_never_increase_objective():
     ds = small_dataset(seed=3)
     hp = Hyperparams(lambda1=0.8, lambda2=0.05, lambda3=1e-2, k=3)
-    st, _ = fit_variant(ds, hp, record_objective=False)  # warm, feasible state
+    st, _ = fit_variant(ds, hp)  # warm, feasible state
     last = objective(ds, hp, st)
     wtx = lambda: projections(ds.views, st.W)
     for _ in range(3):
@@ -365,13 +365,6 @@ def test_trace_bookkeeping():
     assert all(rec.delta_y >= 0 for rec in trace[1:])
 
 
-def test_record_objective_flag_skips_evaluation():
-    ds = small_dataset(seed=7)
-    _, trace = fit_variant(ds, Hyperparams(k=3, max_iter=3, epsilon=1e-300),
-                   record_objective=False)
-    assert all(np.isnan(rec.objective) for rec in trace)
-
-
 def test_max_iter_one_yields_single_record():
     ds = small_dataset(seed=8)
     _, trace = fit_variant(ds, Hyperparams(k=3, max_iter=1))
@@ -420,7 +413,7 @@ def test_fit_matches_manual_block_sweep():
 def test_constraints_hold_after_fit():
     ds = small_dataset(seed=11)
     st, _ = fit_variant(ds, Hyperparams(lambda1=1.0, lambda2=0.01, k=3))
-    v = constraint_violations(st)
+    v = constraint_violations(st, "full")
     assert v["w_orthonormality"] <= 1e-10
     assert v["c_orthonormality"] <= 1e-10
     assert v["y_column_sum"] <= 1e-10
@@ -585,9 +578,8 @@ def test_non_finite_block_raises_numeric_error():
     # as a numeric error, never as bad input
     ds = small_dataset(seed=20)
     huge = MultiViewDataset(tuple(x * 1e160 for x in ds.views), ds.labels)
-    for record in (True, False):
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match="iteration"):
-            fit_variant(huge, Hyperparams(k=3), record_objective=record)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="iteration"):
+        fit_variant(huge, Hyperparams(k=3))
 
 
 @pytest.mark.parametrize("variant", ["full", "matrix_nuclear"])
