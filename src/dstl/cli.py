@@ -317,7 +317,7 @@ def cmd_ablate(args) -> int:
     if ds.labels is None:
         raise InputError("ablate needs a dataset with ground-truth labels")
     grid = _grid_values(args.grid) if args.grid is not None else None
-    out = make_dir(args.out)
+    out = Path(args.out)
     rows = []
     for variant in VARIANTS:
         hp = _hyperparams_from_args(args, variant=variant)
@@ -363,7 +363,6 @@ def cmd_bench(args) -> int:
         raise InputError("--sizes needs at least one value")
     if any(s < args.c for s in sizes):
         raise InputError(f"every size must be >= c={args.c}")
-    out = make_dir(args.out)
     hp = _hyperparams_from_args(args)
     if hp.k is None:
         hp = replace(hp, k=args.c)
@@ -398,7 +397,7 @@ def cmd_bench(args) -> int:
             table += f",{kmeans_seconds:.6f}"
         print(shown)
         table += "\n"
-    write_output(out / "timing.csv", write_text, table)
+    write_output(make_dir(args.out) / "timing.csv", write_text, table)
     return 0
 
 

@@ -7,19 +7,16 @@ MAX_LLOYD_ITER = 300 Lloyd iterations and stops early once the labels
 repeat, the inertia reaches zero, or the inertia falls by no more than
 LLOYD_TOL = 1e-7 of its previous value.
 
-The points are held as (d, n) columns and as (n, d) rows, and each step
-reads the layout its reduction wants.  A Lloyd step labels each point by
-the GEMM score ||c||^2 - 2 x.c, the (c, n) product of the centers with
-the columns, reduced by c - 1 strict < passes over its rows, so ties on
-that score go to the lowest centroid index.  Everything else uses exact
-squared distances computed from differences: the k-means++ seeding
-probabilities, the distance of each point to its chosen centroid, and
-from those the inertia, the convergence test and the reseeding of empty
-clusters.  The distance to the chosen centroid is summed over a row of
-the (n, d) points.  numpy's pairwise_sum (loops_utils.h.src) adds a row
-shorter than its 8-way unroll in order, as the axis-0 sum over the (d, n)
-columns does, so below d = 8 that sum is taken instead: same bits, 3x
-faster (test_kmeans_matches_the_oracle_bit_for_bit checks the bits).
+The points are held only as the contiguous (d, n) columns.  A Lloyd
+step labels each point by the GEMM score ||c||^2 - 2 x.c, the (c, n)
+product of the centers with the columns, reduced by c - 1 strict <
+passes over its rows, so ties on that score go to the lowest centroid
+index.  Everything else uses exact squared distances: the k-means++
+seeding probabilities, the distance of each point to its chosen
+centroid, and from those the inertia, the convergence test and the
+reseeding of empty clusters.  Every one of them, seeding and assignment
+alike, is the axis-0 sum of the (d, n) difference, which adds each
+point's d squared coordinates in order.
 Centroids are per-cluster means, summed point by point in index order.
 A seeding draw is Generator.choice(n, p=d2 / d2.sum()) minus its checks:
 one rng.random() searched (side "right") in the cumulative sum divided by
@@ -88,8 +85,8 @@ def _column_sq_dist(cols: np.ndarray, center: np.ndarray) -> np.ndarray:
     return diff.sum(axis=0)
 
 
-def _assign(rows: np.ndarray, cols: np.ndarray, centers: np.ndarray):
-    """Nearest center per point of rows (n, d) = cols.T, and the exact squared
+def _assign(cols: np.ndarray, centers: np.ndarray):
+    """Nearest center per column of a (d, n) matrix, and the exact squared
     distance to it: ties on the GEMM score go to the lowest index."""
     score = centers @ cols
     score *= -2.0
@@ -99,13 +96,10 @@ def _assign(rows: np.ndarray, cols: np.ndarray, centers: np.ndarray):
     for j in range(1, len(centers)):
         np.putmask(labels, score[j] < best, j)
         np.minimum(best, score[j], out=best)
-    if len(cols) < 8:  # below pairwise_sum's unroll; see the module docstring
-        diff, pts, axis = np.take(centers.T, labels, axis=1), cols, 0
-    else:
-        diff, pts, axis = np.take(centers, labels, axis=0), rows, 1
-    np.subtract(pts, diff, out=diff)  # the difference overwrites the gathered copy
+    diff = np.take(centers.T, labels, axis=1)
+    np.subtract(cols, diff, out=diff)  # the difference overwrites the gathered copy
     diff *= diff
-    return labels, diff.sum(axis=axis)
+    return labels, diff.sum(axis=0)
 
 
 def _centroid_sums(cols: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
@@ -114,17 +108,17 @@ def _centroid_sums(cols: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
     return np.stack([np.bincount(labels, weights=row, minlength=c) for row in cols], axis=1)
 
 
-def _lloyd(rows: np.ndarray, cols: np.ndarray, centers: np.ndarray, cfg: KMeansConfig):
-    """Lloyd iterations from given centers on the points as the (n, d) rows,
-    with cols the same points as a contiguous (d, n) matrix; returns
-    labels, inertia and the per-iteration inertia history (non-increasing)."""
+def _lloyd(cols: np.ndarray, centers: np.ndarray, c: int):
+    """Lloyd iterations into c clusters from given centers on the columns of
+    a contiguous (d, n) matrix; returns labels, inertia and the
+    per-iteration inertia history (non-increasing)."""
     history = []
     labels = None
     prev_labels = None
     inertia = np.inf
     for _ in range(MAX_LLOYD_ITER):
-        labels, point_d2 = _assign(rows, cols, centers)
-        counts = np.bincount(labels, minlength=cfg.c)
+        labels, point_d2 = _assign(cols, centers)
+        counts = np.bincount(labels, minlength=c)
         empties = np.nonzero(counts == 0)[0]
         if empties.size:
             # reseed each empty cluster to the point farthest from its
@@ -132,10 +126,10 @@ def _lloyd(rows: np.ndarray, cols: np.ndarray, centers: np.ndarray, cfg: KMeansC
             cand = point_d2.copy()
             for ci in empties:
                 far = int(np.argmax(cand))
-                centers[ci] = rows[far]
+                centers[ci] = cols[:, far]
                 cand[far] = -np.inf
-            labels, point_d2 = _assign(rows, cols, centers)
-            counts = np.bincount(labels, minlength=cfg.c)
+            labels, point_d2 = _assign(cols, centers)
+            counts = np.bincount(labels, minlength=c)
         new_inertia = float(point_d2.sum())
         history.append(new_inertia)
         converged = (
@@ -146,7 +140,7 @@ def _lloyd(rows: np.ndarray, cols: np.ndarray, centers: np.ndarray, cfg: KMeansC
         inertia = new_inertia
         if converged:
             break
-        sums = _centroid_sums(cols, labels, cfg.c)
+        sums = _centroid_sums(cols, labels, c)
         nonzero = counts > 0
         centers[nonzero] = sums[nonzero] / counts[nonzero, None]
         prev_labels = labels
@@ -173,13 +167,12 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig):
                 f"k-means on {n} points with squared norms up to {top:.3e} "
                 f"would overflow float64"
             )
-    rows = np.ascontiguousarray(cols.T)
     best_labels = None
     best_inertia = np.inf
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
         centers = _plusplus_init(cols, cfg.c, rng)
-        labels, inertia, _ = _lloyd(rows, cols, centers, cfg)
+        labels, inertia, _ = _lloyd(cols, centers, cfg.c)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels, float(best_inertia)

@@ -32,8 +32,6 @@ def project_columns(g_cols: np.ndarray) -> np.ndarray:
     if g.size == 0:
         raise InputError(f"project_columns: empty input of shape {g.shape}")
     d = g.shape[0]
-    if d == 1:
-        return np.ones_like(g)
     y = g - g.max(axis=0)
     # sorted, summed and searched as the rows of the (n, d) transpose, in
     # place where a temporary would be a fresh array of g's size

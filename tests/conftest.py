@@ -206,15 +206,15 @@ def cn_product(x: np.ndarray, cols: np.ndarray, centers: np.ndarray) -> np.ndarr
 def _gemm_assign_oracle(x: np.ndarray, cols: np.ndarray, centers: np.ndarray, product):
     """Labels by argmin of the GEMM score ||c||^2 - 2 x.c, its products x.c
     an (n, c) matrix from product(x, cols, centers), and the exact squared
-    distance of each row of x to its labelled center."""
+    distance of each point to its labelled center, summed over axis 0 of
+    the (d, n) difference."""
     score = product(x, cols, centers)
     score *= -2.0
     score += (centers * centers).sum(axis=1)
     labels = np.argmin(score, axis=1)
-    diff = centers[labels]
-    np.subtract(x, diff, out=diff)
-    diff *= diff
-    return labels, diff.sum(axis=1)
+    # both operands C-ordered, so the axis-0 sum adds the d rows in order
+    diff = cols - np.ascontiguousarray(centers[labels].T)
+    return labels, (diff ** 2).sum(axis=0)
 
 
 def _lloyd_oracle(x: np.ndarray, cols: np.ndarray, centers: np.ndarray, c: int, product):
@@ -270,11 +270,11 @@ def kmeans_oracle(points: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
     return best_labels, float(best_inertia)
 
 
-def assign_oracle(x: np.ndarray, centers: np.ndarray):
-    """Exact squared distance from every row of x to every center through
-    the (n, c, d) broadcast; returns (labels, d2) with the full (n, c)
+def assign_oracle(cols: np.ndarray, centers: np.ndarray):
+    """Exact squared distance from every column of a (d, n) matrix to every
+    center, one center at a time; returns (labels, d2) with the full (n, c)
     table, labels by argmin (ties to the lowest index)."""
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+    d2 = np.stack([((cols - ctr[:, None]) ** 2).sum(axis=0) for ctr in centers], axis=1)
     return np.argmin(d2, axis=1), d2
 
 

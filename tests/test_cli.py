@@ -357,10 +357,37 @@ def test_out_naming_a_file_is_invalid_input(tmp_path, capsys):
     manifest = make_synth(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
+    for argv in (fit_args(manifest, taken),
+                 ["ablate", "--data", str(manifest), "--out", str(taken), "--repeats", "1",
+                  "--max-iter", "2"],
+                 ["bench", "--sizes", "30", "--out", str(taken), "--max-iter", "2"]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ablate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["ablate", "--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["ablate", "--k", "50"], "k=50 exceeds the smallest view dimension 5"),
+    (["bench", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["bench", "--noise-sigma", "inf"],
+     "noise_sigma must be a finite nonnegative number, got inf"),
+    (["bench", "--k", "50"], "k=50 exceeds the smallest view dimension 20"),
+    (["bench", "--dims", "4,x,3"], "--dims: expected comma-separated int values, got '4,x,3'"),
+], ids=["ablate-seed", "ablate-repeats", "ablate-k", "bench-seed", "bench-noise-sigma",
+        "bench-k", "bench-dims"])
+def test_invalid_input_leaves_no_output_directory(tmp_path, capsys, argv, message):
+    # the output directory appears with the first output, not before
+    out = tmp_path / "o"
+    data = (["--data", str(make_synth(tmp_path))] if argv[0] == "ablate"
+            else ["--sizes", "30"])
     capsys.readouterr()
-    assert cli.main(fit_args(manifest, taken)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(taken) in err
+    assert cli.main([*argv, *data, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_unwritable_output_file_is_invalid_input(tmp_path, capsys):

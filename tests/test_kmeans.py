@@ -11,7 +11,8 @@ from hypothesis import strategies as hst
 
 import dstl
 from dstl.errors import InputError, NumericError
-from dstl.kmeans import KMeansConfig, _assign, _centroid_sums, _draw, _lloyd, kmeans
+from dstl.kmeans import (KMeansConfig, _assign, _centroid_sums, _column_sq_dist, _draw, _lloyd,
+                         kmeans)
 from dstl.metrics import accuracy
 
 from conftest import (assign_oracle, centroid_sums_oracle, cn_product, kmeans_oracle,
@@ -64,9 +65,9 @@ def test_deterministic_per_seed():
 
 def test_lloyd_inertia_history_non_increasing():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((60, 3))
-    centers = x[:5].copy()
-    _, _, history = _lloyd(x, np.ascontiguousarray(x.T), centers, KMeansConfig(c=5, seed=0))
+    x = rng.standard_normal((3, 60))
+    centers = x[:, :5].T.copy()
+    _, _, history = _lloyd(x, centers, 5)
     assert len(history) >= 1
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-9)
@@ -75,9 +76,9 @@ def test_lloyd_inertia_history_non_increasing():
 def test_lloyd_repairs_empty_clusters():
     # identical starting centers force c-1 empty clusters on the first pass
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((30, 2)) * 3
-    centers = np.repeat(x[:1], 3, axis=0).copy()
-    labels, inertia, _ = _lloyd(x, np.ascontiguousarray(x.T), centers, KMeansConfig(c=3, seed=0))
+    x = rng.standard_normal((2, 30)) * 3
+    centers = np.repeat(x[:, :1].T, 3, axis=0)
+    labels, inertia, _ = _lloyd(x, centers, 3)
     assert np.bincount(labels, minlength=3).min() >= 1
     assert np.isfinite(inertia)
 
@@ -154,8 +155,9 @@ def test_assign_and_centroid_sums_match_the_broadcast_oracles(c, extra, d, scale
         centers = rng.standard_normal((c, d)) * scale
     else:  # duplicate centers tie on every point
         centers = x[rng.integers(n, size=c)].copy()
-    labels, point_d2 = _assign(x, np.ascontiguousarray(x.T), centers)
-    want_labels, d2 = assign_oracle(x, centers)
+    cols = np.ascontiguousarray(x.T)
+    labels, point_d2 = _assign(cols, centers)
+    want_labels, d2 = assign_oracle(cols, centers)
     rows = np.arange(n)
     # the returned distance is the exact one at the returned label, ...
     assert np.array_equal(point_d2, d2[rows, labels])
@@ -168,8 +170,22 @@ def test_assign_and_centroid_sums_match_the_broadcast_oracles(c, extra, d, scale
         assert np.array_equal(labels[clear], want_labels[clear])
     # centroid sums accumulate in the order np.add.at uses, bit for bit
     some_labels = rng.integers(c, size=n)
-    sums = _centroid_sums(np.ascontiguousarray(x.T), some_labels, c)
+    sums = _centroid_sums(cols, some_labels, c)
     assert np.array_equal(sums, centroid_sums_oracle(x, some_labels, c))
+
+
+@pytest.mark.parametrize("d", [1, 5, 7, 8, 9, 16, 50])
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_assignment_and_seeding_sum_one_distance(d, n):
+    # the distance _assign returns is the one k-means++ seeding weighs,
+    # bit for bit, on either side of numpy's 8-way pairwise unroll
+    rng = np.random.default_rng(d * 1000 + n)
+    cols = rng.standard_normal((d, n)) * 10.0 ** rng.integers(-3, 4, size=(d, 1))
+    centers = rng.standard_normal((min(n, 4), d))
+    labels, point_d2 = _assign(cols, centers)
+    for j in range(len(centers)):
+        at = labels == j
+        assert np.array_equal(point_d2[at], _column_sq_dist(cols, centers[j])[at])
 
 
 @settings(max_examples=300, deadline=None)

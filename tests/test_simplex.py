@@ -152,3 +152,6 @@ def test_rejects_bad_input():
         for bad in (np.inf, np.nan):
             with pytest.raises(NumericError):
                 project_columns(np.array([[bad], [1.0]]))
+        # ... at one coordinate too, where every finite column projects to 1
+        with pytest.raises(NumericError):
+            project_columns(np.array([[np.nan, 1.0, -np.inf]]))
