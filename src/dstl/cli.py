@@ -29,13 +29,11 @@ from .data import (
     SynthSpec,
     generate_synthetic,
     load_dataset,
-    make_dir,
     normalize,
     read_labels_csv,
     write_dataset,
     write_labels_csv,
     write_matrix_csv,
-    write_output,
     write_text,
 )
 from .errors import InputError, NumericError
@@ -139,6 +137,10 @@ def _load_normalized(args) -> MultiViewDataset:
     return normalize(load_dataset(args.data), args.normalize)
 
 
+def _synth_normalized(args, n: int) -> MultiViewDataset:
+    return normalize(generate_synthetic(_synth_spec(args, n)), args.normalize)
+
+
 def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     """Fit once (the solver is deterministic), cluster `repeats` times with
     distinct seeds, score each run against the labels when present."""
@@ -221,7 +223,7 @@ def _write_numeric_failure(out: Path, ds: MultiViewDataset, hp: Hyperparams,
     payload = _metrics_record(None, stop_reason="numeric_failure", variant=hp.variant,
                               hyperparams=_hyperparams_payload(hp, resolve_k(ds, hp)),
                               error=str(exc))
-    write_output(make_dir(out) / "metrics.json", write_text, _json_text(payload))
+    write_text(out / "metrics.json", _json_text(payload))
 
 
 def _json_text(payload: dict) -> str:
@@ -235,18 +237,29 @@ def _trace_text(trace) -> str:
     )
 
 
-def _write_fit_outputs(out: Path, result, hp: Hyperparams) -> dict:
-    make_dir(out)
-    write_output(out / "labels.csv", write_labels_csv, result["labels"])
-    write_output(out / "embedding.csv", write_matrix_csv, result["embedding"])
-    write_output(out / "trace.csv", write_text, _trace_text(result["trace"]))
+def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: int,
+                   grid: list[float] | None = None) -> dict:
+    """Run the pipeline, or with a grid the grid sweep, and write its labels,
+    embedding, trace and metrics.json to out; a numeric failure writes the
+    failure metrics.json there instead and re-raises."""
+    try:
+        if grid is None:
+            result = _run_pipeline(ds, hp, repeats)
+        else:
+            result, hp = _best_grid_cell(ds, hp, grid, repeats)
+    except NumericError as exc:
+        _write_numeric_failure(out, ds, hp, exc)
+        raise
     trace = result["trace"]
+    write_labels_csv(out / "labels.csv", result["labels"])
+    write_matrix_csv(out / "embedding.csv", result["embedding"])
+    write_text(out / "trace.csv", _trace_text(trace))
     payload = _metrics_record(
         result["scores"], iterations=len(trace), stop_reason=stop_reason(trace, hp),
         fit_seconds=result["fit_seconds"], variant=hp.variant,
         hyperparams=_hyperparams_payload(hp, result["k"]),
         clusters_found=int(np.unique(result["labels"]).size))
-    write_output(out / "metrics.json", write_text, _json_text(payload))
+    write_text(out / "metrics.json", _json_text(payload))
     return payload
 
 
@@ -275,12 +288,7 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     ds = _load_normalized(args)
     hp = _hyperparams_from_args(args)
-    try:
-        result = _run_pipeline(ds, hp, args.repeats)
-    except NumericError as exc:
-        _write_numeric_failure(Path(args.out), ds, hp, exc)
-        raise
-    payload = _write_fit_outputs(Path(args.out), result, hp)
+    payload = _fit_and_write(Path(args.out), ds, hp, args.repeats)
     print(_summary_line(f"fit[{hp.variant}] {ds.name}", payload))
     return 0
 
@@ -298,7 +306,7 @@ def cmd_eval(args) -> int:
         {name: {"mean": float(fn(pred, ds.labels)), "std": 0.0} for name, fn in _METRICS}
     )
     if args.out is not None:
-        write_output(make_dir(args.out) / "metrics.json", write_text, _json_text(payload))
+        write_text(Path(args.out) / "metrics.json", _json_text(payload))
     print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name, _ in _METRICS))
     return 0
 
@@ -321,22 +329,14 @@ def cmd_ablate(args) -> int:
     rows = []
     for variant in VARIANTS:
         hp = _hyperparams_from_args(args, variant=variant)
-        try:
-            if grid is None:
-                result = _run_pipeline(ds, hp, args.repeats)
-            else:
-                result, hp = _best_grid_cell(ds, hp, grid, args.repeats)
-        except NumericError as exc:
-            _write_numeric_failure(out / variant, ds, hp, exc)
-            raise
-        payload = _write_fit_outputs(out / variant, result, hp)
+        payload = _fit_and_write(out / variant, ds, hp, args.repeats, grid)
         rows.append((variant, payload))
         print(_summary_line(f"ablate[{variant}]", payload))
     table = "variant," + ",".join(name for name, _ in _METRICS) + "\n"
     for variant, payload in rows:
         cells = ",".join(f"{payload[name]['mean']:.17g}" for name, _ in _METRICS)
         table += f"{variant},{cells}\n"
-    write_output(out / "ablation.csv", write_text, table)
+    write_text(out / "ablation.csv", table)
     return 0
 
 
@@ -364,24 +364,25 @@ def cmd_bench(args) -> int:
     if any(s < args.c for s in sizes):
         raise InputError(f"every size must be >= c={args.c}")
     hp = _hyperparams_from_args(args)
-    if hp.k is None:
-        hp = replace(hp, k=args.c)
     # warm-up outside the timed region: BLAS/FFT setup, code paths
-    warm = generate_synthetic(_synth_spec(args, max(10 * args.c, 50)))
-    fit_variant(normalize(warm, args.normalize), replace(hp, max_iter=2))
+    fit_variant(_synth_normalized(args, max(10 * args.c, 50)), replace(hp, max_iter=2))
+    datasets = [_synth_normalized(args, n) for n in sizes]
+    # a size's time is the least process CPU time of 3 untraced fits, taken
+    # in rounds over the sizes, so a slow phase of the host slows them alike
+    times = [np.inf] * len(sizes)
+    for _ in range(3):
+        for i, ds in enumerate(datasets):
+            tic = time.process_time()
+            fit_variant(ds, hp)
+            times[i] = min(times[i], time.process_time() - tic)
     table = "n,fit_seconds,peak_mb,iterations"
     table += ",kmeans_seconds\n" if args.include_kmeans else "\n"
-    for n in sizes:
-        spec = _synth_spec(args, n)
-        # time an untraced fit by process CPU time; tracemalloc slows every
-        # allocation, so the memory peak comes from a second, traced run
-        ds = normalize(generate_synthetic(spec), args.normalize)
-        tic = time.process_time()
-        st, trace = fit_variant(ds, hp)
-        fit_seconds = time.process_time() - tic
+    for n, fit_seconds in zip(sizes, times):
+        # tracemalloc slows every allocation, so the memory peak comes from
+        # one more, traced run
         tracemalloc.start()
         try:
-            fit_variant(normalize(generate_synthetic(spec), args.normalize), hp)
+            st, trace = fit_variant(_synth_normalized(args, n), hp)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -397,7 +398,7 @@ def cmd_bench(args) -> int:
             table += f",{kmeans_seconds:.6f}"
         print(shown)
         table += "\n"
-    write_output(make_dir(args.out) / "timing.csv", write_text, table)
+    write_text(Path(args.out) / "timing.csv", table)
     return 0
 
 

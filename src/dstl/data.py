@@ -12,9 +12,9 @@ matrices bit for bit.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "NORMALIZATIONS",
     "SynthSpec",
     "load_dataset",
-    "make_dir",
     "write_dataset",
     "normalize",
     "generate_synthetic",
@@ -33,7 +32,6 @@ __all__ = [
     "read_labels_csv",
     "write_matrix_csv",
     "write_labels_csv",
-    "write_output",
     "write_text",
 ]
 
@@ -325,43 +323,40 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     return MultiViewDataset(tuple(views), labels, name or p.stem)
 
 
+@contextmanager
+def _text_out(path: Path):
+    """A UTF-8 text file with LF line endings, opened for writing after its
+    parent directories are made; an OSError on the way, close included, is
+    an InputError naming the directory or the file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {path.parent}: "
+                         f"{exc.strerror}") from None
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_matrix_csv(path: Path, arr: np.ndarray) -> None:
     """Headerless CSV, LF line endings, shortest round-trip float format."""
     rows = np.atleast_2d(np.asarray(arr, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _text_out(path) as fh:
         for row in rows:  # one row at a time: no copy of the whole file
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def make_dir(path: str | Path) -> Path:
-    """Create an output directory and its parents; a path that cannot be
-    a directory is an InputError naming it."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {out}: {exc.strerror}") from None
-    return out
-
-
 def write_labels_csv(path: Path, labels: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _text_out(path) as fh:
         fh.write("\n".join(str(int(v)) for v in labels))
         fh.write("\n")
 
 
 def write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _text_out(path) as fh:
         fh.write(text)
-
-
-def write_output(path: Path, write: Callable, value) -> None:
-    """Write one output file with ``write(path, value)``; a path that cannot
-    be written (a directory, no permission) is an InputError naming it."""
-    try:
-        write(path, value)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
@@ -369,19 +364,19 @@ def write_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
 
     Loading the result reproduces the dataset bit for bit.
     """
-    out = make_dir(out_dir)
+    out = Path(out_dir)
     view_names = [f"view{v}.csv" for v in range(ds.n_views)]
     for fname, arr in zip(view_names, ds.views):
-        write_output(out / fname, write_matrix_csv, arr)
+        write_matrix_csv(out / fname, arr)
     labels_name = None
     if ds.labels is not None:
         labels_name = "labels.csv"
-        write_output(out / labels_name, write_labels_csv, ds.labels)
+        write_labels_csv(out / labels_name, ds.labels)
     manifest = {
         "name": ds.name,
         "views": [{"path": fname} for fname in view_names],
         "labels": labels_name,
     }
     mpath = out / "manifest.json"
-    write_output(mpath, write_text, json.dumps(manifest, indent=2) + "\n")
+    write_text(mpath, json.dumps(manifest, indent=2) + "\n")
     return mpath

@@ -31,8 +31,11 @@ def project_columns(g_cols: np.ndarray) -> np.ndarray:
         raise InputError(f"project_columns expects a matrix, got ndim={g.ndim}")
     if g.size == 0:
         raise InputError(f"project_columns: empty input of shape {g.shape}")
+    top = g.max(axis=0)
+    if not np.all(np.isfinite(top)):  # nan, +inf or an all -inf column
+        raise NumericError("simplex projection of a column holding inf or nan")
     d = g.shape[0]
-    y = g - g.max(axis=0)
+    y = g - top
     # sorted, summed and searched as the rows of the (n, d) transpose, in
     # place where a temporary would be a fresh array of g's size
     u = np.negative(y.T, order="C")

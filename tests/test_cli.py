@@ -307,8 +307,8 @@ def test_bench_evaluates_the_objective_every_sweep(tmp_path, monkeypatch):
                    "--dims", "6,5", "--epsilon", "1e-300", "--max-iter", "3",
                    "--out", str(tmp_path / "bench")])
     assert rc == 0
-    # 2 warm-up sweeps, then 2 sizes x (timed fit + traced fit) x 3 sweeps
-    assert len(calls) == 2 + 2 * 2 * 3
+    # 2 warm-up sweeps, then 2 sizes x (3 timed fits + traced fit) x 3 sweeps
+    assert len(calls) == 2 + 2 * 4 * 3
     # so, as in fit, an objective that overflows float64 is a numeric failure
     assert cli.main(["bench", "--sizes", "40", "--c", "2", "--m", "1", "--dims", "6",
                      "--noise-sigma", "1e153", "--max-iter", "1",
@@ -360,7 +360,11 @@ def test_out_naming_a_file_is_invalid_input(tmp_path, capsys):
     for argv in (fit_args(manifest, taken),
                  ["ablate", "--data", str(manifest), "--out", str(taken), "--repeats", "1",
                   "--max-iter", "2"],
-                 ["bench", "--sizes", "30", "--out", str(taken), "--max-iter", "2"]):
+                 ["bench", "--sizes", "30", "--out", str(taken), "--max-iter", "2"],
+                 ["eval", "--data", str(manifest), "--pred", str(manifest.parent / "labels.csv"),
+                  "--out", str(taken)],
+                 ["synth", "--out", str(taken), "--n", "20", "--c", "2", "--m", "1",
+                  "--dims", "4"]):
         capsys.readouterr()
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dstl.data import (
     read_matrix_csv,
     write_dataset,
     write_matrix_csv,
+    write_text,
 )
 from dstl.errors import InputError
 from dstl.kmeans import KMeansConfig, kmeans
@@ -285,6 +287,17 @@ def test_written_files_use_lf_endings(tmp_path):
     raw = (tmp_path / "m.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize("write, value", [(write_text, "x\n"),
+                                          (write_matrix_csv, np.ones((2, 2)))],
+                         ids=["write_text", "write_matrix_csv"])
+def test_a_write_that_fails_at_close_is_invalid_input(write, value):
+    # /dev/full takes the open and the buffered write; the flush at close
+    # fails with ENOSPC
+    with pytest.raises(InputError, match="^cannot write /dev/full: "):
+        write(Path("/dev/full"), value)
 
 
 def test_write_dataset_without_labels(tmp_path):

@@ -148,10 +148,9 @@ def test_rejects_bad_input():
     with pytest.raises(InputError):
         project_columns(np.zeros((3, 0)))
     # a non-finite column cannot be projected: numeric failure, not bad input
-    with np.errstate(invalid="ignore"):
-        for bad in (np.inf, np.nan):
-            with pytest.raises(NumericError):
-                project_columns(np.array([[bad], [1.0]]))
-        # ... at one coordinate too, where every finite column projects to 1
+    for bad in (np.inf, np.nan):
         with pytest.raises(NumericError):
-            project_columns(np.array([[np.nan, 1.0, -np.inf]]))
+            project_columns(np.array([[bad], [1.0]]))
+    # ... at one coordinate too, where every finite column projects to 1
+    with pytest.raises(NumericError):
+        project_columns(np.array([[np.nan, 1.0, -np.inf]]))
