@@ -285,9 +285,12 @@ def soft_threshold(a: np.ndarray, gamma: float) -> np.ndarray:
     """Elementwise shrinkage ``sign(a) * max(|a| - gamma, 0)``.
 
     This is the proximal operator of ``gamma * ||.||_1`` and the exact
-    minimizer of ``gamma * |s| + (s - a)^2 / 2`` per entry.
+    minimizer of ``gamma * |s| + (s - a)^2 / 2`` per entry.  It is taken
+    as ``a - clip(a, -gamma, gamma)``, in one new array: the same values,
+    except that an entry shrunk to zero is +0.0 whatever its sign.
     """
     if not np.isfinite(gamma) or gamma < 0:
         raise InputError(f"soft_threshold needs gamma >= 0, got {gamma}")
     a = np.asarray(a, dtype=float)
-    return np.sign(a) * np.maximum(np.abs(a) - gamma, 0.0)
+    out = np.clip(a, -gamma, gamma)
+    return np.subtract(a, out, out=out)

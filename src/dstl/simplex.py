@@ -13,6 +13,14 @@ column is first shifted by its maximum.  Every support coordinate lies
 within 1 of the maximum, so after the shift the threshold arithmetic runs
 on numbers of magnitude at most 1 and its rounding error does not grow
 with the scale of the input.
+
+Single-candidate rule: a column whose shifted entries other than its
+maximum u_1 = 0 are all at or below -1 has support 1.  For j >= 2,
+j u_j - (u_1 + ... + u_j - 1) = u_j + 1 + sum_{1<i<j} (u_j - u_i) <= 0,
+so the prefix test fails, theta = u_1 - 1 = -1, and the column projects
+to the vertex at its maximum.  Only the other columns are sorted.  Near
+a hard assignment those are few: after 12 sweeps of a benchmark fit,
+under 1% of the Y step's columns at k5 n=32000 and about 2% at k10.
 """
 
 from __future__ import annotations
@@ -35,17 +43,30 @@ def project_columns(g_cols: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(top)):  # nan, +inf or an all -inf column
         raise NumericError("simplex projection of a column holding inf or nan")
     d = g.shape[0]
-    y = g - top
-    # sorted, summed and searched as the rows of the (n, d) transpose, in
-    # place where a temporary would be a fresh array of g's size
-    u = np.negative(y.T, order="C")
+    # v = top - g is the shifted column negated, exactly up to the sign of
+    # a zero, as rounding is symmetric.  An entry that overflows to +inf
+    # lies far below the maximum and projects to 0.
+    with np.errstate(over="ignore"):
+        v = top - g
+    # a column whose only entry within 1 of its maximum is the maximum
+    # projects to that vertex, theta = -1; the rest are sorted, summed and
+    # searched as the rows of the (n, d) transpose, in place where a
+    # temporary would be a fresh array of their size.  Sorting v upward
+    # and negating the rows gives u in decreasing order.  The candidates
+    # are counted in the smallest integer type that holds d, which took a
+    # quarter (d = 5, 20) to a half (d = 50) of np.count_nonzero's time.
+    theta = np.full(g.shape[1], -1.0)
+    rest = np.flatnonzero((v < 1.0).sum(axis=0, dtype=np.min_scalar_type(d)) > 1)
+    u = v.T[rest]
     u.sort(axis=1)
     np.negative(u, out=u)
     css = np.cumsum(u, axis=1)
     css -= 1.0
     u *= np.arange(1, d + 1)
     last = d - 1 - np.argmax((u > css)[:, ::-1], axis=1)
-    y -= np.take_along_axis(css, last[:, None], axis=1)[:, 0] / (last + 1.0)
+    theta[rest] = np.take_along_axis(css, last[:, None], axis=1)[:, 0] / (last + 1.0)
+    # (g - top) - theta, taken as -theta - v with the same rounding
+    y = np.subtract(np.negative(theta), v, out=v)
     np.maximum(y, 0.0, out=y)
     sums = y.sum(axis=0)
     if not np.all(np.isfinite(y)) or np.max(np.abs(sums - 1.0)) > 1e-8 or y.min() < 0:

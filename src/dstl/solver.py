@@ -170,7 +170,10 @@ def update_W(ds: MultiViewDataset, st: SolverState) -> tuple[list, np.ndarray]:
     Returns the bases and the (m, k, n) stack of their projections W.T X,
     which the S and H steps and the objective of the same sweep read."""
     w = [procrustes_max_trace(x @ t.T) for x, t in zip(ds.views, st.S + st.H)]
-    return w, np.stack([b.T @ x for b, x in zip(w, ds.views)])
+    wtx = np.empty(st.H.shape)
+    for v, (b, x) in enumerate(zip(w, ds.views)):
+        np.matmul(b.T, x, out=wtx[v])
+    return w, wtx
 
 
 def update_C(st: SolverState) -> np.ndarray:
@@ -188,7 +191,12 @@ def _h_targets(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> np.ndarray:
     (lambda3-weighted) blend of the reconstruction residual and the
     rotated indicator."""
     lam3 = hp.lambda3
-    return (wtx - st.S) / (lam3 + 1.0) + lam3 / (lam3 + 1.0) * (st.C @ st.Y)
+    t = wtx - st.S
+    t /= lam3 + 1.0
+    cy = st.C @ st.Y
+    cy *= lam3 / (lam3 + 1.0)
+    t += cy
+    return t
 
 
 def update_H(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> tuple[np.ndarray, float]:
@@ -264,7 +272,9 @@ def variant_objective(
         fidelity = sum(_sq_norm(x - w @ p) for x, w, p in zip(views, st.W, wtx)) \
             + _sq_norm(wtx - latent)
     l1 = hp.lambda1 * float(np.abs(st.S).sum())
-    align = hp.lambda3 * _sq_norm(st.H - st.C @ st.Y)
+    r = st.C @ st.Y
+    np.subtract(st.H, r, out=r)
+    align = hp.lambda3 * _sq_norm(r)
     return float(fidelity + l1 + hp.lambda2 * spectral + align)
 
 

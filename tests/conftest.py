@@ -164,6 +164,12 @@ def matrix_svt_oracle(a: np.ndarray, tau: float) -> np.ndarray:
     return (u * np.maximum(s - tau, 0.0)) @ vh
 
 
+def soft_threshold_oracle(a: np.ndarray, gamma: float) -> np.ndarray:
+    """Elementwise shrinkage as the library first wrote it, from sign and
+    magnitude."""
+    return np.sign(a) * np.maximum(np.abs(a) - gamma, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # k-means oracles: the (n, c) GEMM-score k-means the layout rewrite replaced,
 # and the kernel that GEMM assignment replaced in turn

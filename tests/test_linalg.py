@@ -9,7 +9,7 @@ from dstl import linalg
 from dstl.errors import InputError, NumericError
 from dstl.linalg import procrustes_max_trace, soft_threshold, svt, thin_svd
 
-from conftest import matrix_svt_oracle, random_orthonormal
+from conftest import matrix_svt_oracle, random_orthonormal, soft_threshold_oracle
 
 EPS = np.finfo(float).eps
 
@@ -454,6 +454,23 @@ def test_soft_threshold_prox_optimality():
     for _ in range(1000):
         cand = s0 + rng.standard_normal(s0.shape) * rng.choice([1e-3, 0.1, 1.0])
         assert v0 <= value(cand) + 1e-9
+
+
+def test_soft_threshold_matches_the_sign_magnitude_oracle_bit_for_bit():
+    # random entries, entries at |a| == gamma and a hair either side, and
+    # +-inf, nan and signed zeros; the input is left as it was
+    rng = np.random.default_rng(9)
+    nxt = np.nextafter
+    for gamma in (0.0, 0.7, 2.5, 1e300):
+        edges = [gamma, -gamma, nxt(gamma, 0.0), nxt(gamma, np.inf), nxt(-gamma, 0.0),
+                 nxt(-gamma, -np.inf), np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324]
+        for a in (rng.standard_normal((3, 4, 50)) * 3, np.array(edges),
+                  rng.choice(edges, size=(7, 11))):
+            before = a.copy()
+            out = soft_threshold(a, gamma)
+            assert np.array_equal(out, soft_threshold_oracle(a, gamma), equal_nan=True)
+            assert np.array_equal(a, before, equal_nan=True)
+            assert out is not a
 
 
 def test_soft_threshold_rejects_negative_gamma():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,33 @@ def test_row_layout_matches_the_column_oracle_bit_for_bit():
                   rng.standard_normal((d, n)) * 1e150,
                   rng.integers(-1, 2, (d, n)) * -1e150 + rng.standard_normal((d, n))):
             assert np.array_equal(project_columns(g), project_columns_oracle(g))
+    # at the edge of the single-candidate screen: runners-up exactly 1
+    # below the maximum, 1 ulp either side and 2^-20 inside, alone and
+    # several at once, over maxima that shift them exactly and inexactly
+    below, above = np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)
+    gaps = np.array([-1.0, below, above, -1.0 + 2.0**-20])
+    for top in (0.0, 1.0, 0.1, -7.25, 1e3):
+        for d in (2, 3, 6):
+            runners = np.array(np.meshgrid(*[gaps] * (d - 1))).reshape(d - 1, -1)
+            g = top + np.vstack([np.zeros((1, runners.shape[1])), runners])
+            assert np.array_equal(project_columns(g), project_columns_oracle(g))
+    # every column, or no column, with a single candidate, and d = 1
+    lone = rng.uniform(-6.0, 1.0, (5, 300))
+    lone[rng.integers(0, 5, 300), np.arange(300)] = 2.0
+    crowded = rng.uniform(-0.9, 0.0, (5, 300))
+    assert np.all(np.count_nonzero(lone > lone.max(axis=0) - 1.0, axis=0) == 1)
+    assert np.all(np.count_nonzero(crowded > crowded.max(axis=0) - 1.0, axis=0) > 1)
+    for g in (lone, crowded, rng.standard_normal((1, 300)) * 1e3):
+        assert np.array_equal(project_columns(g), project_columns_oracle(g))
+
+
+def test_column_spanning_past_the_float_range_projects_to_its_maximum():
+    # 1e308 - (-1e308) overflows to inf: the entry lies far below the
+    # maximum and projects to 0, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = project_columns(np.array([[1e308], [-1e308]]))
+    assert np.array_equal(y, np.array([[1.0], [0.0]]))
 
 
 def test_rejects_bad_input():
