@@ -60,7 +60,7 @@ _NO_SCORE = {"mean": None, "std": None}
 
 # metrics.json keys between the five scores and the environment, in file order
 _FIT_KEYS = ("iterations", "stop_reason", "fit_seconds", "variant", "hyperparams",
-             "clusters_found", "error")
+             "clusters_found", "argmax_agreement", "partitions_found", "error")
 
 # built-in log ladder for the lambda1/lambda2 sweep (`ablate --grid default`)
 TUNING_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0)
@@ -143,7 +143,11 @@ def _synth_normalized(args, n: int) -> MultiViewDataset:
 
 def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     """Fit once (the solver is deterministic), cluster `repeats` times with
-    distinct seeds, score each run against the labels when present."""
+    distinct seeds, score each run against the labels when present.
+
+    Also returns the evidence on the label rule: the accuracy of argmax(Y)
+    against the chosen labels (None for ``no_Y``, which has no Y), and the
+    number of distinct partitions the repeats found."""
     if repeats < 1:
         raise InputError(f"repeats must be >= 1, got {repeats}")
     tic = time.perf_counter()
@@ -155,8 +159,10 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     best_labels = None
     best_inertia = np.inf
     per_run: dict[str, list[float]] = {name: [] for name, _ in _METRICS}
+    partitions = set()
     for r in range(repeats):
         pred, inertia = kmeans(embed, KMeansConfig(c=clusters, seed=hp.seed + r))
+        partitions.add(_canonical_labels(pred).tobytes())
         if inertia < best_inertia:
             best_labels, best_inertia = pred, inertia
         if ds.labels is not None:
@@ -168,6 +174,9 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
             name: {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
             for name, vals in per_run.items()
         }
+    agreement = None
+    if hp.variant != "no_Y":
+        agreement = float(accuracy(np.argmax(embed, axis=0), best_labels))
     return {
         "trace": trace,
         "fit_seconds": fit_seconds,
@@ -175,7 +184,18 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
         "labels": best_labels,
         "scores": scores,
         "k": k,
+        "argmax_agreement": agreement,
+        "partitions_found": len(partitions),
     }
+
+
+def _canonical_labels(labels: np.ndarray) -> np.ndarray:
+    """The labeling renumbered by first appearance, so that two labelings
+    of the same partition are equal."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.empty(first.size, dtype=np.intp)
+    order[np.argsort(first)] = np.arange(first.size)
+    return order[inverse]
 
 
 def _hyperparams_payload(hp: Hyperparams, k: int) -> dict:
@@ -258,7 +278,9 @@ def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: in
         result["scores"], iterations=len(trace), stop_reason=stop_reason(trace, hp),
         fit_seconds=result["fit_seconds"], variant=hp.variant,
         hyperparams=_hyperparams_payload(hp, result["k"]),
-        clusters_found=int(np.unique(result["labels"]).size))
+        clusters_found=int(np.unique(result["labels"]).size),
+        argmax_agreement=result["argmax_agreement"],
+        partitions_found=result["partitions_found"])
     write_text(out / "metrics.json", _json_text(payload))
     return payload
 

@@ -49,8 +49,9 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
     Shape rule: svt is built for many small matrices.  It works batch-last,
     on (p, q, chunk) copies of a fixed number of entries, and G, A V and
-    the output are einsum contractions over the p rows, so a long matrix
-    should be reduced first, as the matrix_nuclear H step does: A = R^H
+    the output are broadcast multiply-adds over the whole chunk, one per
+    term of the inner sum (_batch_matmul), so a long matrix should be
+    reduced first, as the matrix_nuclear H step does: A = R^H
     Q^H with Q^H row-orthonormal has the singular values of the small R^H,
     and thresholding R^H then multiplying by Q^H thresholds A.  The Gram
     width q alone picks the eigen step (_gram_eigenvectors): for q <= 3 a
@@ -100,17 +101,35 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, batch, chunk):
         hi = lo + chunk
         b = np.multiply(rows[..., lo:hi], scale, order="C")
-        v = _gram_eigenvectors(np.einsum("rib,rjb->ijb", np.conjugate(b), b))
-        av = np.einsum("rib,ijb->rjb", b, v)
+        v = _gram_eigenvectors(_batch_matmul(np.conjugate(b).swapaxes(0, 1), b))
+        av = _batch_matmul(b, v)
         sigma = np.linalg.norm(av, axis=0)
         if not np.all(np.isfinite(sigma)):
             raise NumericError(f"svt of a {a.shape} stack gave non-finite singular values")
         # shrunk / sigma / scale turns the columns of A V into the output's A V D
         kept[:, lo:hi] = shrunk = np.maximum(sigma - tau * scale, 0.0)
         av *= np.divide(shrunk, sigma, out=np.zeros_like(shrunk), where=sigma > 0) / scale
-        np.einsum("rjb,ijb->rib", av, np.conjugate(v), out=out[..., lo:hi])
+        # formed contiguous, then copied: V^H read strided, or the product
+        # written straight into the strided slice of out, made it slower
+        out[..., lo:hi] = _batch_matmul(av, np.conjugate(v.swapaxes(0, 1), order="C"))
     out = np.moveaxis(out, 2, 0).reshape(a.shape)
     return out.swapaxes(-1, -2) if wide else out, kept.sum(axis=0).reshape(a.shape[:-2]) / scale
+
+
+def _batch_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[r, j] = sum_i a[r, i] b[i, j] for each matrix of a batch-last
+    (p, s, chunk) a and (s, q, chunk) b, as a new (p, q, chunk) array.
+
+    The sum runs over i in order, as one broadcast multiply over the whole
+    chunk per term, added into the result: no BLAS, so the rounding does
+    not depend on the BLAS thread count, and each entry depends only on
+    its own matrix, not on the chunk around it."""
+    c = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    np.multiply(a[:, :1], b[:1], out=c)
+    term = np.empty_like(c)
+    for i in range(1, a.shape[1]):
+        c += np.multiply(a[:, i:i + 1], b[i:i + 1], out=term)
+    return c
 
 
 def _inverse_power_of_two(x):
@@ -150,8 +169,8 @@ def _gram_eigenvectors(g: np.ndarray) -> np.ndarray:
             _, v = np.linalg.eigh(np.moveaxis(g, (0, 1), (-2, -1)))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigh failed inside svt on a {g.shape} Gram stack") from exc
-        # a contiguous copy: the einsum products read V along the batch, and
-        # a strided V made svt about 12% slower on k10 m5 Fourier slices
+        # a contiguous copy: the products read V along the batch, and a
+        # strided V made svt about 12% slower on k10 m5 Fourier slices
         return np.ascontiguousarray(np.moveaxis(v, (-2, -1), (0, 1)))
     batch = g.shape[2:]
     g = g.reshape(3, 3, -1)
@@ -215,7 +234,7 @@ def _gram_eigenvectors(g: np.ndarray) -> np.ndarray:
     c, s = _rotation(b11, b22, b12)
     cs = conj(s)
     rows = [(v[k], c * u1[k] - cs * u2[k], s * u1[k] + c * u2[k]) for k in range(3)]
-    return np.stack([np.stack(row) for row in rows]).reshape((3, 3) + batch)
+    return np.array(rows).reshape((3, 3) + batch)
 
 
 def _sq_abs(w: np.ndarray) -> np.ndarray:

@@ -224,13 +224,17 @@ def update_H(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> tuple[np.ndar
 
 def update_Y(st: SolverState) -> np.ndarray:
     """Column-wise simplex projection of the mean rotated representation."""
-    return project_columns((st.C.swapaxes(1, 2) @ st.H).sum(axis=0) / len(st.H))
+    m, k, n = st.H.shape
+    # sum_v C_v.T H_v as one (k, m k) x (m k, n) product [C_1.T ... C_m.T] H
+    ct = st.C.transpose(2, 0, 1).reshape(k, m * k)
+    return project_columns(ct @ st.H.reshape(m * k, n) / m)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product, summed by numpy rather than BLAS so that
-    its rounding does not depend on the BLAS thread count."""
-    return float(np.sum(a * b))
+    """Frobenius inner product in one pass with no temporary, summed by
+    numpy rather than BLAS so that its rounding does not depend on the
+    BLAS thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def _sq_norm(a: np.ndarray) -> float:
@@ -271,8 +275,9 @@ def variant_objective(
     if fidelity < _IDENTITY_FLOOR * np.finfo(float).eps * x_sq:
         fidelity = sum(_sq_norm(x - w @ p) for x, w, p in zip(views, st.W, wtx)) \
             + _sq_norm(wtx - latent)
-    l1 = hp.lambda1 * float(np.abs(st.S).sum())
-    r = st.C @ st.Y
+    # the l1 and alignment terms reuse the buffer of S + H
+    l1 = hp.lambda1 * float(np.abs(st.S, out=latent).sum())
+    r = np.matmul(st.C, st.Y, out=latent)
     np.subtract(st.H, r, out=r)
     align = hp.lambda3 * _sq_norm(r)
     return float(fidelity + l1 + hp.lambda2 * spectral + align)

@@ -164,6 +164,24 @@ def matrix_svt_oracle(a: np.ndarray, tau: float) -> np.ndarray:
     return (u * np.maximum(s - tau, 0.0)) @ vh
 
 
+# svt's three batch-last products as the einsum contractions it once
+# formed them with; linalg._batch_matmul replaced all three
+
+def gram_oracle(b: np.ndarray) -> np.ndarray:
+    """G = B^H B of each matrix in a batch-last (p, q, batch) stack."""
+    return np.einsum("rib,rjb->ijb", np.conjugate(b), b)
+
+
+def av_oracle(b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B V of each matrix pair in batch-last stacks."""
+    return np.einsum("rib,ijb->rjb", b, v)
+
+
+def svt_output_oracle(av: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(A V D) V^H of each matrix pair in batch-last stacks."""
+    return np.einsum("rjb,ijb->rib", av, np.conjugate(v))
+
+
 def soft_threshold_oracle(a: np.ndarray, gamma: float) -> np.ndarray:
     """Elementwise shrinkage as the library first wrote it, from sign and
     magnitude."""

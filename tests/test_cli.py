@@ -27,6 +27,9 @@ from dstl.data import (
     write_dataset,
 )
 from dstl.errors import NumericError
+from dstl.kmeans import KMeansConfig, kmeans
+
+from conftest import accuracy_oracle, same_partition
 
 METRIC_KEYS = ("acc", "nmi", "purity", "ari", "fscore")
 
@@ -88,7 +91,7 @@ def test_fit_outputs(tmp_path, capsys):
     payload = json.loads((out / "metrics.json").read_text())
     assert set(payload) == set(METRIC_KEYS) | {
         "iterations", "stop_reason", "fit_seconds", "variant", "hyperparams",
-        "clusters_found", "error", "environment",
+        "clusters_found", "argmax_agreement", "partitions_found", "error", "environment",
     }
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert payload["environment"] == {
@@ -102,6 +105,8 @@ def test_fit_outputs(tmp_path, capsys):
         assert payload[key]["std"] >= 0.0
     assert payload["iterations"] == len(iters)
     assert payload["clusters_found"] == len(set(labels.tolist()))
+    assert 0.0 <= payload["argmax_agreement"] <= 1.0
+    assert 1 <= payload["partitions_found"] <= 3
     assert payload["error"] is None
     assert payload["variant"] == "full"
     hp = payload["hyperparams"]
@@ -196,6 +201,7 @@ def test_eval_scores_ground_truth_as_perfect(tmp_path, capsys):
     assert payload["variant"] is None
     assert payload["hyperparams"] is None
     assert payload["clusters_found"] is None
+    assert payload["argmax_agreement"] is None and payload["partitions_found"] is None
     assert payload["error"] is None
     assert payload["environment"]["dstl"] == dstl.__version__
 
@@ -509,6 +515,7 @@ def test_overflow_exits_numeric_failure(tmp_path, capsys):
     assert payload["stop_reason"] == "numeric_failure"
     assert payload["error"] == err[0].removeprefix("numeric failure: ")
     assert payload["iterations"] is None and payload["clusters_found"] is None
+    assert payload["argmax_agreement"] is None and payload["partitions_found"] is None
     assert payload["variant"] == "full" and payload["hyperparams"]["k"] == 3
     assert payload["environment"]["numpy"] == np.__version__
     assert not (tmp_path / "o" / "labels.csv").exists()
@@ -541,6 +548,38 @@ def test_fit_reports_fewer_clusters_than_asked(tmp_path, capsys):
     payload = json.loads((out / "metrics.json").read_text())
     assert payload["clusters_found"] == 1
     assert set(read_labels_csv(out / "labels.csv").tolist()) == {0}
+
+
+def test_label_rule_evidence_matches_a_recount(tmp_path):
+    # argmax_agreement is the accuracy of argmax(Y) against the chosen
+    # labels; partitions_found counts the distinct partitions among the
+    # repeats' k-means labelings, two labelings of one partition counting
+    # once.  Heavy noise makes the repeats disagree
+    manifest = make_synth(tmp_path, **{"--noise-sigma": "3.0"})
+    ds = load_dataset(manifest)
+    for variant in ("full", "no_Y"):
+        out = tmp_path / variant
+        assert cli.main(fit_args(manifest, out, ["--variant", variant, "--repeats", "6"])) == 0
+        payload = json.loads((out / "metrics.json").read_text())
+        labels = read_labels_csv(out / "labels.csv")
+        embed = np.loadtxt(out / "embedding.csv", delimiter=",", ndmin=2)
+        if variant == "no_Y":
+            assert payload["argmax_agreement"] is None
+        else:
+            assert payload["argmax_agreement"] == accuracy_oracle(np.argmax(embed, axis=0),
+                                                                  labels)
+        st, _ = solver.fit_variant(ds, cli._hyperparams_from_args(
+            cli.build_parser().parse_args(fit_args(manifest, out, ["--variant", variant])),
+            variant))
+        runs = [kmeans(solver.clustering_embedding(st, variant), KMeansConfig(c=3, seed=r))[0]
+                for r in range(6)]
+        distinct = []
+        for run in runs:
+            if not any(same_partition(run, seen) for seen in distinct):
+                distinct.append(run)
+        assert payload["partitions_found"] == len(distinct)
+        assert len(distinct) > 1 or variant == "full"
+    assert cli._canonical_labels(np.array([2, 2, 0, 1, 0])).tolist() == [0, 0, 1, 2, 1]
 
 
 def test_module_entry_point(tmp_path):
@@ -673,6 +712,7 @@ def test_fit_exit_code_stop_reason_and_clusters_agree_at_the_edges(
             assert overflows, err.getvalue()
             assert payload["stop_reason"] == "numeric_failure"
             assert payload["iterations"] is None and payload["clusters_found"] is None
+            assert payload["argmax_agreement"] is None and payload["partitions_found"] is None
             assert err.getvalue() == f"numeric failure: {payload['error']}\n"
             assert not (out / "labels.csv").exists()
             return
@@ -690,3 +730,5 @@ def test_fit_exit_code_stop_reason_and_clusters_agree_at_the_edges(
         assert labels.size == n
         assert payload["clusters_found"] == np.unique(labels).size
         assert 1 <= payload["clusters_found"] <= classes
+        assert 1 <= payload["partitions_found"] <= 2
+        assert (payload["argmax_agreement"] is None) == (variant == "no_Y")

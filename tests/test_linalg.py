@@ -9,7 +9,14 @@ from dstl import linalg
 from dstl.errors import InputError, NumericError
 from dstl.linalg import procrustes_max_trace, soft_threshold, svt, thin_svd
 
-from conftest import matrix_svt_oracle, random_orthonormal, soft_threshold_oracle
+from conftest import (
+    av_oracle,
+    gram_oracle,
+    matrix_svt_oracle,
+    random_orthonormal,
+    soft_threshold_oracle,
+    svt_output_oracle,
+)
 
 EPS = np.finfo(float).eps
 
@@ -204,6 +211,43 @@ def test_svt_closed_form_does_not_depend_on_the_chunk_size(monkeypatch):
         for x, y in zip(svt(a, 0.4), whole):
             assert np.array_equal(x, y)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_svt_products_match_the_einsum_oracle(complex_, monkeypatch):
+    # every product svt forms, on a batch of 17 in chunks of 7, 7 and a
+    # short 3, for Gram widths q = 1..5 (the closed form and eigh) and
+    # p = q, q + 2 and 10 rows: the Gram matrix, A V and the output each
+    # within c eps sum_i |a_ri| |b_ij| of its einsum form, c = 2 (s + 2)
+    # for an inner sum of s terms, which covers both sides' rounding
+    rng = np.random.default_rng(17)
+    calls = []
+    batch_matmul = linalg._batch_matmul
+
+    def spy(a, b):
+        calls.append((a.copy(), b.copy(), batch_matmul(a, b)))
+        return calls[-1][2].copy()
+
+    monkeypatch.setattr(linalg, "_batch_matmul", spy)
+    for q in range(1, 6):
+        for p in sorted({q, q + 2, 10}):
+            monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 7 * p * q)
+            stack = mixed_stack(rng, 17, p, q, complex_)
+            calls.clear()
+            svt(stack, 0.3)
+            assert [c[2].shape[2] for c in calls] == [7] * 6 + [3] * 3
+            for gram, av, output in zip(calls[0::3], calls[1::3], calls[2::3]):
+                b = gram[1]
+                assert np.array_equal(gram[0], np.conjugate(b).swapaxes(0, 1))
+                v = av[1]
+                assert np.array_equal(av[0], b)
+                assert np.array_equal(output[1], np.conjugate(v).swapaxes(0, 1))
+                for (a, right, got), want in ((gram, gram_oracle(b)), (av, av_oracle(b, v)),
+                                              (output, svt_output_oracle(output[0], v))):
+                    s = a.shape[1]
+                    bound = 2 * (s + 2) * EPS * np.einsum("rib,ijb->rjb", np.abs(a), np.abs(right))
+                    assert got.dtype == want.dtype
+                    assert np.all(np.abs(got - want) <= bound)
 
 
 def check_per_matrix(a, tau):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from dstl.solver import (
 from conftest import (
     data_energy,
     matrix_svt_oracle,
+    project_columns_oracle,
     projections,
     random_column_stochastic,
     random_orthonormal,
@@ -106,6 +108,60 @@ def test_objective_matches_term_oracle():
         want = oracle_objective(ds, hp, st)
         got = objective(ds, hp, st)
         assert abs(got - want) <= 1e-10 * (1.0 + want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 480000])
+def test_dot_matches_an_exact_sum_under_heavy_cancellation(n):
+    # a Frobenius inner product whose terms span 32 orders of magnitude and
+    # cancel to zero, or for odd n to one term near eps of their absolute
+    # sum: within n eps sum |a_i b_i| of math.fsum of the same rounded
+    # products, on (3, 5, n / 15) stacks as the objective passes them,
+    # C-ordered and transposed
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    # pairs of opposite products, and for odd n one term near eps of the rest
+    half = n // 2
+    a[half:2 * half], b[half:2 * half] = a[:half], -b[:half]
+    if n % 2:
+        a[-1], b[-1] = np.finfo(float).eps * float(np.abs(a[:-1] * b[:-1]).sum()), 0.5
+    order = rng.permutation(n)
+    a, b = a[order], b[order]
+    exact = math.fsum((a * b).tolist())
+    bound = n * np.finfo(float).eps * float(np.abs(a * b).sum())
+    shape = (3, 5, n // 15) if n % 15 == 0 else (n,)
+    for x, y in ((a.reshape(shape), b.reshape(shape)), (a.reshape(shape).T, b.reshape(shape).T)):
+        got = solver._dot(x, y)
+        assert isinstance(got, float)
+        assert abs(got - math.fsum((x * y).ravel().tolist())) <= bound
+    assert n == 1 or abs(exact) <= 1e-15 * float(np.abs(a * b).sum())
+
+
+def test_dot_of_non_finite_input_is_not_finite():
+    # the objective's NumericError check relies on inf and nan coming through
+    a = np.ones((3, 5, 8))
+    for bad, other in ((np.inf, 1.0), (-np.inf, 1.0), (np.nan, 1.0), (np.inf, 0.0)):
+        x = a.copy()
+        x[1, 2, 3] = bad
+        y = a.copy()
+        y[1, 2, 3] = other
+        assert not np.isfinite(solver._dot(x, y))
+        assert not np.isfinite(solver._sq_norm(x))
+    x, y = a.copy(), a.copy()
+    x[0, 0, 0], y[2, 4, 7] = np.inf, -np.inf
+    x[2, 4, 7] = y[0, 0, 0] = 1.0
+    assert np.isnan(solver._dot(x, y))
+
+
+def test_update_y_projects_the_mean_rotated_representation():
+    # random rotations and views: the one GEMM over the stacked views equals
+    # the per-view products summed, then projected by the column oracle
+    rng = np.random.default_rng(19)
+    for m, k, n in ((1, 3, 11), (3, 5, 40), (5, 10, 33)):
+        ds = MultiViewDataset(tuple(rng.standard_normal((k + 2, n)) for _ in range(m)))
+        st = random_state(rng, ds, k)
+        want = project_columns_oracle(sum(c.T @ h for c, h in zip(st.C, st.H)) / m)
+        assert np.max(np.abs(update_Y(st) - want)) <= 1e-12
 
 
 def test_update_w_fixed_point():
