@@ -59,8 +59,9 @@ _METRICS = (
 _NO_SCORE = {"mean": None, "std": None}
 
 # metrics.json keys between the five scores and the environment, in file order
-_FIT_KEYS = ("iterations", "stop_reason", "fit_seconds", "variant", "hyperparams",
-             "clusters_found", "argmax_agreement", "partitions_found", "error")
+_FIT_KEYS = ("iterations", "stop_reason", "fit_seconds", "load_seconds", "variant",
+             "hyperparams", "clusters_found", "argmax_agreement", "partitions_found",
+             "error")
 
 # built-in log ladder for the lambda1/lambda2 sweep (`ablate --grid default`)
 TUNING_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0)
@@ -133,8 +134,11 @@ def _synth_spec(args, n: int) -> SynthSpec:
                      seed=args.seed)
 
 
-def _load_normalized(args) -> MultiViewDataset:
-    return normalize(load_dataset(args.data), args.normalize)
+def _load_normalized(args) -> tuple[MultiViewDataset, float]:
+    """The dataset of --data, normalized, and the seconds that took."""
+    tic = time.perf_counter()
+    ds = normalize(load_dataset(args.data), args.normalize)
+    return ds, time.perf_counter() - tic
 
 
 def _synth_normalized(args, n: int) -> MultiViewDataset:
@@ -237,10 +241,11 @@ def _metrics_record(scores: dict | None, **fit) -> dict:
 
 
 def _write_numeric_failure(out: Path, ds: MultiViewDataset, hp: Hyperparams,
-                           exc: NumericError) -> None:
+                           load_seconds: float, exc: NumericError) -> None:
     """metrics.json for a fit or its k-means that failed numerically: the
     same keys, with stop_reason numeric_failure and the error message."""
-    payload = _metrics_record(None, stop_reason="numeric_failure", variant=hp.variant,
+    payload = _metrics_record(None, stop_reason="numeric_failure",
+                              load_seconds=load_seconds, variant=hp.variant,
                               hyperparams=_hyperparams_payload(hp, resolve_k(ds, hp)),
                               error=str(exc))
     write_text(out / "metrics.json", _json_text(payload))
@@ -258,17 +263,18 @@ def _trace_text(trace) -> str:
 
 
 def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: int,
-                   grid: list[float] | None = None) -> dict:
+                   load_seconds: float, grid: list[float] | None = None) -> dict:
     """Run the pipeline, or with a grid the grid sweep, and write its labels,
     embedding, trace and metrics.json to out; a numeric failure writes the
-    failure metrics.json there instead and re-raises."""
+    failure metrics.json there instead and re-raises.  load_seconds, the
+    time taken to load and normalize ds, goes into metrics.json."""
     try:
         if grid is None:
             result = _run_pipeline(ds, hp, repeats)
         else:
             result, hp = _best_grid_cell(ds, hp, grid, repeats)
     except NumericError as exc:
-        _write_numeric_failure(out, ds, hp, exc)
+        _write_numeric_failure(out, ds, hp, load_seconds, exc)
         raise
     trace = result["trace"]
     write_labels_csv(out / "labels.csv", result["labels"])
@@ -276,7 +282,7 @@ def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: in
     write_text(out / "trace.csv", _trace_text(trace))
     payload = _metrics_record(
         result["scores"], iterations=len(trace), stop_reason=stop_reason(trace, hp),
-        fit_seconds=result["fit_seconds"], variant=hp.variant,
+        fit_seconds=result["fit_seconds"], load_seconds=load_seconds, variant=hp.variant,
         hyperparams=_hyperparams_payload(hp, result["k"]),
         clusters_found=int(np.unique(result["labels"]).size),
         argmax_agreement=result["argmax_agreement"],
@@ -308,9 +314,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    ds = _load_normalized(args)
+    ds, load_seconds = _load_normalized(args)
     hp = _hyperparams_from_args(args)
-    payload = _fit_and_write(Path(args.out), ds, hp, args.repeats)
+    payload = _fit_and_write(Path(args.out), ds, hp, args.repeats, load_seconds)
     print(_summary_line(f"fit[{hp.variant}] {ds.name}", payload))
     return 0
 
@@ -343,7 +349,7 @@ def _grid_values(spec: str) -> list[float]:
 
 
 def cmd_ablate(args) -> int:
-    ds = _load_normalized(args)
+    ds, load_seconds = _load_normalized(args)
     if ds.labels is None:
         raise InputError("ablate needs a dataset with ground-truth labels")
     grid = _grid_values(args.grid) if args.grid is not None else None
@@ -351,7 +357,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for variant in VARIANTS:
         hp = _hyperparams_from_args(args, variant=variant)
-        payload = _fit_and_write(out / variant, ds, hp, args.repeats, grid)
+        payload = _fit_and_write(out / variant, ds, hp, args.repeats, load_seconds, grid)
         rows.append((variant, payload))
         print(_summary_line(f"ablate[{variant}]", payload))
     table = "variant," + ",".join(name for name, _ in _METRICS) + "\n"

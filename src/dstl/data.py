@@ -12,6 +12,7 @@ matrices bit for bit.
 from __future__ import annotations
 
 import json
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,25 +210,62 @@ def generate_synthetic(spec: SynthSpec) -> MultiViewDataset:
     return MultiViewDataset(tuple(views), labels, name)
 
 
-def _text_lines(path: Path):
-    """Lines of a UTF-8 text file; a missing, unreadable or undecodable
-    file is an InputError naming the path once."""
+@contextmanager
+def _text_in(path: Path):
+    """A UTF-8 text file opened for reading; an OSError or a decoding error
+    on the way is an InputError naming the path once."""
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from fh
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         # an OSError's own text repeats the path; its strerror does not
         reason = getattr(exc, "strerror", None) or exc
         raise InputError(f"cannot read {path}: {reason}") from None
 
 
+def _text_lines(path: Path):
+    """Lines of a UTF-8 text file, opened by _text_in."""
+    with _text_in(path) as fh:
+        yield from fh
+
+
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Parse a headerless CSV matrix file; errors carry file and position."""
+    """Parse a headerless CSV matrix file; errors carry file and position.
+
+    numpy's C reader parses the file.  Blank lines are skipped, and a cell
+    is an ASCII decimal float with optional surrounding whitespace.  When
+    the reader rejects the file, _locate_bad_cell scans it again to name
+    the row and column."""
     path = Path(path)
-    rows = []
+    with _text_in(path) as fh, warnings.catch_warnings():
+        # a file with no data rows is reported below, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError:  # a ValueError too; _text_in names the file
+            raise
+        except ValueError as exc:
+            _locate_bad_cell(path)
+            raise InputError(f"{path}: {exc}") from None
+    if arr.size == 0:
+        raise InputError(f"{path}: empty matrix file")
+    if not np.all(np.isfinite(arr)):
+        bad = np.argwhere(~np.isfinite(arr))[0]
+        raise InputError(
+            f"{path}: non-finite value at row {bad[0] + 1}, column {bad[1] + 1}"
+        )
+    return arr
+
+
+def _locate_bad_cell(path: Path) -> None:
+    """Raise an InputError at the first line of a matrix file whose width
+    differs from the first data line's, or that holds a cell _is_number
+    rejects; lines are counted from 1, blank lines included.  Returns when
+    every line passes."""
     width = None
     for i, line in enumerate(_text_lines(path)):
-        line = line.rstrip("\n").rstrip("\r")
+        line = line.rstrip("\n")
         if not line:
             continue
         cells = line.split(",")
@@ -237,27 +275,26 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
             raise InputError(
                 f"{path}: row {i + 1} has {len(cells)} columns, expected {width}"
             )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            for j, c in enumerate(cells):
-                try:
-                    float(c)
-                except ValueError:
-                    raise InputError(
-                        f"{path}: row {i + 1}, column {j + 1}: "
-                        f"not a number: {c.strip()!r}"
-                    ) from None
-            raise
-    if not rows:
-        raise InputError(f"{path}: empty matrix file")
-    arr = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise InputError(
-            f"{path}: non-finite value at row {bad[0] + 1}, column {bad[1] + 1}"
-        )
-    return arr
+        for j, c in enumerate(cells):
+            if not _is_number(c):
+                raise InputError(
+                    f"{path}: row {i + 1}, column {j + 1}: "
+                    f"not a number: {c.strip()!r}"
+                )
+
+
+def _is_number(cell: str) -> bool:
+    """Whether np.loadtxt reads the cell as a float: after the whitespace
+    str.strip removes, an ASCII string that float() parses, with no
+    underscore (float() takes 1_0 and non-ASCII digits; loadtxt does not)."""
+    s = cell.strip()
+    if not s.isascii() or "_" in s:
+        return False
+    try:
+        float(s)
+    except ValueError:
+        return False
+    return True
 
 
 def read_labels_csv(path: str | Path) -> np.ndarray:

@@ -18,6 +18,24 @@ from dstl.errors import InputError, NumericError
 
 
 # ---------------------------------------------------------------------------
+# view file reader
+
+
+def read_matrix_csv_oracle(path) -> np.ndarray:
+    """dstl.data.read_matrix_csv as it parsed before numpy's C reader took
+    over: every non-blank line split at commas, one float() per cell.
+    Takes a valid file."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n").rstrip("\r")
+            if line:
+                rows.append([float(c) for c in line.split(",")])
+    assert len({len(row) for row in rows}) == 1
+    return np.array(rows, dtype=float)
+
+
+# ---------------------------------------------------------------------------
 # linear algebra helpers
 
 

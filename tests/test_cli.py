@@ -90,9 +90,12 @@ def test_fit_outputs(tmp_path, capsys):
 
     payload = json.loads((out / "metrics.json").read_text())
     assert set(payload) == set(METRIC_KEYS) | {
-        "iterations", "stop_reason", "fit_seconds", "variant", "hyperparams",
+        "iterations", "stop_reason", "fit_seconds", "load_seconds", "variant", "hyperparams",
         "clusters_found", "argmax_agreement", "partitions_found", "error", "environment",
     }
+    keys = list(payload)
+    assert keys.index("load_seconds") == keys.index("fit_seconds") + 1
+    assert 0.0 < payload["load_seconds"] < 60.0
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert payload["environment"] == {
         "dstl": dstl.__version__, "numpy": np.__version__,
@@ -197,7 +200,7 @@ def test_eval_scores_ground_truth_as_perfect(tmp_path, capsys):
         assert payload[key] == {"mean": 1.0, "std": 0.0}
     assert payload["iterations"] is None
     assert payload["stop_reason"] is None
-    assert payload["fit_seconds"] is None
+    assert payload["fit_seconds"] is None and payload["load_seconds"] is None
     assert payload["variant"] is None
     assert payload["hyperparams"] is None
     assert payload["clusters_found"] is None
@@ -248,9 +251,13 @@ def test_ablate_covers_all_variants(tmp_path):
     lines = (out / "ablation.csv").read_text().strip().splitlines()
     assert lines[0] == "variant,acc,nmi,purity,ari,fscore"
     assert [row.split(",")[0] for row in lines[1:]] == list(cli.VARIANTS)
+    load_seconds = set()
     for variant in cli.VARIANTS:
         payload = json.loads((out / variant / "metrics.json").read_text())
         assert payload["variant"] == variant
+        load_seconds.add(payload["load_seconds"])
+    # the dataset is loaded once, for every variant
+    assert len(load_seconds) == 1 and load_seconds.pop() > 0.0
 
     # the full-variant row reproduces a plain fit with identical settings
     run = tmp_path / "plain"
@@ -514,6 +521,8 @@ def test_overflow_exits_numeric_failure(tmp_path, capsys):
     payload = json.loads((tmp_path / "o" / "metrics.json").read_text())
     assert payload["stop_reason"] == "numeric_failure"
     assert payload["error"] == err[0].removeprefix("numeric failure: ")
+    # the load came before the failure, so its time is on record
+    assert payload["fit_seconds"] is None and payload["load_seconds"] > 0.0
     assert payload["iterations"] is None and payload["clusters_found"] is None
     assert payload["argmax_agreement"] is None and payload["partitions_found"] is None
     assert payload["variant"] == "full" and payload["hyperparams"]["k"] == 3
@@ -535,6 +544,7 @@ def test_ablate_records_numeric_failure_of_the_failing_variant(tmp_path, capsys)
     payload = json.loads((out / "full" / "metrics.json").read_text())
     assert payload["stop_reason"] == "numeric_failure"
     assert err.rstrip("\n").endswith(payload["error"])
+    assert payload["load_seconds"] > 0.0
     assert not (out / "ablation.csv").exists()
 
 def test_fit_reports_fewer_clusters_than_asked(tmp_path, capsys):

@@ -1,8 +1,16 @@
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
+
+import dstl.cli as cli
+import dstl.data as data
 
 from dstl.data import (
     MultiViewDataset,
@@ -20,6 +28,8 @@ from dstl.data import (
 from dstl.errors import InputError
 from dstl.kmeans import KMeansConfig, kmeans
 from dstl.metrics import accuracy
+
+from conftest import read_matrix_csv_oracle
 
 
 def write_manifest(tmp_path, views, labels=None, name="toy"):
@@ -280,6 +290,147 @@ def test_round_trip_awkward_values(tmp_path):
     write_matrix_csv(tmp_path / "m.csv", x)
     back = read_matrix_csv(tmp_path / "m.csv")
     assert back.tobytes() == x.tobytes()
+
+
+# doubles whose decimal forms are hard to read back: the smallest and
+# largest subnormals, the smallest normal, signed zero, the largest double,
+# +-1e308 and values that need all 17 significant digits
+AWKWARD_VALUES = [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 0.0, -0.0,
+                  1.7976931348623157e308, 1e308, -1e308, 0.1, 1 / 3, 2 / 3 * 1e-300,
+                  9007199254740993.0, 1.0000000000000002, 123456789.12345679]
+CELL_FORMATS = [repr, "{:.17g}".format, "{:.17e}".format, "{:.16E}".format]
+
+
+@hst.composite
+def view_file_text(draw):
+    """A valid view file as text and the values it holds: cells in several
+    float formats with optional spaces and tabs around them, LF, CRLF or
+    lone CR line ends, blank lines anywhere, with or without a final line
+    end; 1 x n and d x 1 shapes among them."""
+    d, n = draw(hst.integers(1, 5)), draw(hst.integers(1, 5))
+    value = hst.one_of(hst.sampled_from(AWKWARD_VALUES),
+                       hst.floats(allow_nan=False, allow_infinity=False))
+    pad = hst.sampled_from(["", " ", "\t", " \t  "])
+    end = hst.sampled_from(["\n", "\r\n", "\r"])
+    values = draw(hst.lists(hst.lists(value, min_size=n, max_size=n), min_size=d, max_size=d))
+    text = ""
+    for row in values:
+        text += "".join(draw(hst.lists(end, max_size=2)))
+        text += ",".join(draw(pad) + draw(hst.sampled_from(CELL_FORMATS))(x) + draw(pad)
+                         for x in row)
+        text += draw(end)
+    if not draw(hst.booleans()):
+        text = text.rstrip("\r\n")
+    return text, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=view_file_text())
+def test_reader_returns_the_oracle_bits_on_valid_files(file):
+    text, values = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "view.csv"
+        path.write_bytes(text.encode())
+        got = read_matrix_csv(path)
+        want = read_matrix_csv_oracle(path)
+    assert got.shape == want.shape == (len(values), len(values[0]))
+    assert got.tobytes() == want.tobytes() == np.array(values).tobytes()
+
+
+# malformed view files and the message each gives; cells are named by the
+# line they are on, counted from 1 with blank lines, a non-finite value by
+# its row among the data rows
+BAD_VIEW_FILES = {
+    "ragged": (b"1,2\n3,4\n5\n", "{path}: row 3 has 1 columns, expected 2"),
+    "empty-cell": (b"1,,3\n", "{path}: row 1, column 2: not a number: ''"),
+    "trailing-comma": (b"1,2,\n3,4,\n", "{path}: row 1, column 3: not a number: ''"),
+    "whitespace-line": (b"1,2\n \t \n3,4\n", "{path}: row 2 has 1 columns, expected 2"),
+    "whitespace-line-one-column": (b"1\n \t \n3\n", "{path}: row 2, column 1: not a number: ''"),
+    "last-row-and-column": (b"1,2\r\n\r\n3,4\r\n5, x \r\n",
+                            "{path}: row 4, column 2: not a number: 'x'"),
+    "underscore": (b"1,1_0\n", "{path}: row 1, column 2: not a number: '1_0'"),
+    "arabic-indic-digit": ("1,\u0661\n".encode(), "{path}: row 1, column 2: not a number: '\u0661'"),
+    "bom": (b"\xef\xbb\xbf1,2\n", "{path}: row 1, column 1: not a number: '\\ufeff1'"),
+    "nan": (b"1,2\n3,nan\n", "{path}: non-finite value at row 2, column 2"),
+    "overflow": (b"1,2\n\n3,4\n-1e400,5\n", "{path}: non-finite value at row 3, column 1"),
+    "empty": (b"", "{path}: empty matrix file"),
+    "blank-lines": (b"\n\r\n\r\r\n", "{path}: empty matrix file"),
+    "invalid-utf8": (b"1,2\n\xff,3\n", "cannot read {path}: 'utf-8' codec can't decode "
+                                        "byte 0xff in position 4: invalid start byte"),
+    "directory": (None, "cannot read {path}: Is a directory"),
+}
+
+
+@pytest.mark.parametrize("raw, message", BAD_VIEW_FILES.values(), ids=BAD_VIEW_FILES.keys())
+def test_malformed_view_file_is_invalid_input_naming_file_and_cell(tmp_path, capsys, raw,
+                                                                  message):
+    path = tmp_path / "bad.csv"
+    if raw is None:
+        path.mkdir()
+    else:
+        path.write_bytes(raw)
+    message = message.format(path=path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == message
+        # through the CLI: exit 2, one error line that names the file once
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"views": [{"path": "bad.csv"}], "labels": None}))
+        capsys.readouterr()
+        rc = cli.main(["fit", "--data", str(manifest), "--out", str(tmp_path / "o"),
+                       "--repeats", "1"])
+    assert not caught
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and err.count(str(path)) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_reader_error_the_locator_cannot_place_names_the_file(tmp_path, monkeypatch):
+    # a ValueError of numpy's reader in a file whose every line passes the
+    # locator is still invalid input naming the file, with numpy's reason
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4\n")
+
+    def loadtxt(*args, **kwargs):
+        raise ValueError("the reason")
+
+    monkeypatch.setattr(data.np, "loadtxt", loadtxt)
+    with pytest.raises(InputError, match=f"^{path}: the reason$"):
+        read_matrix_csv(path)
+
+
+# the pieces of float syntax, and characters around and inside it that
+# float() and numpy's reader treat differently: underscores, non-ASCII
+# digits, ASCII and non-ASCII whitespace, a byte order mark, NUL
+CELL_PIECES = ["0", "1", "7", "\u0661", "\uff11", "_", ".", "e", "E", "+", "-", "inf",
+               "nan", "infinity", "x", "j", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f",
+               "\x85", "\xa0", "\u2003", "\u3000", "\ufeff", "\u200b", "\x00"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(cell=hst.one_of(
+    hst.lists(hst.sampled_from(CELL_PIECES), max_size=8).map("".join),
+    hst.text(alphabet=hst.characters(exclude_characters=",\n\r"), max_size=8),
+))
+@example(cell="1_0")
+@example(cell="\u0661")
+@example(cell="")
+@example(cell=" \t ")
+@example(cell="\x1c1\x1c")
+@example(cell="\xa01e400\u3000")
+def test_locator_cell_test_agrees_with_loadtxt(cell):
+    # the locator must reject exactly the cells numpy's reader rejects, or
+    # it would name the wrong cell; a line holds the cell after a valid one
+    try:
+        np.loadtxt(io.StringIO(f"0,{cell}\n"), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert data._is_number(cell) == accepted
 
 
 def test_written_files_use_lf_endings(tmp_path):

@@ -261,7 +261,7 @@ def check_per_matrix(a, tau):
         assert abs(norms[idx] - np.maximum(sv - tau, 0.0).sum()) <= 1e-12
 
 
-def test_svt_power_of_two_scale_is_exact(both_branches):
+def test_svt_power_of_two_scale_is_exact(both_branches, monkeypatch):
     # the kernel's own scale is a power of two, so scaling the input and tau
     # by another one scales the result exactly, far past where A^H A
     # overflows (2**1000) or underflows (2**-1000) unscaled
@@ -273,6 +273,42 @@ def test_svt_power_of_two_scale_is_exact(both_branches):
             big_out, big_norms = svt(a * f, 0.7 * f)
             assert np.array_equal(big_out, out * f)
             assert np.array_equal(big_norms, norms * f)
+
+    # svt scales the stack by its largest |Re| or |Im|; the largest modulus,
+    # which it once took, is within sqrt(2) of that and may pick the next
+    # power of two down: the two give the same bits
+    inverse = linalg._inverse_power_of_two
+
+    def modulus_scaled_svt(a, tau):
+        first = []
+
+        def stack_scale_from_modulus(x):
+            if not first:  # svt's stack scale; later calls are per matrix
+                first.append(x)
+                x = np.abs(a).max()
+            return inverse(x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_inverse_power_of_two", stack_scale_from_modulus)
+            return svt(a, tau)
+
+    rng = np.random.default_rng(13)
+    differed = 0
+    for shape in ((9, 5, 3), (4, 3, 5), (6, 2, 2), (5, 1, 4), (3, 4, 6)):
+        real = rng.standard_normal(shape)
+        cplx = real + 1j * rng.standard_normal(shape)
+        # |0.75 + 0.75j| = 1.06 lies in the next binade up from 0.75
+        tilted = cplx * (0.75 / np.abs(cplx).max())
+        tilted.flat[0] = 0.75 + 0.75j
+        for stack in (real, cplx, tilted):
+            differed += inverse(np.abs(stack).max()) != inverse(linalg._largest_part(stack))
+            for a in both_branches(stack):
+                for tau in (0.0, 0.3, 1.5):
+                    out, norms = svt(a, tau)
+                    old_out, old_norms = modulus_scaled_svt(a, tau)
+                    assert np.array_equal(out, old_out)
+                    assert np.array_equal(norms, old_norms)
+    assert differed >= 5
 
 
 def test_svt_of_a_subnormal_stack_is_finite(both_branches):
