@@ -298,7 +298,7 @@ def _is_number(cell: str) -> bool:
 
 
 def read_labels_csv(path: str | Path) -> np.ndarray:
-    """Parse a one-integer-per-line labels file."""
+    """Parse a one-integer-per-line labels file of ASCII decimal integers."""
     path = Path(path)
     lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
     values = []
@@ -307,6 +307,8 @@ def read_labels_csv(path: str | Path) -> np.ndarray:
         if not line:
             continue
         try:
+            if not line.isascii() or "_" in line:  # int() takes 1_0 and non-ASCII digits
+                raise ValueError(line)
             values.append(int(line))
         except ValueError:
             raise InputError(

@@ -62,7 +62,8 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     Precision: both eigen steps return V with ||V^H V - I|| <= c eps and
     the off-diagonal part of V^H G V below c eps ||G||.  LAPACK eigh is
     backward stable.  In the closed form, the 2 x 2 rotation is exact, the
-    complement [u1 u2] of v is orthonormal to O(eps), and v has a residual
+    complement [u1 u2] of v, two columns of a Householder reflection, is
+    orthonormal to O(eps), and v has a residual
     ||(G - l I) v|| of O(eps ||G||): r carries an error of O(eps), and l =
     m + 2 p cos(acos |r| / 3) moves by at most p / 3 times it (the
     derivative of cos(acos r / 3) lies in [1/9, 1/6] on [0, 1]), so l is
@@ -164,10 +165,12 @@ def _gram_eigenvectors(g: np.ndarray) -> np.ndarray:
     is the most isolated when r >= 0 and the smallest when r < 0, so l = m
     + sign(r) 2 p cos(acos |r| / 3).  Its eigenvector v is the largest of
     the three cross products of rows of G - l I, which are the columns of
-    its adjugate, or e_0 if all three vanish (G = l I).  The cross product
-    of v with the axis of its smallest entry, then of v with that, complete
-    v to an orthonormal basis [v u1 u2], and the same exact rotation
-    diagonalizes the 2 x 2 block [u1 u2]^H G [u1 u2]."""
+    its adjugate, or e_0 if all three vanish (G = l I).  Columns 1 and 2
+    of the Householder reflection (Householder, J. ACM 5, 1958) that takes
+    e_0 to v up to phase complete v to an orthonormal basis [v u1 u2], with
+    no choice of axis (Duff et al., "Building an Orthonormal Basis,
+    Revisited", JCGT 6, 2017), and the same exact rotation diagonalizes
+    the 2 x 2 block [u1 u2]^H G [u1 u2]."""
     q = g.shape[0]
     if q == 1:
         return np.ones_like(g)
@@ -221,18 +224,14 @@ def _gram_eigenvectors(g: np.ndarray) -> np.ndarray:
     found = size > 0
     inv = 1.0 / np.sqrt(np.where(found, size, 1.0))
     v = [np.where(found, v[0] * inv, 1.0), v[1] * inv, v[2] * inv]
-    # u1 = conj(v x e_i) / |v x e_i| for i the axis of v's smallest entry
-    m0, m1, m2 = (_sq_abs(w) for w in v)
-    i0 = (m0 <= m1) & (m0 <= m2)
-    i1 = ~i0 & (m1 <= m2)
-    w = [np.where(i0, 0.0, np.where(i1, -v[2], v[1])),
-         np.where(i0, v[2], np.where(i1, 0.0, -v[0])),
-         np.where(i0, -v[1], np.where(i1, v[0], 0.0))]
-    inv = 1.0 / np.sqrt(m0 + m1 + m2 - np.where(i0, m0, np.where(i1, m1, m2)))
-    u1 = [conj(c) * inv for c in w]
-    cv = [conj(c) for c in v]
-    u2 = [(cv[1] * w[2] - cv[2] * w[1]) * inv, (cv[2] * w[0] - cv[0] * w[2]) * inv,
-          (cv[0] * w[1] - cv[1] * w[0]) * inv]
+    # u1, u2: columns 1 and 2 of the reflection I - w w^H / (1 + |v0|), w = v +
+    # s e_0, s = v0 / |v0| so that w0 does not cancel (1 where |v0| is subnormal)
+    a0 = np.abs(v[0])
+    s = np.divide(v[0], a0, out=np.ones_like(v[0]), where=a0 >= np.finfo(float).tiny)
+    w0, h = v[0] + s, -1.0 / (1.0 + a0)
+    t1, t2 = conj(v[1]) * h, conj(v[2]) * h
+    u1 = [w0 * t1, 1.0 + v[1] * t1, v[2] * t1]
+    u2 = [w0 * t2, v[1] * t2, 1.0 + v[2] * t2]
     # the 2 x 2 block [u1 u2]^H G [u1 u2] from the upper triangle of G
     gu2 = [d0 * u2[0] + x * u2[1] + y * u2[2],
            conj(x) * u2[0] + d1 * u2[1] + z * u2[2],

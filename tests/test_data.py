@@ -124,11 +124,16 @@ def test_ragged_rows_rejected(tmp_path):
 
 
 def test_labels_reader_rejects_non_integer(tmp_path):
+    # int() takes 1_0 as 10 and the Arabic-Indic digit one as 1; a label,
+    # like a view cell, is ASCII with no underscore
     bad = tmp_path / "y.csv"
-    bad.write_text("0\n1\nx\n")
-    with pytest.raises(InputError) as exc:
-        read_labels_csv(bad)
-    assert "line 3" in str(exc.value)
+    for cell in ("x", "1_0", "\u0661"):
+        bad.write_text(f"0\n 2 \n{cell}\n+3\n", encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            read_labels_csv(bad)
+        assert "y.csv" in str(exc.value) and "line 3" in str(exc.value)
+    bad.write_text("0\n 2 \n+3\n")
+    assert read_labels_csv(bad).tolist() == [0, 2, 3]
 
 
 def test_labels_reader_rejects_labels_past_int64(tmp_path):

@@ -179,9 +179,9 @@ def both_branches(monkeypatch):
 
 def test_svt_stack_matches_per_matrix_oracle(both_branches):
     # the mixed stacks put matrices whose eigenvectors the closed form takes
-    # from different adjugate columns and complement axes side by side, with
-    # zero, diagonal, repeated and rank-one Gram matrices among them, so a
-    # selection that leaks into a neighbouring matrix shows
+    # from different adjugate columns side by side, with zero, diagonal,
+    # repeated and rank-one Gram matrices among them, so a selection that
+    # leaks into a neighbouring matrix shows
     rng = np.random.default_rng(9)
     random_shapes = [(7, 5, 3), (4, 3, 5), (2, 3, 4, 4), (6, 1, 4), (5, 4, 1), (3, 2, 5, 3)]
     mixed_shapes = [(2001, 5, 3), (2001, 3, 5)]
@@ -402,6 +402,18 @@ def test_closed_form_eigenvectors_have_a_backward_error_of_a_few_eps(complex_):
     g[:, [0, 1, 2], [0, 1, 2]] = 0.75
     off = rng.standard_normal((500, 3)) * 1e-78 * (np.exp(0.3j) if complex_ else 1.0)
     g[:, [0, 0, 1], [1, 2, 2]], g[:, [1, 2, 2], [0, 0, 1]] = off, np.conjugate(off)
+    stacks.append(g)
+    # row 0 all but cut off: g01 and g02 from subnormal to 1e-300 with a
+    # random phase (g02 zero in half the matrices), so that v0 of the
+    # isolated eigenvector is 0 or subnormal, where v0 / |v0| overflows
+    g = np.zeros((500, 3, 3), dtype=g.dtype)
+    g[:, [0, 1, 2], [0, 1, 2]] = rng.permuted(np.tile([1.0, .5, .25], (500, 1)), axis=1)
+    phase = np.exp(2j * np.pi * rng.random((500, 2))) if complex_ else rng.choice([-1.0, 1.0], (500, 2))
+    off = 10.0 ** rng.uniform(-324, -300, (500, 2)) * phase
+    off[:250, 1] = 0.0
+    g[:, 1, 2] = rng.uniform(-0.2, 0.2, 500) * (np.exp(0.3j) if complex_ else 1.0)
+    g[:, 0, 1:] = off
+    g[:, 1:, 0], g[:, 2, 1] = np.conjugate(off), np.conjugate(g[:, 1, 2])
     stacks.append(g)
     # equal diagonal entries and a subnormal off-diagonal one, whose
     # modulus would be rounded on the grid of subnormals
