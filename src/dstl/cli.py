@@ -59,9 +59,9 @@ _METRICS = (
 _NO_SCORE = {"mean": None, "std": None}
 
 # metrics.json keys between the five scores and the environment, in file order
-_FIT_KEYS = ("iterations", "stop_reason", "fit_seconds", "load_seconds", "variant",
-             "hyperparams", "clusters_found", "argmax_agreement", "partitions_found",
-             "error")
+_FIT_KEYS = ("iterations", "stop_reason", "fit_seconds", "load_seconds", "cluster_seconds",
+             "variant", "hyperparams", "clusters_found", "argmax_agreement",
+             "partitions_found", "error")
 
 # built-in log ladder for the lambda1/lambda2 sweep (`ablate --grid default`)
 TUNING_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0)
@@ -147,7 +147,8 @@ def _synth_normalized(args, n: int) -> MultiViewDataset:
 
 def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     """Fit once (the solver is deterministic), cluster `repeats` times with
-    distinct seeds, score each run against the labels when present.
+    distinct seeds, score each run against the labels when present.  The
+    wall time of the k-means calls, scoring excluded, is cluster_seconds.
 
     Also returns the evidence on the label rule: the accuracy of argmax(Y)
     against the chosen labels (None for ``no_Y``, which has no Y), and the
@@ -164,8 +165,11 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     best_inertia = np.inf
     per_run: dict[str, list[float]] = {name: [] for name, _ in _METRICS}
     partitions = set()
+    cluster_seconds = 0.0
     for r in range(repeats):
+        tic = time.perf_counter()
         pred, inertia = kmeans(embed, KMeansConfig(c=clusters, seed=hp.seed + r))
+        cluster_seconds += time.perf_counter() - tic
         partitions.add(_canonical_labels(pred).tobytes())
         if inertia < best_inertia:
             best_labels, best_inertia = pred, inertia
@@ -184,6 +188,7 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     return {
         "trace": trace,
         "fit_seconds": fit_seconds,
+        "cluster_seconds": cluster_seconds,
         "embedding": embed,
         "labels": best_labels,
         "scores": scores,
@@ -282,9 +287,10 @@ def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: in
     write_text(out / "trace.csv", _trace_text(trace))
     payload = _metrics_record(
         result["scores"], iterations=len(trace), stop_reason=stop_reason(trace, hp),
-        fit_seconds=result["fit_seconds"], load_seconds=load_seconds, variant=hp.variant,
+        fit_seconds=result["fit_seconds"], load_seconds=load_seconds,
+        cluster_seconds=result["cluster_seconds"], variant=hp.variant,
         hyperparams=_hyperparams_payload(hp, result["k"]),
-        clusters_found=int(np.unique(result["labels"]).size),
+        clusters_found=int(np.count_nonzero(np.bincount(result["labels"]))),
         argmax_agreement=result["argmax_agreement"],
         partitions_found=result["partitions_found"])
     write_text(out / "metrics.json", _json_text(payload))
@@ -395,22 +401,31 @@ def cmd_bench(args) -> int:
     # warm-up outside the timed region: BLAS/FFT setup, code paths
     fit_variant(_synth_normalized(args, max(10 * args.c, 50)), replace(hp, max_iter=2))
     datasets = [_synth_normalized(args, n) for n in sizes]
-    # a size's time is the least process CPU time of 3 untraced fits, taken
-    # in rounds over the sizes, so a slow phase of the host slows them alike
+    # a size's times are the least process CPU times of 3 untraced fits (and
+    # of the k-means on each fit's embedding), taken in rounds over the
+    # sizes, so a slow phase of the host slows them alike
     times = [np.inf] * len(sizes)
+    kmeans_times = [np.inf] * len(sizes)
     for _ in range(3):
         for i, ds in enumerate(datasets):
             tic = time.process_time()
-            fit_variant(ds, hp)
+            st, _ = fit_variant(ds, hp)
             times[i] = min(times[i], time.process_time() - tic)
+            if args.include_kmeans:
+                embed = clustering_embedding(st, hp.variant)
+                tic = time.process_time()
+                kmeans(embed, KMeansConfig(c=args.c, seed=hp.seed))
+                kmeans_times[i] = min(kmeans_times[i], time.process_time() - tic)
+            # the next fit starts with this one and its embedding freed
+            st = embed = None
     table = "n,fit_seconds,peak_mb,iterations"
     table += ",kmeans_seconds\n" if args.include_kmeans else "\n"
-    for n, fit_seconds in zip(sizes, times):
+    for n, fit_seconds, kmeans_seconds in zip(sizes, times, kmeans_times):
         # tracemalloc slows every allocation, so the memory peak comes from
         # one more, traced run
         tracemalloc.start()
         try:
-            st, trace = fit_variant(_synth_normalized(args, n), hp)
+            _, trace = fit_variant(_synth_normalized(args, n), hp)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -418,10 +433,6 @@ def cmd_bench(args) -> int:
                  f"iterations={len(trace)}")
         table += f"{n},{fit_seconds:.6f},{peak_mb:.3f},{len(trace)}"
         if args.include_kmeans:
-            embed = clustering_embedding(st, hp.variant)
-            tic = time.process_time()
-            kmeans(embed, KMeansConfig(c=args.c, seed=hp.seed))
-            kmeans_seconds = time.process_time() - tic
             shown += f" kmeans_seconds={kmeans_seconds:.3f}"
             table += f",{kmeans_seconds:.6f}"
         print(shown)

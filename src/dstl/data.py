@@ -88,7 +88,9 @@ class MultiViewDataset:
             if lab.min() < 0:
                 raise InputError(f"negative class id {lab.min()}")
             c = int(lab.max()) + 1
-            present = np.unique(lab)
+            # a class id of n or more leaves a class empty, so the bincount
+            # of the common case stays within n entries
+            present = np.unique(lab) if c > n else np.flatnonzero(np.bincount(lab))
             if present.size != c:
                 # among 0..present.size at least one class is missing
                 first = int(np.setdiff1d(np.arange(present.size + 1), present)[0])

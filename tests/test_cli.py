@@ -90,12 +90,15 @@ def test_fit_outputs(tmp_path, capsys):
 
     payload = json.loads((out / "metrics.json").read_text())
     assert set(payload) == set(METRIC_KEYS) | {
-        "iterations", "stop_reason", "fit_seconds", "load_seconds", "variant", "hyperparams",
-        "clusters_found", "argmax_agreement", "partitions_found", "error", "environment",
+        "iterations", "stop_reason", "fit_seconds", "load_seconds", "cluster_seconds", "variant",
+        "hyperparams", "clusters_found", "argmax_agreement", "partitions_found", "error",
+        "environment",
     }
     keys = list(payload)
     assert keys.index("load_seconds") == keys.index("fit_seconds") + 1
+    assert keys.index("cluster_seconds") == keys.index("load_seconds") + 1
     assert 0.0 < payload["load_seconds"] < 60.0
+    assert 0.0 < payload["cluster_seconds"] < 60.0
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert payload["environment"] == {
         "dstl": dstl.__version__, "numpy": np.__version__,
@@ -201,6 +204,7 @@ def test_eval_scores_ground_truth_as_perfect(tmp_path, capsys):
     assert payload["iterations"] is None
     assert payload["stop_reason"] is None
     assert payload["fit_seconds"] is None and payload["load_seconds"] is None
+    assert payload["cluster_seconds"] is None
     assert payload["variant"] is None
     assert payload["hyperparams"] is None
     assert payload["clusters_found"] is None
@@ -337,6 +341,16 @@ def test_bench_optional_kmeans_column(tmp_path):
     lines = (out / "timing.csv").read_text().strip().splitlines()
     assert lines[0] == "n,fit_seconds,peak_mb,iterations,kmeans_seconds"
     assert float(lines[1].split(",")[4]) >= 0
+
+
+def test_bench_kmeans_seconds_is_the_least_of_three_rounds(tmp_path, monkeypatch):
+    # one k-means per fit of each of the three interleaved rounds
+    calls = []
+    monkeypatch.setattr(cli, "kmeans", lambda points, cfg: calls.append(points.shape[1]))
+    assert cli.main(["bench", "--sizes", "40,60", "--out", str(tmp_path / "bench"),
+                     "--c", "2", "--m", "1", "--dims", "6", "--k", "2",
+                     "--max-iter", "2", "--include-kmeans"]) == 0
+    assert calls == [40, 60] * 3
 
 
 def test_bench_rejects_bad_sizes(tmp_path):
@@ -523,6 +537,7 @@ def test_overflow_exits_numeric_failure(tmp_path, capsys):
     assert payload["error"] == err[0].removeprefix("numeric failure: ")
     # the load came before the failure, so its time is on record
     assert payload["fit_seconds"] is None and payload["load_seconds"] > 0.0
+    assert payload["cluster_seconds"] is None
     assert payload["iterations"] is None and payload["clusters_found"] is None
     assert payload["argmax_agreement"] is None and payload["partitions_found"] is None
     assert payload["variant"] == "full" and payload["hyperparams"]["k"] == 3
@@ -612,6 +627,17 @@ def test_import_loads_no_scipy(module):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr or f"import {module} loaded scipy"
+
+
+def test_fit_does_not_import_numpy_ma(tmp_path):
+    # plain np.unique imports numpy.ma on its first call (numpy 2.4), which
+    # costs milliseconds of start-up; dstl fit makes no such call
+    manifest = make_synth(tmp_path)
+    script = ("import sys; from dstl.cli import main; rc = main(sys.argv[1:]); "
+              "sys.exit(rc or 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, *fit_args(manifest, tmp_path / "o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "dstl fit imported numpy.ma"
 
 
 def test_fit_and_ablate_score_with_scipy_unimportable(tmp_path):

@@ -151,7 +151,20 @@ def test_huge_class_id_is_rejected_without_enumerating_classes():
     # a class id near the int64 limit implies ~2**62 classes, almost all empty
     with pytest.raises(InputError) as exc:
         MultiViewDataset((np.ones((2, 3)),), labels=np.array([0, 2**62, 1]))
-    assert "have no samples" in str(exc.value) and "the first is 2" in str(exc.value)
+    assert str(exc.value) == (f"{2**62 - 2} of the classes 0..{2**62} have no samples, "
+                              f"the first is 2")
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 3, 1], "1 of the classes 0..3 have no samples, the first is 2"),  # id >= n
+    ([0, 3, 1, 3], "1 of the classes 0..3 have no samples, the first is 2"),  # id < n
+    ([2, 2, 0, 2], "1 of the classes 0..2 have no samples, the first is 1"),
+    ([4, 4, 4, 4, 4], "4 of the classes 0..4 have no samples, the first is 0"),
+])
+def test_missing_classes_are_counted_and_the_first_named(labels, message):
+    with pytest.raises(InputError) as exc:
+        MultiViewDataset((np.ones((2, len(labels))),), labels=np.array(labels))
+    assert str(exc.value) == message
 
 
 def test_normalize_none_is_identity():

@@ -11,8 +11,8 @@ from hypothesis import strategies as hst
 
 import dstl
 from dstl.errors import InputError, NumericError
-from dstl.kmeans import (KMeansConfig, _assign, _centroid_sums, _column_sq_dist, _draw, _lloyd,
-                         kmeans)
+from dstl.kmeans import (KMeansConfig, _assign, _assign_points, _centroid_sums, _column_sq_dist,
+                         _distinct, _draw, _lloyd, kmeans)
 from dstl.metrics import accuracy
 
 from conftest import (assign_oracle, centroid_sums_oracle, cn_product, kmeans_oracle,
@@ -67,7 +67,7 @@ def test_lloyd_inertia_history_non_increasing():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 60))
     centers = x[:, :5].T.copy()
-    _, _, history = _lloyd(x, centers, 5)
+    _, _, history = _lloyd(x, *_distinct(x), centers, 5)
     assert len(history) >= 1
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-9)
@@ -78,7 +78,7 @@ def test_lloyd_repairs_empty_clusters():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 30)) * 3
     centers = np.repeat(x[:, :1].T, 3, axis=0)
-    labels, inertia, _ = _lloyd(x, centers, 3)
+    labels, inertia, _ = _lloyd(x, *_distinct(x), centers, 3)
     assert np.bincount(labels, minlength=3).min() >= 1
     assert np.isfinite(inertia)
 
@@ -191,26 +191,87 @@ def test_assignment_and_seeding_sum_one_distance(d, n):
 @settings(max_examples=300, deadline=None)
 @given(
     c=hst.integers(1, 12),
+    n=hst.integers(1, 120),
+    d=hst.integers(1, 60),
+    distinct=hst.integers(1, 40),
+    scale_exp=hst.sampled_from([-160, -100, -3, 0, 3, 100]),
+    centers_kind=hst.sampled_from(["points", "random", "repeated"]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+# one distinct column, which numpy sums pairwise, far from every center
+@example(c=1, n=5, d=30, distinct=1, scale_exp=0, centers_kind="random", seed=0)
+# repeated centers tie on every point
+@example(c=7, n=80, d=42, distinct=3, scale_exp=-3, centers_kind="repeated", seed=1)
+@example(c=3, n=3, d=8, distinct=1, scale_exp=-3, centers_kind="repeated", seed=2)
+# scores near the subnormal range
+@example(c=4, n=60, d=20, distinct=6, scale_exp=-160, centers_kind="points", seed=3)
+def test_assign_on_the_distinct_columns_matches_assign_over_all_points(c, n, d, distinct,
+                                                                     scale_exp, centers_kind,
+                                                                     seed):
+    # bit for bit, whether the tie bound lets the distinct columns decide
+    # or sends the step over all n columns
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((d, distinct)) * 10.0 ** scale_exp
+    cols = np.ascontiguousarray(base[:, rng.integers(distinct, size=n)])
+    if centers_kind == "points":
+        centers = cols[:, rng.integers(n, size=c)].T.copy()
+    elif centers_kind == "random":
+        centers = rng.standard_normal((c, d)) * 10.0 ** scale_exp
+    else:
+        centers = np.repeat(cols[:, rng.integers(n, size=1)].T, c, axis=0)
+    uniq, inverse = _distinct(cols)
+    norms = np.sqrt((uniq * uniq).sum(axis=0))
+    labels, point_d2 = _assign_points(cols, uniq, inverse, norms, centers)
+    want_labels, want_d2 = _assign(cols, centers)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(point_d2, want_d2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=hst.integers(1, 12),
     extra=hst.integers(0, 80),
     d=hst.integers(1, 60),
     distinct=hst.integers(1, 92),
     scale_exp=hst.sampled_from([-100, -3, 0, 3, 100]),
+    kind=hst.sampled_from(["drawn", "one_hot", "signed_zeros"]),
     seed=hst.integers(0, 2**32 - 1),
 )
-@example(c=12, extra=0, d=60, distinct=1, scale_exp=0, seed=0)
-@example(c=6, extra=40, d=3, distinct=4, scale_exp=100, seed=1)
-@example(c=5, extra=80, d=5, distinct=92, scale_exp=-100, seed=2)
-@example(c=10, extra=60, d=50, distinct=92, scale_exp=0, seed=3)
-def test_kmeans_matches_the_oracle_bit_for_bit(c, extra, d, distinct, scale_exp, seed):
-    # n points drawn from `distinct` rows: fewer distinct points than
-    # clusters forces empty clusters and the reseeding path.  The oracle
-    # takes its score from the same (c, n) product, because at d >= 16
-    # and small n the two GEMM layouts can round apart, and a tie under
-    # rounding then goes another way
+@example(c=12, extra=0, d=60, distinct=1, scale_exp=0, kind="drawn", seed=0)
+@example(c=6, extra=40, d=3, distinct=4, scale_exp=100, kind="drawn", seed=1)
+@example(c=5, extra=80, d=5, distinct=92, scale_exp=-100, kind="drawn", seed=2)
+@example(c=10, extra=60, d=50, distinct=92, scale_exp=0, kind="drawn", seed=3)
+# a fit's Y at the fit_ref shape: 99% of the 8000 columns are vertices
+@example(c=5, extra=7995, d=5, distinct=1, scale_exp=0, kind="one_hot", seed=4)
+@example(c=4, extra=60, d=3, distinct=5, scale_exp=0, kind="signed_zeros", seed=5)
+# where the (c, u) product rounds apart from the (c, n) one (gemv at u = 1,
+# a column's place in the GEMM at d >= 16) and ties must go to all n points
+@example(c=3, extra=0, d=8, distinct=1, scale_exp=-3, kind="drawn", seed=1)
+@example(c=7, extra=78, d=42, distinct=3, scale_exp=-3, kind="drawn", seed=2898498908)
+def test_kmeans_matches_the_oracle_bit_for_bit(c, extra, d, distinct, scale_exp, kind, seed):
+    # "drawn": n points drawn from `distinct` columns, so fewer distinct
+    # points than clusters forces empty clusters and the reseeding path;
+    # "signed_zeros" draws them with +0.0 and -0.0 twins of a column, which
+    # k-means keeps apart as distinct bytes; "one_hot" puts all but about 1%
+    # of the columns on the vertices of the simplex, as the Y step does.
+    # The oracle runs every step over all n points and takes its score
+    # from the same (c, n) product, because at d >= 16 and small n the two
+    # GEMM layouts can round apart, and a tie under rounding then goes
+    # another way
     rng = np.random.default_rng(seed)
     n = c + extra
-    base = rng.standard_normal((d, min(distinct, n))) * 10.0 ** scale_exp
-    x = base[:, rng.integers(base.shape[1], size=n)]
+    if kind == "one_hot":
+        x = np.eye(d)[:, rng.integers(d, size=n)]
+        off = rng.choice(n, size=max(1, n // 100), replace=False)
+        x[:, off] = random_column_stochastic(rng, d, off.size)
+        x *= 10.0 ** scale_exp
+    else:
+        base = rng.standard_normal((d, min(distinct, n))) * 10.0 ** scale_exp
+        if kind == "signed_zeros":
+            base[rng.random(base.shape) < 0.5] = 0.0
+        x = base[:, rng.integers(base.shape[1], size=n)]
+        if kind == "signed_zeros":
+            x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
     labels, inertia = kmeans(x, KMeansConfig(c=c, restarts=3, seed=seed))
     want_labels, want_inertia = kmeans_oracle(x, c, restarts=3, seed=seed, product=cn_product)
     assert np.array_equal(labels, want_labels)
@@ -270,11 +331,16 @@ means = rng.standard_normal((50, 10)) * 0.5
 x = means[:, rng.integers(10, size=4000)] + rng.standard_normal((50, 4000))
 labels, inertia = kmeans(x, KMeansConfig(c=10, seed=3))
 print(hashlib.sha256(labels.astype(np.int64).tobytes()).hexdigest(), inertia.hex())
+base = rng.gamma(1.0, size=(10, 100))
+base /= base.sum(axis=0)
+labels, inertia = kmeans(base[:, rng.integers(100, size=4000)], KMeansConfig(c=10, seed=3))
+print(hashlib.sha256(labels.astype(np.int64).tobytes()).hexdigest(), inertia.hex())
 """
 
 
 def test_kmeans_does_not_depend_on_blas_threads():
-    # the GEMM score at the 50-row width of the no_Y embedding, under one
+    # the GEMM score at the 50-row width of the no_Y embedding, and the
+    # small (c, u) one of 4000 points on 100 distinct columns, under one
     # and two BLAS threads
     src = str(Path(dstl.__file__).resolve().parent.parent)
     outputs = []
