@@ -9,7 +9,7 @@ from .data import (
     write_dataset,
 )
 from .errors import InputError, NumericError
-from .kmeans import KMeansConfig, kmeans
+from .kmeans import KMeansConfig, kmeans, kmeans_repeats
 from .metrics import accuracy, ari, f_score, nmi, purity
 from .solver import VARIANTS, Hyperparams, clustering_embedding, fit_variant
 
@@ -26,6 +26,7 @@ __all__ = [
     "NumericError",
     "KMeansConfig",
     "kmeans",
+    "kmeans_repeats",
     "accuracy",
     "nmi",
     "purity",

@@ -300,8 +300,34 @@ def _is_number(cell: str) -> bool:
 
 
 def read_labels_csv(path: str | Path) -> np.ndarray:
-    """Parse a one-integer-per-line labels file of ASCII decimal integers."""
+    """Parse a one-integer-per-line labels file of ASCII decimal integers.
+
+    numpy's C reader parses the file.  When it rejects the file,
+    _scan_labels reads it again line by line, to name the bad line or, for
+    a file the reader is stricter on than the line rules (a line of
+    whitespace alone), to parse it."""
     path = Path(path)
+    with _text_in(path) as fh, warnings.catch_warnings():
+        # a file with no labels is reported below, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            labels = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError:  # a ValueError too; _text_in names the file
+            raise
+        except ValueError:
+            labels = None
+    if labels is None or labels.shape[1] != 1:  # a comma makes a second column
+        return _scan_labels(path)
+    if labels.size == 0:
+        raise InputError(f"{path}: empty labels file")
+    return labels.ravel()
+
+
+def _scan_labels(path: Path) -> np.ndarray:
+    """The labels of a file read one stripped line at a time, blank lines
+    skipped; raises an InputError at the first line that is not an ASCII
+    decimal int64, lines counted from 1, blank lines included."""
     lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
     values = []
     for i, line in enumerate(_text_lines(path)):

@@ -2,7 +2,9 @@
 
 Deterministic given the config seed: restarts draw independent child
 generators from a SeedSequence, and the restart with the smallest inertia
-(first such restart on ties) wins.  Each restart runs at most
+(first such restart on ties) wins.  kmeans_repeats clusters one matrix for
+several seeds at once, and kmeans is its one-seed case; each seed's result
+is that of a call for the seed alone, bit for bit.  Each restart runs at most
 MAX_LLOYD_ITER = 300 Lloyd iterations and stops early once the labels
 repeat, the inertia reaches zero, or the inertia falls by no more than
 LLOYD_TOL = 1e-7 of its previous value.
@@ -30,6 +32,18 @@ A seeding draw is Generator.choice(n, p=d2 / d2.sum()) minus its checks:
 one rng.random() searched (side "right") in the cumulative sum divided by
 its last entry, so a seed picks the same centers.
 
+The input checks and the distinct columns are done once per call, for all
+seeds.  The seeding of every restart of every seed then runs
+breadth-first: each generator draws its first center, and at each later
+depth the restarts are grouped by the set of distinct columns they have
+chosen.  Their distances d2 are an elementwise minimum of exact per-column
+distances, which the order of the set cannot change, so one group forms
+one take, sum and cumulative sum over the n points, and each of its
+restarts draws from that with its own generator, in the order of calls a
+lone restart makes.  A fit's Y has few distinct columns, so its restarts
+often share a set; where all columns differ, a group is mostly one
+restart.  Lloyd iterations run per restart.
+
 Points whose squared norms, times 4n, overflow float64 raise NumericError:
 below that bound no score, distance or inertia can overflow.  Duplicate
 points can leave fewer than c distinct labels; that is returned as is.
@@ -43,7 +57,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, check_integers
 
-__all__ = ["KMeansConfig", "kmeans"]
+__all__ = ["KMeansConfig", "kmeans", "kmeans_repeats"]
 
 MAX_LLOYD_ITER = 300
 LLOYD_TOL = 1e-7
@@ -62,31 +76,54 @@ class KMeansConfig:
 
 
 def _plusplus_init(uniq: np.ndarray, inverse: np.ndarray, c: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding on the n points inverse maps into the distinct
-    columns of the (d, u) matrix uniq: the next center is drawn with
-    probability proportional to the exact squared distance from the chosen
-    set, the draw running over the n points in index order."""
+                   rngs: list[np.random.Generator]) -> list[np.ndarray]:
+    """k-means++ seeding, one (c, d) set of centers per generator, on the n
+    points inverse maps into the distinct columns of the (d, u) matrix uniq:
+    each next center is drawn with probability proportional to the exact
+    squared distance from the chosen set, the draw running over the n points
+    in index order.
+
+    The generators advance breadth-first, one center each per depth, and
+    those whose chosen columns form the same set share one distance vector
+    and one cumulative distribution per depth (see the module docstring)."""
     n = inverse.size
-    centers = np.empty((c, uniq.shape[0]))
-    centers[0] = uniq[:, inverse[rng.integers(n)]]
-    d2 = _column_sq_dist(uniq, centers[0])
-    for i in range(1, c):
-        point_d2 = d2.take(inverse)
-        total = point_d2.sum()
-        if total > 0:
-            idx = _draw(point_d2 / total, rng)
-        else:
-            idx = rng.integers(n)
-        centers[i] = uniq[:, inverse[idx]]
-        np.minimum(d2, _column_sq_dist(uniq, centers[i]), out=d2)
-    return centers
+    picks = [[int(inverse[rng.integers(n)])] for rng in rngs]
+    # chosen set -> squared distance of each distinct column to it
+    d2 = {frozenset(p): _column_sq_dist(uniq, uniq[:, p[0]]) for p in picks}
+    for _ in range(1, c):
+        groups: dict[frozenset, list[int]] = {}
+        for r, p in enumerate(picks):
+            groups.setdefault(frozenset(p), []).append(r)
+        grown = {}
+        for key, members in groups.items():
+            cdf = _cdf(d2[key].take(inverse))
+            for r in members:
+                j = int(inverse[_draw(cdf, n, rngs[r])])
+                picks[r].append(j)
+                new = key | {j}
+                if new not in grown:
+                    grown[new] = np.minimum(d2[key], _column_sq_dist(uniq, uniq[:, j]))
+        d2 = grown
+    return [np.ascontiguousarray(uniq[:, p].T) for p in picks]
 
 
-def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
-    """The index Generator.choice(p.size, p=p) draws, by its arithmetic."""
-    cdf = np.cumsum(p)
+def _cdf(weights: np.ndarray) -> np.ndarray | None:
+    """The cumulative distribution Generator.choice(n, p=weights / total)
+    searches, total the sum of the weights; None when that is zero."""
+    total = weights.sum()
+    if not total > 0:
+        return None
+    cdf = np.cumsum(weights / total)
     cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray | None, n: int, rng: np.random.Generator) -> int:
+    """The index Generator.choice(n, p=weights / total) draws, by its
+    arithmetic, with cdf = _cdf(weights): one rng.random() searched (side
+    "right") in cdf; where cdf is None, rng.integers(n) instead."""
+    if cdf is None:
+        return int(rng.integers(n))
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
@@ -207,10 +244,13 @@ def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, centers: np.
     return labels, inertia, history
 
 
-def kmeans(points: np.ndarray, cfg: KMeansConfig):
-    """Cluster the n columns of a (d, n) matrix into cfg.c groups.
+def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
+    """Cluster the n columns of a (d, n) matrix into cfg.c groups once per
+    seed cfg.seed + r, r < repeats.
 
-    Returns (labels, inertia) of the best restart.
+    Returns one (labels, inertia) per seed, that of its best restart.  The
+    checks, the distinct columns and the seeding are shared by all repeats;
+    each result is what kmeans gives for its seed alone, bit for bit.
     """
     cols = np.ascontiguousarray(points, dtype=float)
     if cols.ndim != 2:
@@ -228,12 +268,24 @@ def kmeans(points: np.ndarray, cfg: KMeansConfig):
                 f"k-means on {n} points with squared norms up to {top:.3e} "
                 f"would overflow float64"
             )
-    best_labels = None
-    best_inertia = np.inf
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        rng = np.random.default_rng(child)
-        centers = _plusplus_init(uniq, inverse, cfg.c, rng)
-        labels, inertia, _ = _lloyd(cols, uniq, inverse, centers, cfg.c)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels, float(best_inertia)
+    rngs = [np.random.default_rng(child) for r in range(repeats)
+            for child in np.random.SeedSequence(cfg.seed + r).spawn(cfg.restarts)]
+    seeded = _plusplus_init(uniq, inverse, cfg.c, rngs)
+    results = []
+    for r in range(repeats):
+        best_labels = None
+        best_inertia = np.inf
+        for centers in seeded[r * cfg.restarts:(r + 1) * cfg.restarts]:
+            labels, inertia, _ = _lloyd(cols, uniq, inverse, centers, cfg.c)
+            if inertia < best_inertia:
+                best_labels, best_inertia = labels, inertia
+        results.append((best_labels, float(best_inertia)))
+    return results
+
+
+def kmeans(points: np.ndarray, cfg: KMeansConfig):
+    """Cluster the n columns of a (d, n) matrix into cfg.c groups.
+
+    Returns (labels, inertia) of the best restart.
+    """
+    return kmeans_repeats(points, cfg, 1)[0]

@@ -35,6 +35,32 @@ def read_matrix_csv_oracle(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def read_labels_csv_oracle(path) -> np.ndarray:
+    """dstl.data.read_labels_csv as it parsed before numpy's C reader took
+    over: one int() per stripped non-blank line, with the same messages.
+    Takes a readable UTF-8 file."""
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if not line.isascii() or "_" in line:  # int() takes 1_0 and non-ASCII digits
+                    raise ValueError(line)
+                values.append(int(line))
+            except ValueError:
+                raise InputError(
+                    f"{path}: line {i + 1}: not an integer label: {line!r}"
+                ) from None
+            if not lo <= values[-1] <= hi:
+                raise InputError(f"{path}: line {i + 1}: label outside int64: {line!r}")
+    if not values:
+        raise InputError(f"{path}: empty labels file")
+    return np.asarray(values, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra helpers
 
@@ -329,6 +355,17 @@ def centroid_sums_oracle(x: np.ndarray, labels: np.ndarray, c: int) -> np.ndarra
 
 # ---------------------------------------------------------------------------
 # clustering metric oracles (dict counting / exhaustive enumeration)
+
+
+def contingency_oracle(pred, truth) -> np.ndarray:
+    """dstl.metrics.contingency as it counted before its bincount over the
+    labels themselves: both labelings coded by np.unique first.  Takes two
+    valid labelings."""
+    _, pi = np.unique(np.asarray(pred), return_inverse=True)
+    _, ti = np.unique(np.asarray(truth), return_inverse=True)
+    cp = int(pi.max()) + 1
+    ct = int(ti.max()) + 1
+    return np.bincount(pi * ct + ti, minlength=cp * ct).reshape(cp, ct).astype(np.int64)
 
 
 def pair_confusion_oracle(pred, truth):

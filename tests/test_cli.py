@@ -90,15 +90,17 @@ def test_fit_outputs(tmp_path, capsys):
 
     payload = json.loads((out / "metrics.json").read_text())
     assert set(payload) == set(METRIC_KEYS) | {
-        "iterations", "stop_reason", "fit_seconds", "load_seconds", "cluster_seconds", "variant",
-        "hyperparams", "clusters_found", "argmax_agreement", "partitions_found", "error",
+        "iterations", "stop_reason", "fit_seconds", "load_seconds", "cluster_seconds",
+        "score_seconds", "variant", "hyperparams", "clusters_found", "argmax_agreement", "partitions_found", "error",
         "environment",
     }
     keys = list(payload)
     assert keys.index("load_seconds") == keys.index("fit_seconds") + 1
     assert keys.index("cluster_seconds") == keys.index("load_seconds") + 1
+    assert keys.index("score_seconds") == keys.index("cluster_seconds") + 1
     assert 0.0 < payload["load_seconds"] < 60.0
     assert 0.0 < payload["cluster_seconds"] < 60.0
+    assert 0.0 < payload["score_seconds"] < 60.0
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert payload["environment"] == {
         "dstl": dstl.__version__, "numpy": np.__version__,
@@ -204,7 +206,7 @@ def test_eval_scores_ground_truth_as_perfect(tmp_path, capsys):
     assert payload["iterations"] is None
     assert payload["stop_reason"] is None
     assert payload["fit_seconds"] is None and payload["load_seconds"] is None
-    assert payload["cluster_seconds"] is None
+    assert payload["cluster_seconds"] is None and payload["score_seconds"] is None
     assert payload["variant"] is None
     assert payload["hyperparams"] is None
     assert payload["clusters_found"] is None
@@ -537,7 +539,7 @@ def test_overflow_exits_numeric_failure(tmp_path, capsys):
     assert payload["error"] == err[0].removeprefix("numeric failure: ")
     # the load came before the failure, so its time is on record
     assert payload["fit_seconds"] is None and payload["load_seconds"] > 0.0
-    assert payload["cluster_seconds"] is None
+    assert payload["cluster_seconds"] is None and payload["score_seconds"] is None
     assert payload["iterations"] is None and payload["clusters_found"] is None
     assert payload["argmax_agreement"] is None and payload["partitions_found"] is None
     assert payload["variant"] == "full" and payload["hyperparams"]["k"] == 3

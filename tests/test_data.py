@@ -29,7 +29,7 @@ from dstl.errors import InputError
 from dstl.kmeans import KMeansConfig, kmeans
 from dstl.metrics import accuracy
 
-from conftest import read_matrix_csv_oracle
+from conftest import read_labels_csv_oracle, read_matrix_csv_oracle
 
 
 def write_manifest(tmp_path, views, labels=None, name="toy"):
@@ -145,6 +145,36 @@ def test_labels_reader_rejects_labels_past_int64(tmp_path):
         assert "y.csv" in str(exc.value) and "line 2" in str(exc.value)
     bad.write_text("9223372036854775807\n-9223372036854775808\n")
     assert read_labels_csv(bad).tolist() == [2**63 - 1, -(2**63)]
+
+
+# label lines the C reader and int() read alike, lines only int() reads
+# (blank lines of whitespace beyond space and tab) and lines neither reads
+LABEL_LINES = ("0", "7", "+3", "-12", " 2 ", "\t5", "00042", "-0", "9223372036854775807",
+               "-9223372036854775808", "", "  ", "\xa0", "\x0c", "\u3000", "\xa09",
+               "1.0", "1_0", "1e3", "0x10", "1,2", "1 2", "x", "\u0661", "\u200b4", "+-3",
+               "18446744073709551616", "9223372036854775808")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=hst.lists(hst.sampled_from(LABEL_LINES), max_size=8),
+       end=hst.sampled_from(["\n", "\r\n", "\r"]), last=hst.booleans())
+@example(lines=["1", "  ", "2"], end="\n", last=True)
+@example(lines=["1,2", "3,4"], end="\n", last=True)
+@example(lines=[], end="\n", last=False)
+def test_labels_reader_agrees_with_the_line_reader(lines, end, last):
+    # the same labels, or the same message, as int() line by line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "y.csv"
+        path.write_bytes((end.join(lines) + (end if last else "")).encode())
+        try:
+            want = read_labels_csv_oracle(path)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                read_labels_csv(path)
+            assert str(got.value) == str(exc)
+        else:
+            got = read_labels_csv(path)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_huge_class_id_is_rejected_without_enumerating_classes():

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from hypothesis import strategies as hst
 
 import dstl
 from dstl.errors import InputError, NumericError
-from dstl.kmeans import (KMeansConfig, _assign, _assign_points, _centroid_sums, _column_sq_dist,
-                         _distinct, _draw, _lloyd, kmeans)
+import dstl.cli as cli
+from dstl.kmeans import (KMeansConfig, _assign, _assign_points, _centroid_sums, _cdf,
+                         _column_sq_dist, _distinct, _draw, _lloyd, kmeans, kmeans_repeats)
 from dstl.metrics import accuracy
 
 from conftest import (assign_oracle, centroid_sums_oracle, cn_product, kmeans_oracle,
@@ -227,6 +229,27 @@ def test_assign_on_the_distinct_columns_matches_assign_over_all_points(c, n, d, 
     assert np.array_equal(point_d2, want_d2)
 
 
+def _kmeans_input(rng, n, d, distinct, scale_exp, kind):
+    """A (d, n) k-means input.  "drawn": n points drawn from `distinct`
+    columns, so fewer distinct points than clusters forces empty clusters
+    and the reseeding path; "signed_zeros" draws them with +0.0 and -0.0
+    twins of a column, which k-means keeps apart as distinct bytes;
+    "one_hot" puts all but about 1% of the columns on the vertices of the
+    simplex, as the Y step does."""
+    if kind == "one_hot":
+        x = np.eye(d)[:, rng.integers(d, size=n)]
+        off = rng.choice(n, size=max(1, n // 100), replace=False)
+        x[:, off] = random_column_stochastic(rng, d, off.size)
+        return x * 10.0 ** scale_exp
+    base = rng.standard_normal((d, min(distinct, n))) * 10.0 ** scale_exp
+    if kind == "signed_zeros":
+        base[rng.random(base.shape) < 0.5] = 0.0
+    x = base[:, rng.integers(base.shape[1], size=n)]
+    if kind == "signed_zeros":
+        x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    return x
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     c=hst.integers(1, 12),
@@ -249,29 +272,11 @@ def test_assign_on_the_distinct_columns_matches_assign_over_all_points(c, n, d, 
 @example(c=3, extra=0, d=8, distinct=1, scale_exp=-3, kind="drawn", seed=1)
 @example(c=7, extra=78, d=42, distinct=3, scale_exp=-3, kind="drawn", seed=2898498908)
 def test_kmeans_matches_the_oracle_bit_for_bit(c, extra, d, distinct, scale_exp, kind, seed):
-    # "drawn": n points drawn from `distinct` columns, so fewer distinct
-    # points than clusters forces empty clusters and the reseeding path;
-    # "signed_zeros" draws them with +0.0 and -0.0 twins of a column, which
-    # k-means keeps apart as distinct bytes; "one_hot" puts all but about 1%
-    # of the columns on the vertices of the simplex, as the Y step does.
-    # The oracle runs every step over all n points and takes its score
+    # the oracle runs every step over all n points and takes its score
     # from the same (c, n) product, because at d >= 16 and small n the two
     # GEMM layouts can round apart, and a tie under rounding then goes
     # another way
-    rng = np.random.default_rng(seed)
-    n = c + extra
-    if kind == "one_hot":
-        x = np.eye(d)[:, rng.integers(d, size=n)]
-        off = rng.choice(n, size=max(1, n // 100), replace=False)
-        x[:, off] = random_column_stochastic(rng, d, off.size)
-        x *= 10.0 ** scale_exp
-    else:
-        base = rng.standard_normal((d, min(distinct, n))) * 10.0 ** scale_exp
-        if kind == "signed_zeros":
-            base[rng.random(base.shape) < 0.5] = 0.0
-        x = base[:, rng.integers(base.shape[1], size=n)]
-        if kind == "signed_zeros":
-            x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    x = _kmeans_input(np.random.default_rng(seed), c + extra, d, distinct, scale_exp, kind)
     labels, inertia = kmeans(x, KMeansConfig(c=c, restarts=3, seed=seed))
     want_labels, want_inertia = kmeans_oracle(x, c, restarts=3, seed=seed, product=cn_product)
     assert np.array_equal(labels, want_labels)
@@ -314,12 +319,64 @@ def test_seeding_draw_is_generator_choice_draw_for_draw(n, zero_frac, power, see
     w[rng.random(n) < zero_frac] = 0.0
     w[rng.integers(n)] = 1.0
     p = w / w.sum()
+    cdf = _cdf(w)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
-        idx = _draw(p, ours)
+        idx = _draw(cdf, n, ours)
         assert idx == theirs.choice(n, p=p)
         assert p[idx] > 0
     assert ours.random() == theirs.random()  # both streams used one draw each
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    c=hst.integers(1, 8),
+    extra=hst.integers(0, 60),
+    d=hst.integers(1, 20),
+    distinct=hst.integers(1, 30),
+    repeats=hst.integers(1, 4),
+    restarts=hst.integers(1, 4),
+    kind=hst.sampled_from(["drawn", "one_hot", "signed_zeros"]),
+    seed=hst.integers(0, 2**31),
+)
+# fewer distinct columns than clusters: once every column is chosen the
+# weights sum to 0, and those draws take rng.integers(n)
+@example(c=6, extra=30, d=4, distinct=2, repeats=3, restarts=4, kind="drawn", seed=0)
+@example(c=8, extra=40, d=3, distinct=3, repeats=2, restarts=3, kind="signed_zeros", seed=1)
+# a Y-like input where restarts share chosen sets at every depth
+@example(c=5, extra=395, d=5, distinct=1, repeats=4, restarts=4, kind="one_hot", seed=2)
+def test_kmeans_repeats_equal_one_kmeans_call_per_seed(c, extra, d, distinct, repeats,
+                                                       restarts, kind, seed):
+    # breadth-first seeding over all repeats draws, per seed, the centers
+    # that a call for that seed alone draws, and keeps the same restart
+    x = _kmeans_input(np.random.default_rng(seed), c + extra, d, distinct, 0, kind)
+    runs = kmeans_repeats(x, KMeansConfig(c=c, restarts=restarts, seed=seed), repeats)
+    assert len(runs) == repeats
+    for r, (labels, inertia) in enumerate(runs):
+        alone = kmeans(x, KMeansConfig(c=c, restarts=restarts, seed=seed + r))
+        want_labels, want_inertia = kmeans_oracle(x, c, restarts=restarts, seed=seed + r,
+                                                  product=cn_product)
+        assert np.array_equal(labels, alone[0]) and inertia.hex() == alone[1].hex()
+        assert np.array_equal(labels, want_labels) and inertia.hex() == want_inertia.hex()
+
+
+def test_fit_finds_the_distinct_columns_once_for_all_repeats(tmp_path, monkeypatch):
+    # dstl.kmeans, the package attribute, is the function; this is the module
+    kmeans_module = importlib.import_module("dstl.kmeans")
+    distinct = kmeans_module._distinct
+    calls = []
+
+    def counted(cols):
+        calls.append(cols.shape)
+        return distinct(cols)
+
+    monkeypatch.setattr(kmeans_module, "_distinct", counted)
+    manifest = dstl.write_dataset(
+        dstl.generate_synthetic(dstl.SynthSpec(n=60, c=3, m=2, dims=(4, 3), seed=0)),
+        tmp_path / "data")
+    assert cli.main(["fit", "--data", str(manifest), "--out", str(tmp_path / "run"),
+                     "--max-iter", "3", "--repeats", "10"]) == 0
+    assert calls == [(3, 60)]
 
 
 _WIDE_KMEANS = """

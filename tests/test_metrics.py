@@ -18,6 +18,7 @@ from dstl.metrics import (
 from conftest import (
     accuracy_oracle,
     ari_oracle,
+    contingency_oracle,
     f_score_oracle,
     hungarian_cost_oracle,
     nmi_oracle,
@@ -116,6 +117,44 @@ def test_contingency_counts():
     assert table[1, 0] == 1
     assert np.array_equal(table.sum(axis=1), [2, 3])  # cluster sizes
     assert np.array_equal(table.sum(axis=0), [1, 4])  # class sizes
+
+
+_LABEL_KINDS = ("dense", "gapped", "negative", "huge", "uint64", "int8", "bool", "float",
+                "str")
+
+
+def _labeling(rng, kind, n):
+    """n labels of one kind: small non-negative codes ("dense", "int8"),
+    codes whose table would have far more than n cells ("gapped", "huge",
+    "uint64"), and labels the table cannot index ("negative", "bool",
+    "float", "str")."""
+    pick = {
+        "dense": np.arange(5), "gapped": np.array([0, 3, 50]),
+        "negative": np.arange(-3, 3), "huge": np.array([0, 2**62, 2**63 - 1]),
+        "uint64": np.array([1, 7, 2**64 - 1], dtype=np.uint64),
+        "int8": np.array([0, 2, 127], dtype=np.int8), "bool": np.array([False, True]),
+        "float": np.array([0.0, 0.5, 2.0]), "str": np.array(["a", "b", "c"]),
+    }[kind]
+    return pick[rng.integers(pick.size, size=n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=hst.integers(1, 60),
+    pred_kind=hst.sampled_from(_LABEL_KINDS),
+    truth_kind=hst.sampled_from(_LABEL_KINDS),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(n=1, pred_kind="dense", truth_kind="dense", seed=0)
+@example(n=40, pred_kind="dense", truth_kind="gapped", seed=1)
+@example(n=30, pred_kind="int8", truth_kind="uint64", seed=2)
+def test_contingency_matches_the_unique_coded_oracle(n, pred_kind, truth_kind, seed):
+    rng = np.random.default_rng(seed)
+    pred = _labeling(rng, pred_kind, n)
+    truth = _labeling(rng, truth_kind, n)
+    table = contingency(pred, truth)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, contingency_oracle(pred, truth))
 
 
 def test_hungarian_unique_minimum():
