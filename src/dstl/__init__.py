@@ -10,7 +10,7 @@ from .data import (
 )
 from .errors import InputError, NumericError
 from .kmeans import KMeansConfig, kmeans, kmeans_repeats
-from .metrics import accuracy, ari, f_score, nmi, purity
+from .metrics import SCORES, accuracy, ari, f_score, nmi, purity, scores
 from .solver import VARIANTS, Hyperparams, clustering_embedding, fit_variant
 
 __version__ = "0.1.0"
@@ -32,6 +32,8 @@ __all__ = [
     "purity",
     "ari",
     "f_score",
+    "SCORES",
+    "scores",
     "VARIANTS",
     "Hyperparams",
     "fit_variant",

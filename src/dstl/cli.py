@@ -36,9 +36,9 @@ from .data import (
     write_matrix_csv,
     write_text,
 )
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, check_integer
 from .kmeans import KMeansConfig, kmeans, kmeans_repeats
-from .metrics import accuracy, ari, f_score, nmi, purity
+from .metrics import SCORES, accuracy, scores
 from .solver import (
     VARIANTS,
     Hyperparams,
@@ -46,14 +46,6 @@ from .solver import (
     fit_variant,
     resolve_k,
     stop_reason,
-)
-
-_METRICS = (
-    ("acc", accuracy),
-    ("nmi", nmi),
-    ("purity", purity),
-    ("ari", ari),
-    ("fscore", f_score),
 )
 
 _NO_SCORE = {"mean": None, "std": None}
@@ -154,8 +146,7 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     Also returns the evidence on the label rule: the accuracy of argmax(Y)
     against the chosen labels (None for ``no_Y``, which has no Y), and the
     number of distinct partitions the repeats found."""
-    if repeats < 1:
-        raise InputError(f"repeats must be >= 1, got {repeats}")
+    check_integer("repeats", repeats, 1)
     tic = time.perf_counter()
     st, trace = fit_variant(ds, hp)
     fit_seconds = time.perf_counter() - tic
@@ -168,21 +159,18 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     tic = time.perf_counter()
     best_labels = None
     best_inertia = np.inf
-    per_run: dict[str, list[float]] = {name: [] for name, _ in _METRICS}
     partitions = set()
     for pred, inertia in runs:
         partitions.add(_canonical_labels(pred).tobytes())
         if inertia < best_inertia:
             best_labels, best_inertia = pred, inertia
-        if ds.labels is not None:
-            for name, fn in _METRICS:
-                per_run[name].append(fn(pred, ds.labels))
-    scores = None
+    summary = None
     if ds.labels is not None:
-        scores = {
-            name: {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-            for name, vals in per_run.items()
-        }
+        per_run = [scores(pred, ds.labels) for pred, _ in runs]
+        summary = {}
+        for name in SCORES:
+            vals = [run[name] for run in per_run]
+            summary[name] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
     agreement = None
     if hp.variant != "no_Y":
         agreement = float(accuracy(np.argmax(embed, axis=0), best_labels))
@@ -194,7 +182,7 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
         "score_seconds": score_seconds,
         "embedding": embed,
         "labels": best_labels,
-        "scores": scores,
+        "scores": summary,
         "k": k,
         "argmax_agreement": agreement,
         "partitions_found": len(partitions),
@@ -240,10 +228,10 @@ def _blas_library() -> str | None:
     return f"{name} {blas.get('version', '')}".strip() if name else None
 
 
-def _metrics_record(scores: dict | None, **fit) -> dict:
+def _metrics_record(summary: dict | None, **fit) -> dict:
     """A metrics.json record: the five scores (null without labels), the
     fit keys (null unless given), then the environment."""
-    record = {name: dict(scores[name] if scores else _NO_SCORE) for name, _ in _METRICS}
+    record = {name: dict(summary[name] if summary else _NO_SCORE) for name in SCORES}
     record.update((key, fit.get(key)) for key in _FIT_KEYS)
     return {**record, "environment": _environment()}
 
@@ -307,7 +295,7 @@ def _summary_line(name: str, payload: dict) -> str:
     else:
         body = "  ".join(
             f"{key}={payload[key]['mean']:.4f}±{payload[key]['std']:.4f}"
-            for key, _ in _METRICS
+            for key in SCORES
         )
     return (
         f"{name}: {body}  (iterations={payload['iterations']}, "
@@ -341,11 +329,11 @@ def cmd_eval(args) -> int:
             f"{args.pred}: {pred.size} predictions for {ds.n_samples} samples"
         )
     payload = _metrics_record(
-        {name: {"mean": float(fn(pred, ds.labels)), "std": 0.0} for name, fn in _METRICS}
+        {name: {"mean": value, "std": 0.0} for name, value in scores(pred, ds.labels).items()}
     )
     if args.out is not None:
         write_text(Path(args.out) / "metrics.json", _json_text(payload))
-    print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name, _ in _METRICS))
+    print("  ".join(f"{name}={payload[name]['mean']:.4f}" for name in SCORES))
     return 0
 
 
@@ -370,9 +358,9 @@ def cmd_ablate(args) -> int:
         payload = _fit_and_write(out / variant, ds, hp, args.repeats, load_seconds, grid)
         rows.append((variant, payload))
         print(_summary_line(f"ablate[{variant}]", payload))
-    table = "variant," + ",".join(name for name, _ in _METRICS) + "\n"
+    table = "variant," + ",".join(SCORES) + "\n"
     for variant, payload in rows:
-        cells = ",".join(f"{payload[name]['mean']:.17g}" for name, _ in _METRICS)
+        cells = ",".join(f"{payload[name]['mean']:.17g}" for name in SCORES)
         table += f"{variant},{cells}\n"
     write_text(out / "ablation.csv", table)
     return 0
@@ -405,8 +393,8 @@ def cmd_bench(args) -> int:
     # warm-up outside the timed region: BLAS/FFT setup, code paths
     fit_variant(_synth_normalized(args, max(10 * args.c, 50)), replace(hp, max_iter=2))
     datasets = [_synth_normalized(args, n) for n in sizes]
-    # a size's times are the least process CPU times of 3 untraced fits (and
-    # of the k-means on each fit's embedding), taken in rounds over the
+    # a size's times are the least process CPU times of 3 untraced fits and
+    # of the k-means on each fit's embedding, taken in rounds over the
     # sizes, so a slow phase of the host slows them alike
     times = [np.inf] * len(sizes)
     kmeans_times = [np.inf] * len(sizes)
@@ -415,15 +403,13 @@ def cmd_bench(args) -> int:
             tic = time.process_time()
             st, _ = fit_variant(ds, hp)
             times[i] = min(times[i], time.process_time() - tic)
-            if args.include_kmeans:
-                embed = clustering_embedding(st, hp.variant)
-                tic = time.process_time()
-                kmeans(embed, KMeansConfig(c=args.c, seed=hp.seed))
-                kmeans_times[i] = min(kmeans_times[i], time.process_time() - tic)
+            embed = clustering_embedding(st, hp.variant)
+            tic = time.process_time()
+            kmeans(embed, KMeansConfig(c=args.c, seed=hp.seed))
+            kmeans_times[i] = min(kmeans_times[i], time.process_time() - tic)
             # the next fit starts with this one and its embedding freed
             st = embed = None
-    table = "n,fit_seconds,peak_mb,iterations"
-    table += ",kmeans_seconds\n" if args.include_kmeans else "\n"
+    table = "n,fit_seconds,peak_mb,iterations,kmeans_seconds\n"
     for n, fit_seconds, kmeans_seconds in zip(sizes, times, kmeans_times):
         # tracemalloc slows every allocation, so the memory peak comes from
         # one more, traced run
@@ -433,14 +419,9 @@ def cmd_bench(args) -> int:
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        shown = (f"n={n}: fit_seconds={fit_seconds:.3f} peak_mb={peak_mb:.2f} "
-                 f"iterations={len(trace)}")
-        table += f"{n},{fit_seconds:.6f},{peak_mb:.3f},{len(trace)}"
-        if args.include_kmeans:
-            shown += f" kmeans_seconds={kmeans_seconds:.3f}"
-            table += f",{kmeans_seconds:.6f}"
-        print(shown)
-        table += "\n"
+        print(f"n={n}: fit_seconds={fit_seconds:.3f} peak_mb={peak_mb:.2f} "
+              f"iterations={len(trace)} kmeans_seconds={kmeans_seconds:.3f}")
+        table += f"{n},{fit_seconds:.6f},{peak_mb:.3f},{len(trace)},{kmeans_seconds:.6f}\n"
     write_text(Path(args.out) / "timing.csv", table)
     return 0
 
@@ -492,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     _add_synth_flags(p, with_n=False)
     _add_hyperparam_flags(p)
-    p.add_argument("--include-kmeans", action="store_true",
-                   help="also run and time k-means per size (extra column)")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -80,7 +80,7 @@ class MultiViewDataset:
             frozen.append(arr)
         object.__setattr__(self, "views", tuple(frozen))
         if self.labels is not None:
-            lab = np.array(self.labels, dtype=np.int64)
+            lab = _class_ids(self.labels)
             if lab.ndim != 1:
                 raise InputError(f"labels must be a vector, got ndim={lab.ndim}")
             if lab.size != n:
@@ -89,7 +89,9 @@ class MultiViewDataset:
                 raise InputError(f"negative class id {lab.min()}")
             c = int(lab.max()) + 1
             # a class id of n or more leaves a class empty, so the bincount
-            # of the common case stays within n entries
+            # of the common case stays within n entries; it also keeps plain
+            # np.unique, which imports numpy.ma on its first call, off the
+            # common path
             present = np.unique(lab) if c > n else np.flatnonzero(np.bincount(lab))
             if present.size != c:
                 # among 0..present.size at least one class is missing
@@ -116,6 +118,19 @@ class MultiViewDataset:
         if self.labels is None:
             return None
         return int(self.labels.max()) + 1
+
+
+def _class_ids(labels) -> np.ndarray:
+    """labels as an int64 array; an entry that is not an integer in int64's
+    range (a bool is one, and so is an integer-valued float) is an
+    InputError naming the first."""
+    lab = np.asarray(labels)
+    if lab.dtype.kind not in "biu":
+        for i, value in enumerate(lab.ravel().tolist()):
+            whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+            if not (whole and -2**63 <= value < 2**63):
+                raise InputError(f"label {i} is not an integer: {value!r}")
+    return lab.astype(np.int64)
 
 
 NORMALIZATIONS = ("none", "unit-column-l2", "zscore-per-feature")
@@ -231,6 +246,23 @@ def _text_lines(path: Path):
         yield from fh
 
 
+def _loadtxt(path: Path, lines, locate, **options) -> np.ndarray:
+    """np.loadtxt of comma-separated lines of the file at path, at least
+    2-d.  When numpy's reader rejects them, locate(path) raises at the bad
+    line, or, when it finds none, numpy's reason is reported."""
+    with warnings.catch_warnings():
+        # a file with no data is reported by the caller, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, **options)
+        except UnicodeDecodeError:  # a ValueError too; _text_in names the file
+            raise
+        except ValueError as exc:
+            locate(path)
+            raise InputError(f"{path}: {exc}") from None
+
+
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Parse a headerless CSV matrix file; errors carry file and position.
 
@@ -239,17 +271,8 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     the reader rejects the file, _locate_bad_cell scans it again to name
     the row and column."""
     path = Path(path)
-    with _text_in(path) as fh, warnings.catch_warnings():
-        # a file with no data rows is reported below, not warned about
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        try:
-            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except UnicodeDecodeError:  # a ValueError too; _text_in names the file
-            raise
-        except ValueError as exc:
-            _locate_bad_cell(path)
-            raise InputError(f"{path}: {exc}") from None
+    with _text_in(path) as fh:
+        arr = _loadtxt(path, fh, _locate_bad_cell)
     if arr.size == 0:
         raise InputError(f"{path}: empty matrix file")
     if not np.all(np.isfinite(arr)):
@@ -302,34 +325,25 @@ def _is_number(cell: str) -> bool:
 def read_labels_csv(path: str | Path) -> np.ndarray:
     """Parse a one-integer-per-line labels file of ASCII decimal integers.
 
-    numpy's C reader parses the file.  When it rejects the file,
-    _scan_labels reads it again line by line, to name the bad line or, for
-    a file the reader is stricter on than the line rules (a line of
-    whitespace alone), to parse it."""
+    numpy's C reader parses the file, without its blank lines: a line of
+    whitespace alone is blank here, as str.strip has it.  When the reader
+    rejects the file, _locate_bad_label scans it again to name the line."""
     path = Path(path)
-    with _text_in(path) as fh, warnings.catch_warnings():
-        # a file with no labels is reported below, not warned about
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        try:
-            labels = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-        except UnicodeDecodeError:  # a ValueError too; _text_in names the file
-            raise
-        except ValueError:
-            labels = None
-    if labels is None or labels.shape[1] != 1:  # a comma makes a second column
-        return _scan_labels(path)
+    with _text_in(path) as fh:
+        labels = _loadtxt(path, (line for line in fh if not line.isspace()),
+                          _locate_bad_label, dtype=np.int64)
+    if labels.shape[1] != 1:  # a comma on every line, which int() and so the locator reject
+        _locate_bad_label(path)
     if labels.size == 0:
         raise InputError(f"{path}: empty labels file")
     return labels.ravel()
 
 
-def _scan_labels(path: Path) -> np.ndarray:
-    """The labels of a file read one stripped line at a time, blank lines
-    skipped; raises an InputError at the first line that is not an ASCII
-    decimal int64, lines counted from 1, blank lines included."""
+def _locate_bad_label(path: Path) -> None:
+    """Raise an InputError at the first line of a labels file that, once
+    stripped, is neither blank nor an ASCII decimal int64; lines are
+    counted from 1, blank lines included.  Returns when every line passes."""
     lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-    values = []
     for i, line in enumerate(_text_lines(path)):
         line = line.strip()
         if not line:
@@ -337,16 +351,13 @@ def _scan_labels(path: Path) -> np.ndarray:
         try:
             if not line.isascii() or "_" in line:  # int() takes 1_0 and non-ASCII digits
                 raise ValueError(line)
-            values.append(int(line))
+            value = int(line)
         except ValueError:
             raise InputError(
                 f"{path}: line {i + 1}: not an integer label: {line!r}"
             ) from None
-        if not lo <= values[-1] <= hi:
+        if not lo <= value <= hi:
             raise InputError(f"{path}: line {i + 1}: label outside int64: {line!r}")
-    if not values:
-        raise InputError(f"{path}: empty labels file")
-    return np.asarray(values, dtype=np.int64)
 
 
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:

@@ -11,12 +11,16 @@ class NumericError(RuntimeError):
     """A numerical routine failed to produce a trustworthy result."""
 
 
+def check_integer(name: str, val, low: int) -> None:
+    """Raise InputError unless val is an int or a numpy integer (a bool is
+    not) of at least low."""
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {val!r}")
+    if val < low:
+        raise InputError(f"{name} must be >= {low}, got {val}")
+
+
 def check_integers(config, **minimum) -> None:
-    """Raise InputError unless each named field of config is an int or a
-    numpy integer (a bool is not) of at least its given minimum."""
+    """check_integer on each named field of config and its minimum."""
     for nm, low in minimum.items():
-        val = getattr(config, nm)
-        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-            raise InputError(f"{nm} must be an integer, got {val!r}")
-        if val < low:
-            raise InputError(f"{nm} must be >= {low}, got {val}")
+        check_integer(nm, getattr(config, nm), low)

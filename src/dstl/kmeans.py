@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, check_integers
+from .errors import InputError, NumericError, check_integer, check_integers
 
 __all__ = ["KMeansConfig", "kmeans", "kmeans_repeats"]
 
@@ -252,6 +252,7 @@ def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
     checks, the distinct columns and the seeding are shared by all repeats;
     each result is what kmeans gives for its seed alone, bit for bit.
     """
+    check_integer("repeats", repeats, 1)
     cols = np.ascontiguousarray(points, dtype=float)
     if cols.ndim != 2:
         raise InputError(f"kmeans expects a (d, n) matrix, got ndim={cols.ndim}")

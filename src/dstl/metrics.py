@@ -15,14 +15,19 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
+    "SCORES",
     "contingency",
     "hungarian_match",
+    "scores",
     "accuracy",
     "nmi",
     "purity",
     "ari",
     "f_score",
 ]
+
+# the indices scores() returns, in the order the outputs list them
+SCORES = ("acc", "nmi", "purity", "ari", "fscore")
 
 
 def contingency(pred, truth) -> np.ndarray:
@@ -37,16 +42,7 @@ def contingency(pred, truth) -> np.ndarray:
         raise InputError(f"length mismatch: {pred.size} predictions, {truth.size} labels")
     if pred.size == 0:
         raise InputError("empty labelings")
-    if (pred.dtype.kind in "iu" and truth.dtype.kind in "iu"
-            and pred.min() >= 0 and truth.min() >= 0):
-        cp = int(pred.max()) + 1
-        ct = int(truth.max()) + 1
-        if cp * ct <= 4 * pred.size:
-            # the labels index the table directly; dropping its empty rows and
-            # columns keeps the labels present in sorted order, as np.unique does
-            codes = pred.astype(np.intp) * ct + truth.astype(np.intp)
-            table = np.bincount(codes, minlength=cp * ct).reshape(cp, ct)
-            return table[table.any(axis=1)][:, table.any(axis=0)].astype(np.int64)
+    # the return_inverse form does not import numpy.ma, as plain np.unique does
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
     cp = int(pi.max()) + 1
@@ -125,18 +121,13 @@ def _same_partition(table: np.ndarray) -> bool:
     return bool((hit.sum(axis=0) == 1).all() and (hit.sum(axis=1) == 1).all())
 
 
-def accuracy(pred, truth) -> float:
-    """Fraction correct under the best one-to-one cluster-to-class map."""
-    table = contingency(pred, truth)
+def _accuracy(table: np.ndarray) -> float:
     perm = hungarian_match(-table)[: table.shape[0]]
     rows = np.nonzero(perm < table.shape[1])[0]
     return float(table[rows, perm[rows]].sum() / table.sum())
 
 
-def nmi(pred, truth) -> float:
-    """Mutual information normalized by the geometric mean of entropies
-    (natural logarithms)."""
-    table = contingency(pred, truth)
+def _nmi(table: np.ndarray) -> float:
     n = int(table.sum())
     pu = table.sum(axis=1) / n
     pv = table.sum(axis=0) / n
@@ -151,9 +142,7 @@ def nmi(pred, truth) -> float:
     return float(min(max(mi / np.sqrt(hu * hv), 0.0), 1.0))
 
 
-def purity(pred, truth) -> float:
-    """Mean over samples of the majority-class share of their cluster."""
-    table = contingency(pred, truth)
+def _purity(table: np.ndarray) -> float:
     return float(table.max(axis=1).sum() / table.sum())
 
 
@@ -161,9 +150,7 @@ def _pair_count(x: np.ndarray) -> int:
     return int((x.astype(np.int64) * (x.astype(np.int64) - 1) // 2).sum())
 
 
-def ari(pred, truth) -> float:
-    """Adjusted Rand index via pair counting; range [-1, 1]."""
-    table = contingency(pred, truth)
+def _ari(table: np.ndarray) -> float:
     n = int(table.sum())
     if n < 2:
         return 1.0
@@ -179,12 +166,7 @@ def ari(pred, truth) -> float:
     return float((index - expected) / denom)
 
 
-def f_score(pred, truth) -> float:
-    """Pairwise F1: harmonic mean of pair precision and recall.
-
-    A labeling with no positive pairs on either side scores 0.
-    """
-    table = contingency(pred, truth)
+def _f_score(table: np.ndarray) -> float:
     tp = _pair_count(table)
     pred_pairs = _pair_count(table.sum(axis=1))
     true_pairs = _pair_count(table.sum(axis=0))
@@ -193,3 +175,39 @@ def f_score(pred, truth) -> float:
     if precision + recall == 0.0:
         return 0.0
     return float(2.0 * precision * recall / (precision + recall))
+
+
+def scores(pred, truth) -> dict[str, float]:
+    """The five indices of SCORES, by name, from one contingency table."""
+    table = contingency(pred, truth)
+    indices = (_accuracy, _nmi, _purity, _ari, _f_score)
+    return {name: index(table) for name, index in zip(SCORES, indices)}
+
+
+def accuracy(pred, truth) -> float:
+    """Fraction correct under the best one-to-one cluster-to-class map."""
+    return _accuracy(contingency(pred, truth))
+
+
+def nmi(pred, truth) -> float:
+    """Mutual information normalized by the geometric mean of entropies
+    (natural logarithms)."""
+    return _nmi(contingency(pred, truth))
+
+
+def purity(pred, truth) -> float:
+    """Mean over samples of the majority-class share of their cluster."""
+    return _purity(contingency(pred, truth))
+
+
+def ari(pred, truth) -> float:
+    """Adjusted Rand index via pair counting; range [-1, 1]."""
+    return _ari(contingency(pred, truth))
+
+
+def f_score(pred, truth) -> float:
+    """Pairwise F1: harmonic mean of pair precision and recall.
+
+    A labeling with no positive pairs on either side scores 0.
+    """
+    return _f_score(contingency(pred, truth))

@@ -16,6 +16,7 @@ from hypothesis import strategies as hst
 
 import dstl
 import dstl.cli as cli
+import dstl.metrics as metrics
 import dstl.slimtensor as slimtensor
 import dstl.solver as solver
 from dstl.data import (
@@ -307,13 +308,14 @@ def test_bench_writes_timing_table(tmp_path):
                    "--max-iter", "3", "--epsilon", "1e-300"])
     assert rc == 0
     lines = (out / "timing.csv").read_text().strip().splitlines()
-    assert lines[0] == "n,fit_seconds,peak_mb,iterations"
+    assert lines[0] == "n,fit_seconds,peak_mb,iterations,kmeans_seconds"
     rows = [row.split(",") for row in lines[1:]]
     assert [int(r[0]) for r in rows] == [40, 80]
     for r in rows:
         assert float(r[1]) > 0
         assert float(r[2]) > 0
         assert int(r[3]) == 3
+        assert float(r[4]) >= 0
 
 
 def test_bench_evaluates_the_objective_every_sweep(tmp_path, monkeypatch):
@@ -335,14 +337,19 @@ def test_bench_evaluates_the_objective_every_sweep(tmp_path, monkeypatch):
 
 
 def test_bench_optional_kmeans_column(tmp_path):
+    # k-means is always timed: the fifth column needs no option, and the
+    # option that once asked for it is gone
     out = tmp_path / "bench"
     rc = cli.main(["bench", "--sizes", "40", "--out", str(out),
                    "--c", "2", "--m", "1", "--dims", "6", "--k", "2",
-                   "--max-iter", "2", "--include-kmeans"])
+                   "--max-iter", "2"])
     assert rc == 0
     lines = (out / "timing.csv").read_text().strip().splitlines()
     assert lines[0] == "n,fit_seconds,peak_mb,iterations,kmeans_seconds"
     assert float(lines[1].split(",")[4]) >= 0
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["bench", "--sizes", "40", "--out", str(out),
+                                       "--include-kmeans"])
 
 
 def test_bench_kmeans_seconds_is_the_least_of_three_rounds(tmp_path, monkeypatch):
@@ -351,7 +358,7 @@ def test_bench_kmeans_seconds_is_the_least_of_three_rounds(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "kmeans", lambda points, cfg: calls.append(points.shape[1]))
     assert cli.main(["bench", "--sizes", "40,60", "--out", str(tmp_path / "bench"),
                      "--c", "2", "--m", "1", "--dims", "6", "--k", "2",
-                     "--max-iter", "2", "--include-kmeans"]) == 0
+                     "--max-iter", "2"]) == 0
     assert calls == [40, 60] * 3
 
 
@@ -640,6 +647,18 @@ def test_fit_does_not_import_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, *fit_args(manifest, tmp_path / "o")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "dstl fit imported numpy.ma"
+
+
+def test_fit_builds_one_contingency_table_per_scored_labeling(tmp_path, monkeypatch):
+    # ten repeats make ten tables for their five scores and one for
+    # argmax_agreement
+    calls = []
+    contingency = metrics.contingency
+    monkeypatch.setattr(metrics, "contingency",
+                        lambda *a: calls.append(1) or contingency(*a))
+    manifest = make_synth(tmp_path)
+    assert cli.main(fit_args(manifest, tmp_path / "o", extra=("--repeats", "10"))) == 0
+    assert len(calls) == 11
 
 
 def test_fit_and_ablate_score_with_scipy_unimportable(tmp_path):

@@ -177,6 +177,42 @@ def test_labels_reader_agrees_with_the_line_reader(lines, end, last):
             assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
+def test_labels_with_whitespace_only_lines_parse_without_the_locator(tmp_path, monkeypatch):
+    # such a line is blank by the line rule; the reader drops it before
+    # numpy's reader, so no label comes from a Python line scan
+    def locate(path):
+        raise AssertionError(f"the locator scanned {path}")
+
+    monkeypatch.setattr(data, "_locate_bad_label", locate)
+    path = tmp_path / "y.csv"
+    path.write_text("1\n  \n\xa0\n2\n\u3000\n 0 \n", encoding="utf-8")
+    got = read_labels_csv(path)
+    assert got.dtype == np.int64 and got.tolist() == [1, 2, 0]
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0.7, 1.9, 0.2], "label 0 is not an integer: 0.7"),
+    (["a", "b", "a"], "label 0 is not an integer: 'a'"),
+    ([0.0, float("nan"), 1.0], "label 1 is not an integer: nan"),
+    ([0.0, 1e300, 1.0], "label 1 is not an integer: 1e+300"),
+    ([0, None, 1], "label 1 is not an integer: None"),
+])
+def test_labels_that_are_not_integers_are_invalid_input(labels, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no invalid cast on the way
+        with pytest.raises(InputError) as exc:
+            MultiViewDataset((np.ones((2, 3)),), labels=labels)
+    assert str(exc.value) == message
+
+
+def test_integer_valued_float_and_bool_labels_are_class_ids():
+    views = (np.ones((2, 3)),)
+    for labels, want in (([1.0, 0.0, 1.0], [1, 0, 1]), ([True, False, True], [1, 0, 1]),
+                         (np.array([2, 0, 1], dtype=np.uint8), [2, 0, 1])):
+        got = MultiViewDataset(views, labels=labels).labels
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
 def test_huge_class_id_is_rejected_without_enumerating_classes():
     # a class id near the int64 limit implies ~2**62 classes, almost all empty
     with pytest.raises(InputError) as exc:

@@ -114,6 +114,20 @@ def test_rejects_bad_input():
     assert kmeans(np.arange(6.0)[None], cfg)[0].size == 6
 
 
+def test_kmeans_repeats_rejects_a_repeat_count_that_is_not_a_positive_integer():
+    x = np.arange(6.0)[None]
+    cfg = KMeansConfig(c=2)
+    for bad, message in ((0, "repeats must be >= 1, got 0"),
+                         (-3, "repeats must be >= 1, got -3"),
+                         (2.0, "repeats must be an integer, got 2.0"),
+                         (True, "repeats must be an integer, got True"),
+                         ("2", "repeats must be an integer, got '2'")):
+        with pytest.raises(InputError) as exc:
+            kmeans_repeats(x, cfg, bad)
+        assert str(exc.value) == message
+    assert len(kmeans_repeats(x, cfg, np.int32(2))) == 2
+
+
 def test_overflowing_distances_are_a_numeric_failure():
     # finite points whose squared distances overflow float64
     x = np.random.default_rng(7).standard_normal((4, 200)) * 1e153

@@ -6,6 +6,7 @@ from scipy.optimize import linear_sum_assignment
 
 from dstl.errors import InputError
 from dstl.metrics import (
+    SCORES,
     accuracy,
     ari,
     contingency,
@@ -13,6 +14,7 @@ from dstl.metrics import (
     hungarian_match,
     nmi,
     purity,
+    scores,
 )
 
 from conftest import (
@@ -155,6 +157,28 @@ def test_contingency_matches_the_unique_coded_oracle(n, pred_kind, truth_kind, s
     table = contingency(pred, truth)
     assert table.dtype == np.int64
     assert np.array_equal(table, contingency_oracle(pred, truth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=hst.integers(1, 60),
+    pred_kind=hst.sampled_from(_LABEL_KINDS),
+    truth_kind=hst.sampled_from(_LABEL_KINDS),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(n=1, pred_kind="dense", truth_kind="dense", seed=0)
+@example(n=40, pred_kind="str", truth_kind="huge", seed=3)
+def test_scores_equal_the_five_indices_bit_for_bit(n, pred_kind, truth_kind, seed):
+    rng = np.random.default_rng(seed)
+    pred = _labeling(rng, pred_kind, n)
+    truth = _labeling(rng, truth_kind, n)
+    got = scores(pred, truth)
+    assert tuple(got) == SCORES
+    want = (accuracy(pred, truth), nmi(pred, truth), purity(pred, truth), ari(pred, truth),
+            f_score(pred, truth))
+    for value, expected in zip(got.values(), want):
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
 def test_hungarian_unique_minimum():
