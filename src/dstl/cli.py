@@ -143,7 +143,9 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     wall time of the one k-means call over all repeats is cluster_seconds,
     that of scoring them score_seconds.
 
-    Also returns the evidence on the label rule: the accuracy of argmax(Y)
+    Returns the labels of the least-inertia repeat, the embedding, the trace
+    and the run's metrics.json record, load_seconds left null.  The record
+    also holds the evidence on the label rule: the accuracy of argmax(Y)
     against the chosen labels (None for ``no_Y``, which has no Y), and the
     number of distinct partitions the repeats found."""
     check_integer("repeats", repeats, 1)
@@ -175,18 +177,14 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
     if hp.variant != "no_Y":
         agreement = float(accuracy(np.argmax(embed, axis=0), best_labels))
     score_seconds = time.perf_counter() - tic
-    return {
-        "trace": trace,
-        "fit_seconds": fit_seconds,
-        "cluster_seconds": cluster_seconds,
-        "score_seconds": score_seconds,
-        "embedding": embed,
-        "labels": best_labels,
-        "scores": summary,
-        "k": k,
-        "argmax_agreement": agreement,
-        "partitions_found": len(partitions),
-    }
+    record = _metrics_record(
+        summary, iterations=len(trace), stop_reason=stop_reason(trace, hp),
+        fit_seconds=fit_seconds, cluster_seconds=cluster_seconds,
+        score_seconds=score_seconds, variant=hp.variant,
+        hyperparams=_hyperparams_payload(hp, k),
+        clusters_found=int(np.count_nonzero(np.bincount(best_labels))),
+        argmax_agreement=agreement, partitions_found=len(partitions))
+    return best_labels, embed, trace, record
 
 
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
@@ -236,17 +234,6 @@ def _metrics_record(summary: dict | None, **fit) -> dict:
     return {**record, "environment": _environment()}
 
 
-def _write_numeric_failure(out: Path, ds: MultiViewDataset, hp: Hyperparams,
-                           load_seconds: float, exc: NumericError) -> None:
-    """metrics.json for a fit or its k-means that failed numerically: the
-    same keys, with stop_reason numeric_failure and the error message."""
-    payload = _metrics_record(None, stop_reason="numeric_failure",
-                              load_seconds=load_seconds, variant=hp.variant,
-                              hyperparams=_hyperparams_payload(hp, resolve_k(ds, hp)),
-                              error=str(exc))
-    write_text(out / "metrics.json", _json_text(payload))
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -260,33 +247,38 @@ def _trace_text(trace) -> str:
 
 def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: int,
                    load_seconds: float, grid: list[float] | None = None) -> dict:
-    """Run the pipeline, or with a grid the grid sweep, and write its labels,
-    embedding, trace and metrics.json to out; a numeric failure writes the
-    failure metrics.json there instead and re-raises.  load_seconds, the
-    time taken to load and normalize ds, goes into metrics.json."""
-    try:
-        if grid is None:
-            result = _run_pipeline(ds, hp, repeats)
-        else:
-            result, hp = _best_grid_cell(ds, hp, grid, repeats)
-    except NumericError as exc:
-        _write_numeric_failure(out, ds, hp, load_seconds, exc)
-        raise
-    trace = result["trace"]
-    write_labels_csv(out / "labels.csv", result["labels"])
-    write_matrix_csv(out / "embedding.csv", result["embedding"])
+    """Run the pipeline on hp, or with a grid on each (lambda1, lambda2) in
+    grid x grid, every cell validated before the first fit, and write the
+    labels, embedding, trace and metrics.json of the first cell with the
+    best mean accuracy to out.  A numeric failure writes the failing cell's
+    metrics.json there instead and re-raises, in a sweep naming the cell.
+    load_seconds, the time taken to load and normalize ds, goes into
+    metrics.json."""
+    cells = [hp] if grid is None else [replace(hp, lambda1=a, lambda2=b)
+                                       for a, b in product(grid, grid)]
+    best = None
+    for cell in cells:
+        try:
+            run = _run_pipeline(ds, cell, repeats)
+        except NumericError as exc:
+            if grid is not None:
+                exc = NumericError(f"grid cell lambda1={cell.lambda1!r}, "
+                                   f"lambda2={cell.lambda2!r}: {exc}")
+            record = _metrics_record(None, stop_reason="numeric_failure",
+                                     load_seconds=load_seconds, variant=cell.variant,
+                                     hyperparams=_hyperparams_payload(cell, resolve_k(ds, cell)),
+                                     error=str(exc))
+            write_text(out / "metrics.json", _json_text(record))
+            raise exc
+        if best is None or run[3]["acc"]["mean"] > best[3]["acc"]["mean"]:
+            best = run
+    labels, embed, trace, record = best
+    record["load_seconds"] = load_seconds
+    write_labels_csv(out / "labels.csv", labels)
+    write_matrix_csv(out / "embedding.csv", embed)
     write_text(out / "trace.csv", _trace_text(trace))
-    payload = _metrics_record(
-        result["scores"], iterations=len(trace), stop_reason=stop_reason(trace, hp),
-        fit_seconds=result["fit_seconds"], load_seconds=load_seconds,
-        cluster_seconds=result["cluster_seconds"], score_seconds=result["score_seconds"],
-        variant=hp.variant,
-        hyperparams=_hyperparams_payload(hp, result["k"]),
-        clusters_found=int(np.count_nonzero(np.bincount(result["labels"]))),
-        argmax_agreement=result["argmax_agreement"],
-        partitions_found=result["partitions_found"])
-    write_text(out / "metrics.json", _json_text(payload))
-    return payload
+    write_text(out / "metrics.json", _json_text(record))
+    return record
 
 
 def _summary_line(name: str, payload: dict) -> str:
@@ -364,23 +356,6 @@ def cmd_ablate(args) -> int:
         table += f"{variant},{cells}\n"
     write_text(out / "ablation.csv", table)
     return 0
-
-
-def _best_grid_cell(ds, hp: Hyperparams, grid: list[float], repeats: int):
-    """Sweep (lambda1, lambda2) over grid x grid, keep the cell with the
-    best mean accuracy (first cell on ties).  A numeric failure names the
-    cell it happened in."""
-    best = None
-    for l1, l2 in product(grid, grid):
-        cell_hp = replace(hp, lambda1=l1, lambda2=l2)
-        try:
-            result = _run_pipeline(ds, cell_hp, repeats)
-        except NumericError as exc:
-            raise NumericError(f"grid cell lambda1={l1!r}, lambda2={l2!r}: {exc}") from exc
-        score = result["scores"]["acc"]["mean"]
-        if best is None or score > best[0]:
-            best = (score, result, cell_hp)
-    return best[1], best[2]
 
 
 def cmd_bench(args) -> int:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, check_integers
+from .errors import InputError, check_integer, check_integers, check_real
 
 __all__ = [
     "MultiViewDataset",
@@ -59,7 +59,13 @@ class MultiViewDataset:
         frozen = []
         n = None
         for v, raw in enumerate(self.views):
-            arr = np.array(raw, dtype=float)
+            try:
+                arr = np.asarray(raw)
+            except ValueError as exc:  # a ragged nesting of lists
+                raise InputError(f"view {v}: not a matrix: {exc}") from None
+            if arr.dtype.kind not in "biuf":
+                raise InputError(f"view {v}: expected real numbers, got dtype {arr.dtype}")
+            arr = np.array(arr, dtype=float)
             if arr.ndim != 2:
                 raise InputError(f"view {v}: expected a matrix, got ndim={arr.ndim}")
             if min(arr.shape) < 1:
@@ -88,11 +94,9 @@ class MultiViewDataset:
             if lab.min() < 0:
                 raise InputError(f"negative class id {lab.min()}")
             c = int(lab.max()) + 1
-            # a class id of n or more leaves a class empty, so the bincount
-            # of the common case stays within n entries; it also keeps plain
-            # np.unique, which imports numpy.ma on its first call, off the
-            # common path
-            present = np.unique(lab) if c > n else np.flatnonzero(np.bincount(lab))
+            # the return_inverse form, as plain np.unique imports numpy.ma on
+            # its first call
+            present = np.unique(lab, return_inverse=True)[0]
             if present.size != c:
                 # among 0..present.size at least one class is missing
                 first = int(np.setdiff1d(np.arange(present.size + 1), present)[0])
@@ -125,7 +129,7 @@ def _class_ids(labels) -> np.ndarray:
     range (a bool is one, and so is an integer-valued float) is an
     InputError naming the first."""
     lab = np.asarray(labels)
-    if lab.dtype.kind not in "biu":
+    if lab.dtype.kind not in "biu" or lab.dtype == np.uint64:
         for i, value in enumerate(lab.ravel().tolist()):
             whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
             if not (whole and -2**63 <= value < 2**63):
@@ -174,19 +178,22 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         check_integers(self, c=2, n=1, m=1, seed=0)
         if self.n < self.c:
             raise InputError(f"need n >= c, got n={self.n}, c={self.c}")
-        if len(self.dims) != self.m:
-            raise InputError(f"{len(self.dims)} dims given for m={self.m} views")
-        if min(self.dims) < 1:
-            raise InputError(f"view dimensions must be >= 1, got {self.dims}")
-        if not (0.0 <= self.corrupt_frac <= 0.5):
-            raise InputError(f"corrupt_frac must lie in [0, 0.5], got {self.corrupt_frac}")
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise InputError(f"noise_sigma must be a finite nonnegative number, "
-                             f"got {self.noise_sigma}")
+        try:
+            dims = tuple(self.dims)
+        except TypeError:  # not iterable
+            raise InputError(f"dims must be a sequence of integers, got {self.dims!r}") from None
+        if len(dims) != self.m:
+            raise InputError(f"{len(dims)} dims given for m={self.m} views")
+        for v, d in enumerate(dims):
+            check_integer(f"dims[{v}]", d, 1)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        check_real("corrupt_frac", self.corrupt_frac, "must lie in [0, 0.5]",
+                   lambda v: 0 <= v <= 0.5)
+        check_real("noise_sigma", self.noise_sigma, "must be a finite nonnegative number",
+                   lambda v: 0 <= v < np.inf)
 
 
 def _latent_blobs(spec: SynthSpec, rng: np.random.Generator):

@@ -1,4 +1,7 @@
-"""Exception types, and the integer check of the configs, shared across the package."""
+"""Exception types, and the integer and real-number checks of the configs,
+shared across the package."""
+
+from numbers import Real
 
 import numpy as np
 
@@ -18,6 +21,15 @@ def check_integer(name: str, val, low: int) -> None:
         raise InputError(f"{name} must be an integer, got {val!r}")
     if val < low:
         raise InputError(f"{name} must be >= {low}, got {val}")
+
+
+def check_real(name: str, val, rule: str, holds) -> None:
+    """Raise InputError unless val is a real number (a bool is not) for
+    which holds(val) is true; rule says in words what holds asks."""
+    if isinstance(val, bool) or not isinstance(val, Real):
+        raise InputError(f"{name} must be a real number, got {val!r}")
+    if not holds(val):
+        raise InputError(f"{name} {rule}, got {val}")
 
 
 def check_integers(config, **minimum) -> None:

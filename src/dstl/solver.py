@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .data import MultiViewDataset
-from .errors import InputError, NumericError, check_integers
+from .errors import InputError, NumericError, check_integers, check_real
 from .linalg import procrustes_max_trace, soft_threshold, svt
 from .simplex import project_columns
 from .slimtensor import tubal_shrinkage
@@ -97,14 +97,12 @@ class Hyperparams:
 
     def __post_init__(self):
         for nm in ("lambda1", "lambda2", "lambda3"):
-            val = getattr(self, nm)
-            if not np.isfinite(val) or val < 0:
-                raise InputError(f"{nm} must be a finite nonnegative number, got {val}")
+            check_real(nm, getattr(self, nm), "must be a finite nonnegative number",
+                       lambda v: 0 <= v < np.inf)
         if self.k is not None:
             check_integers(self, k=1)
         check_integers(self, max_iter=1, seed=0)
-        if not (self.epsilon > 0):
-            raise InputError(f"epsilon must be > 0, got {self.epsilon}")
+        check_real("epsilon", self.epsilon, "must be > 0", lambda v: v > 0)
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
 

@@ -571,6 +571,65 @@ def test_ablate_records_numeric_failure_of_the_failing_variant(tmp_path, capsys)
     assert payload["load_seconds"] > 0.0
     assert not (out / "ablation.csv").exists()
 
+
+def test_failing_grid_cell_records_its_own_hyperparams(tmp_path, capsys):
+    ds = load_dataset(make_synth(tmp_path))
+    huge = MultiViewDataset(tuple(x * 1e160 for x in ds.views), ds.labels, "huge")
+    manifest = write_dataset(huge, tmp_path / "huge")
+    out = tmp_path / "abl"
+    assert cli.main(["ablate", "--data", str(manifest), "--out", str(out),
+                     "--grid", "0.5", "--repeats", "1"]) == 3
+    payload = json.loads((out / "full" / "metrics.json").read_text())
+    assert payload["hyperparams"]["lambda1"] == payload["hyperparams"]["lambda2"] == 0.5
+    assert payload["error"].startswith("grid cell lambda1=0.5, lambda2=0.5: ")
+
+
+def test_invalid_grid_value_is_rejected_before_any_fit(tmp_path, monkeypatch, capsys):
+    manifest = make_synth(tmp_path)
+    calls = []
+    fit = cli.fit_variant
+    monkeypatch.setattr(cli, "fit_variant", lambda *a: calls.append(a) or fit(*a))
+    out = tmp_path / "abl"
+    capsys.readouterr()
+    assert cli.main(["ablate", "--data", str(manifest), "--out", str(out),
+                     "--grid", "1,2,-1", "--repeats", "1", "--max-iter", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: lambda2 must be a finite nonnegative number, got -1.0\n")
+    assert calls == [] and not out.exists()
+
+
+def test_ablate_default_grid_sweeps_the_tuning_ladder(tmp_path, monkeypatch):
+    manifest = make_synth(tmp_path)
+    monkeypatch.setattr(cli, "TUNING_GRID", (0.5, 2.0))
+    cells = []
+    pipeline = cli._run_pipeline
+    monkeypatch.setattr(cli, "_run_pipeline",
+                        lambda ds, hp, r: cells.append((hp.lambda1, hp.lambda2))
+                        or pipeline(ds, hp, r))
+    out = tmp_path / "abl"
+    assert cli.main(["ablate", "--data", str(manifest), "--out", str(out),
+                     "--grid", "default", "--repeats", "1", "--max-iter", "3"]) == 0
+    sweep = [(0.5, 0.5), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0)]
+    assert cells == sweep * len(solver.VARIANTS)
+    for variant in solver.VARIANTS:
+        payload = json.loads((out / variant / "metrics.json").read_text())
+        hp = payload["hyperparams"]
+        assert (hp["lambda1"], hp["lambda2"]) in sweep
+
+
+def test_non_finite_block_after_its_update_is_a_numeric_failure(tmp_path, monkeypatch,
+                                                                capsys):
+    manifest = make_synth(tmp_path)
+    monkeypatch.setattr(solver, "update_S", lambda hp, st, wtx: np.full(st.S.shape, np.inf))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(fit_args(manifest, out)) == 3
+    message = "block S has non-finite entries at iteration 1"
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    payload = json.loads((out / "metrics.json").read_text())
+    assert payload["stop_reason"] == "numeric_failure" and payload["error"] == message
+
+
 def test_fit_reports_fewer_clusters_than_asked(tmp_path, capsys):
     # lambda2 this large zeroes H, so every no_Y embedding column is the
     # same point: k-means finds one cluster of the three asked for, and the

@@ -28,6 +28,7 @@ from dstl.data import (
 from dstl.errors import InputError
 from dstl.kmeans import KMeansConfig, kmeans
 from dstl.metrics import accuracy
+from dstl.solver import Hyperparams
 
 from conftest import read_labels_csv_oracle, read_matrix_csv_oracle
 
@@ -283,6 +284,82 @@ def test_dataset_validation():
         MultiViewDataset((np.array([[np.nan, 1.0]]),))
     with pytest.raises(InputError):
         MultiViewDataset((np.ones((2, 3)),), labels=np.array([0, 0, -1]))
+
+
+@pytest.mark.parametrize("views, labels, message", [
+    ((np.ones(3),), None, "view 0: expected a matrix, got ndim=1"),
+    ((np.ones((2, 3)), np.ones((0, 3))), None, "view 1: empty matrix of shape (0, 3)"),
+    ((np.ones((2, 3)),), np.zeros((3, 1), dtype=int), "labels must be a vector, got ndim=2"),
+    ((np.ones((2, 3)),), [0, 1], "2 labels for 3 samples"),
+    ((np.ones((2, 3)), np.ones((2, 3)) + 1j), None,
+     "view 1: expected real numbers, got dtype complex128"),
+    (([["1", "2"], ["3", "4"]],), None, "view 0: expected real numbers, got dtype <U1"),
+    (([[1.0, 2.0], [3.0]],), None, "view 0: not a matrix: "),
+    ((np.array([[1.0, None]]),), None, "view 0: expected real numbers, got dtype object"),
+], ids=["view-ndim", "empty-view", "label-ndim", "label-count", "complex-view",
+        "string-view", "ragged-view", "object-view"])
+def test_malformed_dataset_is_invalid_input_naming_the_view_or_labels(views, labels,
+                                                                    message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        with pytest.raises(InputError) as exc:
+            MultiViewDataset(views, labels=labels)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+def test_uint64_labels_past_int64_are_named_not_wrapped(value):
+    labels = np.array([0, 1, value], dtype=np.uint64)
+    with pytest.raises(InputError) as exc:
+        MultiViewDataset((np.ones((2, 3)),), labels=labels)
+    assert str(exc.value) == f"label 2 is not an integer: {value}"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Hyperparams(lambda1=None), "lambda1 must be a real number, got None"),
+    (lambda: Hyperparams(lambda3=True), "lambda3 must be a real number, got True"),
+    (lambda: Hyperparams(epsilon="a"), "epsilon must be a real number, got 'a'"),
+    (lambda: Hyperparams(epsilon=float("nan")), "epsilon must be > 0, got nan"),
+    (lambda: SynthSpec(noise_sigma="a"), "noise_sigma must be a real number, got 'a'"),
+    (lambda: SynthSpec(corrupt_frac=None), "corrupt_frac must be a real number, got None"),
+    (lambda: SynthSpec(corrupt_frac=1j), "corrupt_frac must be a real number, got 1j"),
+    (lambda: SynthSpec(dims=(40, 3.5, 20)), "dims[1] must be an integer, got 3.5"),
+    (lambda: SynthSpec(dims=(40, 30, "a")), "dims[2] must be an integer, got 'a'"),
+    (lambda: SynthSpec(dims=(40, 0, 20)), "dims[1] must be >= 1, got 0"),
+    (lambda: SynthSpec(m=1, dims=3), "dims must be a sequence of integers, got 3"),
+], ids=["lambda1-none", "lambda3-bool", "epsilon-str", "epsilon-nan", "sigma-str",
+        "corrupt-none", "corrupt-complex", "dims-float", "dims-str", "dims-zero", "dims-int"])
+def test_config_fields_of_the_wrong_type_or_range_are_invalid_input(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_numpy_scalar_config_fields_are_taken():
+    spec = SynthSpec(n=20, c=2, m=2, dims=(np.int64(4), np.uint8(3)),
+                     noise_sigma=np.float32(0.5), corrupt_frac=np.float64(0.1))
+    assert spec.dims == (4, 3) and all(type(d) is int for d in spec.dims)
+    assert Hyperparams(lambda1=np.float32(2.0), epsilon=np.int64(1)).lambda1 == 2.0
+
+
+def test_manifest_checks_name_the_manifest_and_the_field(tmp_path, capsys):
+    write_manifest(tmp_path, [np.ones((2, 3))])
+    cases = [
+        ([{"path": "v0.csv"}], "manifest must be a JSON object"),
+        ({"views": []}, "manifest needs a non-empty 'views' list"),
+        ({"views": "v0.csv"}, "manifest needs a non-empty 'views' list"),
+        ({"views": [{"file": "v0.csv"}]}, "views[0] must be an object with a 'path' string"),
+        ({"views": [{"path": "v0.csv"}], "labels": 3}, "'labels' must be a path string or null"),
+        ({"views": [{"path": "v0.csv"}], "name": 7}, "'name' must be a string"),
+    ]
+    for i, (doc, message) in enumerate(cases):
+        manifest = tmp_path / f"m{i}.json"
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["fit", "--data", str(manifest), "--out", str(tmp_path / "o"),
+                         "--k", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_views_are_read_only():
