@@ -60,13 +60,16 @@ TUNING_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0)
 
 
 def _comma_list(option: str, text: str, kind: type) -> list:
-    """Values of a comma-separated option; blank items are skipped."""
+    """Values of a comma-separated option, at least one; blank items are skipped."""
     try:
-        return [kind(t) for t in text.split(",") if t.strip()]
+        values = [kind(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise InputError(
             f"{option}: expected comma-separated {kind.__name__} values, got {text!r}"
         ) from None
+    if not values:
+        raise InputError(f"{option} needs at least one value")
+    return values
 
 
 def _add_hyperparam_flags(p: argparse.ArgumentParser) -> None:
@@ -107,7 +110,7 @@ def _add_synth_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
                         f"{base.corrupt_frac})")
 
 
-def _hyperparams_from_args(args, variant: str | None = None) -> Hyperparams:
+def _hyperparams_from_args(args) -> Hyperparams:
     return Hyperparams(
         lambda1=args.lambda1,
         lambda2=args.lambda2,
@@ -115,8 +118,7 @@ def _hyperparams_from_args(args, variant: str | None = None) -> Hyperparams:
         k=args.k,
         epsilon=args.epsilon,
         max_iter=args.max_iter,
-        seed=args.seed,
-        variant=variant if variant is not None else getattr(args, "variant", "full"),
+        variant=getattr(args, "variant", "full"),
     )
 
 
@@ -137,26 +139,23 @@ def _synth_normalized(args, n: int) -> MultiViewDataset:
     return normalize(generate_synthetic(_synth_spec(args, n)), args.normalize)
 
 
-def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
-    """Fit once (the solver is deterministic), cluster `repeats` times with
-    distinct seeds, score each run against the labels when present.  The
-    wall time of the one k-means call over all repeats is cluster_seconds,
-    that of scoring them score_seconds.
+def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, km: KMeansConfig, repeats: int):
+    """Fit once (the solver is deterministic), cluster by km `repeats` times
+    with seeds km.seed + r, score each run against the labels when present.
+    The wall time of the one k-means call over all repeats is
+    cluster_seconds, that of scoring them score_seconds.
 
     Returns the labels of the least-inertia repeat, the embedding, the trace
     and the run's metrics.json record, load_seconds left null.  The record
     also holds the evidence on the label rule: the accuracy of argmax(Y)
     against the chosen labels (None for ``no_Y``, which has no Y), and the
     number of distinct partitions the repeats found."""
-    check_integer("repeats", repeats, 1)
     tic = time.perf_counter()
     st, trace = fit_variant(ds, hp)
     fit_seconds = time.perf_counter() - tic
     embed = clustering_embedding(st, hp.variant)
-    k = st.Y.shape[0]
-    clusters = ds.n_classes if ds.labels is not None else k
     tic = time.perf_counter()
-    runs = kmeans_repeats(embed, KMeansConfig(c=clusters, seed=hp.seed), repeats)
+    runs = kmeans_repeats(embed, km, repeats)
     cluster_seconds = time.perf_counter() - tic
     tic = time.perf_counter()
     best_labels = None
@@ -181,7 +180,7 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, repeats: int):
         summary, iterations=len(trace), stop_reason=stop_reason(trace, hp),
         fit_seconds=fit_seconds, cluster_seconds=cluster_seconds,
         score_seconds=score_seconds, variant=hp.variant,
-        hyperparams=_hyperparams_payload(hp, k),
+        hyperparams=_hyperparams_payload(hp, km.seed),
         clusters_found=int(np.count_nonzero(np.bincount(best_labels))),
         argmax_agreement=agreement, partitions_found=len(partitions))
     return best_labels, embed, trace, record
@@ -196,11 +195,11 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     return order[inverse]
 
 
-def _hyperparams_payload(hp: Hyperparams, k: int) -> dict:
-    """Every hyperparameter but the variant, with k resolved."""
-    payload = asdict(replace(hp, k=k))
+def _hyperparams_payload(hp: Hyperparams, seed: int) -> dict:
+    """Every hyperparameter but the variant, then the k-means seed."""
+    payload = asdict(hp)
     del payload["variant"]
-    return payload
+    return {**payload, "seed": seed}
 
 
 def _environment() -> dict:
@@ -246,27 +245,33 @@ def _trace_text(trace) -> str:
 
 
 def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: int,
-                   load_seconds: float, grid: list[float] | None = None) -> dict:
+                   seed: int, load_seconds: float, grid: list[float] | None = None) -> dict:
     """Run the pipeline on hp, or with a grid on each (lambda1, lambda2) in
-    grid x grid, every cell validated before the first fit, and write the
-    labels, embedding, trace and metrics.json of the first cell with the
-    best mean accuracy to out.  A numeric failure writes the failing cell's
+    grid x grid, and write the labels, embedding, trace and metrics.json of
+    the first cell with the best mean accuracy to out.  Every cell, and the
+    k-means into the class count (k without labels) from seed, is checked
+    before the first fit.  A numeric failure writes the failing cell's
     metrics.json there instead and re-raises, in a sweep naming the cell.
     load_seconds, the time taken to load and normalize ds, goes into
     metrics.json."""
+    hp = replace(hp, k=resolve_k(ds, hp))
     cells = [hp] if grid is None else [replace(hp, lambda1=a, lambda2=b)
                                        for a, b in product(grid, grid)]
+    km = KMeansConfig(c=ds.n_classes or hp.k, seed=seed)
+    check_integer("repeats", repeats, 1)
+    if ds.n_samples < km.c:
+        raise InputError(f"cannot form {km.c} clusters from {ds.n_samples} points")
     best = None
     for cell in cells:
         try:
-            run = _run_pipeline(ds, cell, repeats)
+            run = _run_pipeline(ds, cell, km, repeats)
         except NumericError as exc:
             if grid is not None:
                 exc = NumericError(f"grid cell lambda1={cell.lambda1!r}, "
                                    f"lambda2={cell.lambda2!r}: {exc}")
             record = _metrics_record(None, stop_reason="numeric_failure",
                                      load_seconds=load_seconds, variant=cell.variant,
-                                     hyperparams=_hyperparams_payload(cell, resolve_k(ds, cell)),
+                                     hyperparams=_hyperparams_payload(cell, seed),
                                      error=str(exc))
             write_text(out / "metrics.json", _json_text(record))
             raise exc
@@ -306,7 +311,7 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     ds, load_seconds = _load_normalized(args)
     hp = _hyperparams_from_args(args)
-    payload = _fit_and_write(Path(args.out), ds, hp, args.repeats, load_seconds)
+    payload = _fit_and_write(Path(args.out), ds, hp, args.repeats, args.seed, load_seconds)
     print(_summary_line(f"fit[{hp.variant}] {ds.name}", payload))
     return 0
 
@@ -330,12 +335,7 @@ def cmd_eval(args) -> int:
 
 
 def _grid_values(spec: str) -> list[float]:
-    if spec == "default":
-        return list(TUNING_GRID)
-    values = _comma_list("--grid", spec, float)
-    if not values:
-        raise InputError("--grid needs at least one value")
-    return values
+    return list(TUNING_GRID) if spec == "default" else _comma_list("--grid", spec, float)
 
 
 def cmd_ablate(args) -> int:
@@ -343,11 +343,12 @@ def cmd_ablate(args) -> int:
     if ds.labels is None:
         raise InputError("ablate needs a dataset with ground-truth labels")
     grid = _grid_values(args.grid) if args.grid is not None else None
+    hp = _hyperparams_from_args(args)
     out = Path(args.out)
     rows = []
     for variant in VARIANTS:
-        hp = _hyperparams_from_args(args, variant=variant)
-        payload = _fit_and_write(out / variant, ds, hp, args.repeats, load_seconds, grid)
+        payload = _fit_and_write(out / variant, ds, replace(hp, variant=variant), args.repeats,
+                                 args.seed, load_seconds, grid)
         rows.append((variant, payload))
         print(_summary_line(f"ablate[{variant}]", payload))
     table = "variant," + ",".join(SCORES) + "\n"
@@ -360,14 +361,11 @@ def cmd_ablate(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = _comma_list("--sizes", args.sizes, int)
-    if not sizes:
-        raise InputError("--sizes needs at least one value")
-    if any(s < args.c for s in sizes):
-        raise InputError(f"every size must be >= c={args.c}")
+    datasets = [_synth_normalized(args, n) for n in sizes]
     hp = _hyperparams_from_args(args)
+    km = KMeansConfig(c=args.c, seed=args.seed)
     # warm-up outside the timed region: BLAS/FFT setup, code paths
     fit_variant(_synth_normalized(args, max(10 * args.c, 50)), replace(hp, max_iter=2))
-    datasets = [_synth_normalized(args, n) for n in sizes]
     # a size's times are the least process CPU times of 3 untraced fits and
     # of the k-means on each fit's embedding, taken in rounds over the
     # sizes, so a slow phase of the host slows them alike
@@ -380,7 +378,7 @@ def cmd_bench(args) -> int:
             times[i] = min(times[i], time.process_time() - tic)
             embed = clustering_embedding(st, hp.variant)
             tic = time.process_time()
-            kmeans(embed, KMeansConfig(c=args.c, seed=hp.seed))
+            kmeans(embed, km)
             kmeans_times[i] = min(kmeans_times[i], time.process_time() - tic)
             # the next fit starts with this one and its embedding freed
             st = embed = None

@@ -368,7 +368,8 @@ def _locate_bad_label(path: Path) -> None:
 
 
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
-    """Load a dataset from its JSON manifest; all errors are InputError."""
+    """Load a dataset from its JSON manifest; all errors are InputError, and
+    one that MultiViewDataset finds names the manifest."""
     p = Path(manifest_path)
     try:
         doc = json.loads("".join(_text_lines(p)))
@@ -396,16 +397,14 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     if labels_rel is not None:
         if not isinstance(labels_rel, str):
             raise InputError(f"{p}: 'labels' must be a path string or null")
-        lp = base / labels_rel
-        labels = read_labels_csv(lp)
-        if labels.size != views[0].shape[1]:
-            raise InputError(
-                f"{lp}: {labels.size} labels for {views[0].shape[1]} samples"
-            )
+        labels = read_labels_csv(base / labels_rel)
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError(f"{p}: 'name' must be a string")
-    return MultiViewDataset(tuple(views), labels, name or p.stem)
+    try:
+        return MultiViewDataset(tuple(views), labels, name or p.stem)
+    except InputError as exc:
+        raise InputError(f"{p}: {exc}") from None
 
 
 @contextmanager

@@ -82,9 +82,8 @@ VARIANTS = ("full", "no_S", "matrix_nuclear", "no_Y")
 class Hyperparams:
     """Solver knobs; ``k=None`` resolves to the dataset's class count.
 
-    The solver never reads ``seed``: a fit starts from an all-zero state.
-    The CLI uses it as the base seed of the k-means repeats (seed + r for
-    repeat r)."""
+    A fit starts from an all-zero state and draws nothing at random, so
+    no random state is a knob here: the clustering's is KMeansConfig's."""
 
     lambda1: float = 1.0
     lambda2: float = 0.01
@@ -92,7 +91,6 @@ class Hyperparams:
     k: int | None = None
     epsilon: float = 1e-4
     max_iter: int = 100
-    seed: int = 0
     variant: str = "full"
 
     def __post_init__(self):
@@ -101,7 +99,7 @@ class Hyperparams:
                        lambda v: 0 <= v < np.inf)
         if self.k is not None:
             check_integers(self, k=1)
-        check_integers(self, max_iter=1, seed=0)
+        check_integers(self, max_iter=1)
         check_real("epsilon", self.epsilon, "must be > 0", lambda v: v > 0)
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")

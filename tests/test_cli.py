@@ -430,6 +430,54 @@ def test_invalid_input_leaves_no_output_directory(tmp_path, capsys, argv, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["fit", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["ablate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["bench", "--sizes", "30", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["bench", "--sizes", "3", "--c", "5"], "need n >= c, got n=3, c=5"),
+    (["bench", "--sizes", ""], "--sizes needs at least one value"),
+    (["ablate", "--grid", ""], "--grid needs at least one value"),
+    (["fit", "--k", "4"], "cannot form 4 clusters from 3 points"),
+], ids=["fit-seed", "ablate-seed", "bench-seed", "bench-size-below-c", "bench-empty-sizes",
+        "ablate-empty-grid", "fit-k-above-n"])
+def test_invalid_input_is_rejected_before_the_first_fit(tmp_path, capsys, monkeypatch,
+                                                        command, message):
+    calls = []
+    fit = cli.fit_variant
+    monkeypatch.setattr(cli, "fit_variant", lambda *a: calls.append(a) or fit(*a))
+    if "--k" in command:  # an unlabeled dataset of 3 samples
+        data = write_dataset(MultiViewDataset((np.arange(15.0).reshape(5, 3),)),
+                             tmp_path / "tiny")
+    else:
+        data = make_synth(tmp_path)
+    out = tmp_path / "o"
+    inputs = [] if command[0] == "bench" else ["--data", str(data)]
+    capsys.readouterr()
+    assert cli.main([*command, *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("labels, message", [
+    (lambda y: np.where(y == 0, -1, y), "negative class id -1"),
+    (lambda y: np.where(y == 1, 2, y), "1 of the classes 0..2 have no samples, the first is 1"),
+], ids=["negative-id", "missing-class"])
+def test_invalid_labels_file_names_the_manifest(tmp_path, capsys, labels, message):
+    manifest = make_synth(tmp_path)
+    y = manifest.parent / "labels.csv"
+    pred = tmp_path / "pred.csv"
+    pred.write_bytes(y.read_bytes())
+    y.write_text("".join(f"{v}\n" for v in labels(read_labels_csv(y))))
+    for argv in (fit_args(manifest, tmp_path / "o"),
+                 ["eval", "--data", str(manifest), "--pred", str(pred)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest}: {message}\n"
+        assert err.count(str(manifest)) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_output_file_is_invalid_input(tmp_path, capsys):
     # the output directory exists, but one file in it cannot be written
     manifest = make_synth(tmp_path)
@@ -604,8 +652,8 @@ def test_ablate_default_grid_sweeps_the_tuning_ladder(tmp_path, monkeypatch):
     cells = []
     pipeline = cli._run_pipeline
     monkeypatch.setattr(cli, "_run_pipeline",
-                        lambda ds, hp, r: cells.append((hp.lambda1, hp.lambda2))
-                        or pipeline(ds, hp, r))
+                        lambda ds, hp, km, r: cells.append((hp.lambda1, hp.lambda2))
+                        or pipeline(ds, hp, km, r))
     out = tmp_path / "abl"
     assert cli.main(["ablate", "--data", str(manifest), "--out", str(out),
                      "--grid", "default", "--repeats", "1", "--max-iter", "3"]) == 0
@@ -662,8 +710,7 @@ def test_label_rule_evidence_matches_a_recount(tmp_path):
             assert payload["argmax_agreement"] == accuracy_oracle(np.argmax(embed, axis=0),
                                                                   labels)
         st, _ = solver.fit_variant(ds, cli._hyperparams_from_args(
-            cli.build_parser().parse_args(fit_args(manifest, out, ["--variant", variant])),
-            variant))
+            cli.build_parser().parse_args(fit_args(manifest, out, ["--variant", variant]))))
         runs = [kmeans(solver.clustering_embedding(st, variant), KMeansConfig(c=3, seed=r))[0]
                 for r in range(6)]
         distinct = []

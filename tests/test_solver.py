@@ -715,11 +715,10 @@ def test_hyperparams_validation():
     with pytest.raises(InputError):
         Hyperparams(k=0)
     for bad in (dict(k=2.5), dict(k=True), dict(k="3"), dict(max_iter=2.5),
-                dict(max_iter=True), dict(max_iter=None), dict(seed=0.5),
-                dict(seed=-1)):
+                dict(max_iter=True), dict(max_iter=None)):
         with pytest.raises(InputError):
             Hyperparams(**bad)
-    Hyperparams(k=np.int64(3), max_iter=np.int32(5), seed=np.int64(1))
+    Hyperparams(k=np.int64(3), max_iter=np.int32(5))
 
 
 
