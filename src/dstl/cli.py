@@ -16,7 +16,7 @@ import platform
 import sys
 import time
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -36,8 +36,8 @@ from .data import (
     write_matrix_csv,
     write_text,
 )
-from .errors import InputError, NumericError, check_integer
-from .kmeans import KMeansConfig, kmeans, kmeans_repeats
+from .errors import InputError, NumericError
+from .kmeans import KMeansConfig, check_clusterable, kmeans, kmeans_repeats, least_inertia
 from .metrics import SCORES, accuracy, scores
 from .solver import (
     VARIANTS,
@@ -111,15 +111,9 @@ def _add_synth_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
 
 
 def _hyperparams_from_args(args) -> Hyperparams:
-    return Hyperparams(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        lambda3=args.lambda3,
-        k=args.k,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-        variant=getattr(args, "variant", "full"),
-    )
+    """Hyperparams from the fields args holds (ablate and bench lack variant)."""
+    return Hyperparams(**{f.name: getattr(args, f.name) for f in fields(Hyperparams)
+                          if hasattr(args, f.name)})
 
 
 def _synth_spec(args, n: int) -> SynthSpec:
@@ -158,13 +152,8 @@ def _run_pipeline(ds: MultiViewDataset, hp: Hyperparams, km: KMeansConfig, repea
     runs = kmeans_repeats(embed, km, repeats)
     cluster_seconds = time.perf_counter() - tic
     tic = time.perf_counter()
-    best_labels = None
-    best_inertia = np.inf
-    partitions = set()
-    for pred, inertia in runs:
-        partitions.add(_canonical_labels(pred).tobytes())
-        if inertia < best_inertia:
-            best_labels, best_inertia = pred, inertia
+    best_labels, _ = least_inertia(runs)
+    partitions = {_canonical_labels(pred).tobytes() for pred, _ in runs}
     summary = None
     if ds.labels is not None:
         per_run = [scores(pred, ds.labels) for pred, _ in runs]
@@ -258,9 +247,7 @@ def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: in
     cells = [hp] if grid is None else [replace(hp, lambda1=a, lambda2=b)
                                        for a, b in product(grid, grid)]
     km = KMeansConfig(c=ds.n_classes or hp.k, seed=seed)
-    check_integer("repeats", repeats, 1)
-    if ds.n_samples < km.c:
-        raise InputError(f"cannot form {km.c} clusters from {ds.n_samples} points")
+    check_clusterable(ds.n_samples, km, repeats)
     best = None
     for cell in cells:
         try:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, check_integer, check_integers, check_real
+from .linalg import _inverse_power_of_two
 
 __all__ = [
     "MultiViewDataset",
@@ -132,9 +133,13 @@ def _class_ids(labels) -> np.ndarray:
     if lab.dtype.kind not in "biu" or lab.dtype == np.uint64:
         for i, value in enumerate(lab.ravel().tolist()):
             whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-            if not (whole and -2**63 <= value < 2**63):
+            if not (whole and _in_int64(value)):
                 raise InputError(f"label {i} is not an integer: {value!r}")
     return lab.astype(np.int64)
+
+
+def _in_int64(value) -> bool:
+    return -2**63 <= value < 2**63
 
 
 NORMALIZATIONS = ("none", "unit-column-l2", "zscore-per-feature")
@@ -145,7 +150,10 @@ def normalize(ds: MultiViewDataset, mode: str) -> MultiViewDataset:
 
     unit-column-l2 rescales every nonzero column to unit norm (zero
     columns stay zero); zscore-per-feature centers and scales each feature
-    row by its population standard deviation (constant rows become zero).
+    row by its population standard deviation (a constant row becomes zero,
+    however its mean rounds).  Each column or row is first scaled, exactly,
+    by a power of two to a largest |entry| in [1/2, 1), so that no norm or
+    deviation over- or underflows at any finite scale.
     """
     if mode not in NORMALIZATIONS:
         raise InputError(
@@ -156,12 +164,15 @@ def normalize(ds: MultiViewDataset, mode: str) -> MultiViewDataset:
     out = []
     for x in ds.views:
         if mode == "unit-column-l2":
+            x = x * _inverse_power_of_two(np.abs(x).max(axis=0, keepdims=True))
             norms = np.linalg.norm(x, axis=0, keepdims=True)
             out.append(x / np.where(norms == 0, 1.0, norms))
         else:
+            const = x.max(axis=1, keepdims=True) == x.min(axis=1, keepdims=True)
+            x = x * _inverse_power_of_two(np.abs(x).max(axis=1, keepdims=True))
             mu = x.mean(axis=1, keepdims=True)
             sd = x.std(axis=1, keepdims=True)
-            out.append(np.where(sd == 0, 0.0, (x - mu) / np.where(sd == 0, 1.0, sd)))
+            out.append(np.where(const, 0.0, (x - mu) / np.where(const, 1.0, sd)))
     return MultiViewDataset(tuple(out), ds.labels, ds.name)
 
 
@@ -315,15 +326,17 @@ def _locate_bad_cell(path: Path) -> None:
                 )
 
 
-def _is_number(cell: str) -> bool:
-    """Whether np.loadtxt reads the cell as a float: after the whitespace
-    str.strip removes, an ASCII string that float() parses, with no
-    underscore (float() takes 1_0 and non-ASCII digits; loadtxt does not)."""
+def _is_number(cell: str, kind: type = float) -> bool:
+    """Whether the cell is a literal np.loadtxt reads as a kind, float or
+    int (an int must also fit int64, which _in_int64 checks): after the
+    whitespace str.strip removes, an ASCII string that kind() parses, with
+    no underscore (float() and int() take 1_0 and non-ASCII digits;
+    loadtxt does not)."""
     s = cell.strip()
     if not s.isascii() or "_" in s:
         return False
     try:
-        float(s)
+        kind(s)
     except ValueError:
         return False
     return True
@@ -350,20 +363,13 @@ def _locate_bad_label(path: Path) -> None:
     """Raise an InputError at the first line of a labels file that, once
     stripped, is neither blank nor an ASCII decimal int64; lines are
     counted from 1, blank lines included.  Returns when every line passes."""
-    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
     for i, line in enumerate(_text_lines(path)):
         line = line.strip()
         if not line:
             continue
-        try:
-            if not line.isascii() or "_" in line:  # int() takes 1_0 and non-ASCII digits
-                raise ValueError(line)
-            value = int(line)
-        except ValueError:
-            raise InputError(
-                f"{path}: line {i + 1}: not an integer label: {line!r}"
-            ) from None
-        if not lo <= value <= hi:
+        if not _is_number(line, int):
+            raise InputError(f"{path}: line {i + 1}: not an integer label: {line!r}")
+        if not _in_int64(int(line)):
             raise InputError(f"{path}: line {i + 1}: label outside int64: {line!r}")
 
 

@@ -1,10 +1,10 @@
 """Plain k-means with seeded k-means++ initialization and restarts.
 
 Deterministic given the config seed: restarts draw independent child
-generators from a SeedSequence, and the restart with the smallest inertia
-(first such restart on ties) wins.  kmeans_repeats clusters one matrix for
-several seeds at once, and kmeans is its one-seed case; each seed's result
-is that of a call for the seed alone, bit for bit.  Each restart runs at most
+generators from a SeedSequence, and least_inertia picks the winning
+restart.  kmeans_repeats clusters one matrix for several seeds at once,
+and kmeans is its one-seed case; each seed's result is that of a call for
+the seed alone, bit for bit.  Each restart runs at most
 MAX_LLOYD_ITER = 300 Lloyd iterations and stops early once the labels
 repeat, the inertia reaches zero, or the inertia falls by no more than
 LLOYD_TOL = 1e-7 of its previous value.
@@ -32,8 +32,9 @@ A seeding draw is Generator.choice(n, p=d2 / d2.sum()) minus its checks:
 one rng.random() searched (side "right") in the cumulative sum divided by
 its last entry, so a seed picks the same centers.
 
-The input checks and the distinct columns are done once per call, for all
-seeds.  The seeding of every restart of every seed then runs
+The input checks (a finite (d, n) matrix, then check_clusterable, which a
+caller may also run first) and the distinct columns are done once per
+call, for all seeds.  The seeding of every restart of every seed then runs
 breadth-first: each generator draws its first center, and at each later
 depth the restarts are grouped by the set of distinct columns they have
 chosen.  Their distances d2 are an elementwise minimum of exact per-column
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, check_integer, check_integers
 
-__all__ = ["KMeansConfig", "kmeans", "kmeans_repeats"]
+__all__ = ["KMeansConfig", "check_clusterable", "kmeans", "kmeans_repeats", "least_inertia"]
 
 MAX_LLOYD_ITER = 300
 LLOYD_TOL = 1e-7
@@ -244,6 +245,19 @@ def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, centers: np.
     return labels, inertia, history
 
 
+def check_clusterable(n: int, cfg: KMeansConfig, repeats: int) -> None:
+    """Raise InputError unless repeats is an integer >= 1 and n points can
+    form cfg.c clusters."""
+    check_integer("repeats", repeats, 1)
+    if n < cfg.c:
+        raise InputError(f"cannot form {cfg.c} clusters from {n} points")
+
+
+def least_inertia(runs):
+    """The (labels, inertia) run of least inertia, the first on ties."""
+    return min(runs, key=lambda run: run[1])
+
+
 def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
     """Cluster the n columns of a (d, n) matrix into cfg.c groups once per
     seed cfg.seed + r, r < repeats.
@@ -252,15 +266,13 @@ def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
     checks, the distinct columns and the seeding are shared by all repeats;
     each result is what kmeans gives for its seed alone, bit for bit.
     """
-    check_integer("repeats", repeats, 1)
     cols = np.ascontiguousarray(points, dtype=float)
     if cols.ndim != 2:
         raise InputError(f"kmeans expects a (d, n) matrix, got ndim={cols.ndim}")
     if not np.all(np.isfinite(cols)):
         raise InputError("kmeans input contains non-finite entries")
     n = cols.shape[1]
-    if n < cfg.c:
-        raise InputError(f"cannot form {cfg.c} clusters from {n} points")
+    check_clusterable(n, cfg, repeats)
     uniq, inverse = _distinct(cols)
     with np.errstate(over="ignore"):
         top = float(np.max((uniq * uniq).sum(axis=0)))
@@ -272,16 +284,9 @@ def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
     rngs = [np.random.default_rng(child) for r in range(repeats)
             for child in np.random.SeedSequence(cfg.seed + r).spawn(cfg.restarts)]
     seeded = _plusplus_init(uniq, inverse, cfg.c, rngs)
-    results = []
-    for r in range(repeats):
-        best_labels = None
-        best_inertia = np.inf
-        for centers in seeded[r * cfg.restarts:(r + 1) * cfg.restarts]:
-            labels, inertia, _ = _lloyd(cols, uniq, inverse, centers, cfg.c)
-            if inertia < best_inertia:
-                best_labels, best_inertia = labels, inertia
-        results.append((best_labels, float(best_inertia)))
-    return results
+    return [least_inertia(_lloyd(cols, uniq, inverse, centers, cfg.c)[:2]
+                          for centers in seeded[r * cfg.restarts:(r + 1) * cfg.restarts])
+            for r in range(repeats)]
 
 
 def kmeans(points: np.ndarray, cfg: KMeansConfig):

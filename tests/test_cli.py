@@ -27,8 +27,8 @@ from dstl.data import (
     read_labels_csv,
     write_dataset,
 )
-from dstl.errors import NumericError
-from dstl.kmeans import KMeansConfig, kmeans
+from dstl.errors import InputError, NumericError
+from dstl.kmeans import KMeansConfig, kmeans, kmeans_repeats
 
 from conftest import accuracy_oracle, same_partition
 
@@ -456,6 +456,48 @@ def test_invalid_input_is_rejected_before_the_first_fit(tmp_path, capsys, monkey
     assert cli.main([*command, *inputs, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("n, c, repeats", [(3, 4, 1), (6, 2, 0)],
+                         ids=["n-below-c", "no-repeats"])
+def test_fit_rejects_a_clustering_as_kmeans_does(tmp_path, capsys, monkeypatch, n, c, repeats):
+    # the CLI checks k-means' rules before its first fit, with k-means' own
+    # message
+    x = np.arange(5.0 * n).reshape(5, n)
+    with pytest.raises(InputError) as exc:
+        kmeans_repeats(x, KMeansConfig(c=c), repeats)
+    calls = []
+    monkeypatch.setattr(cli, "fit_variant", lambda *a: calls.append(a))
+    data = write_dataset(MultiViewDataset((x,)), tmp_path / "d")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(["fit", "--data", str(data), "--out", str(out),
+                     "--k", str(c), "--repeats", str(repeats)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert calls == [] and not out.exists()
+
+
+def test_an_inertia_tie_keeps_the_first_repeat(tmp_path, monkeypatch):
+    manifest = make_synth(tmp_path)
+    labels = [np.arange(60) % 3, np.arange(60) // 20, (np.arange(60) + 1) % 3]
+    monkeypatch.setattr(cli, "kmeans_repeats",
+                        lambda embed, km, repeats: list(zip(labels, [2.0, 1.0, 1.0])))
+    out = tmp_path / "run"
+    assert cli.main(fit_args(manifest, out)) == 0
+    assert np.array_equal(read_labels_csv(out / "labels.csv"), labels[1])
+
+
+@pytest.mark.parametrize("mode", ["unit-column-l2", "zscore-per-feature"])
+def test_fit_normalize_labels_do_not_depend_on_the_scale(tmp_path, mode):
+    ds = load_dataset(make_synth(tmp_path))
+    written = []
+    for exponent in (0, 600, -600):
+        views = tuple(np.ldexp(v, exponent) for v in ds.views)
+        manifest = write_dataset(MultiViewDataset(views, ds.labels), tmp_path / f"d{exponent}")
+        out = tmp_path / f"run{exponent}"
+        assert cli.main(fit_args(manifest, out, ["--normalize", mode])) == 0
+        written.append((out / "labels.csv").read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
 
 
 @pytest.mark.parametrize("labels, message", [

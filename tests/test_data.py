@@ -264,9 +264,29 @@ def test_normalize_zscore_rows():
 
 
 def test_normalize_zscore_constant_row_becomes_zero():
-    x = np.vstack([np.full(5, 7.0), np.arange(5.0)])
-    out = normalize(MultiViewDataset((x,)), "zscore-per-feature")
-    assert np.array_equal(out.views[0][0], np.zeros(5))
+    # the mean of n copies of these values rounds away from the value at
+    # some n <= 11, which must not leave the row at +-1
+    cases = [(7.0, 5), *((v, n) for v in (0.1, 0.7, 0.3, 1 / 3, 1e-3, 2.2)
+                         for n in range(2, 12))]
+    for value, n in cases:
+        x = np.vstack([np.full(n, value), np.arange(float(n))])
+        out = normalize(MultiViewDataset((x,)), "zscore-per-feature")
+        assert np.array_equal(out.views[0][0], np.zeros(n)), (value, n)
+
+
+@pytest.mark.parametrize("mode", ["unit-column-l2", "zscore-per-feature"])
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_normalize_is_exact_at_any_finite_scale(mode, exponent):
+    # a zero column and a constant row; squares of the 2^600 view overflow
+    # and those of the 2^-600 view underflow
+    x = np.random.default_rng(3).standard_normal((4, 9))
+    x[:, 2] = 0.0
+    x[1] = 0.1
+    want = normalize(MultiViewDataset((x,)), mode).views[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = normalize(MultiViewDataset((np.ldexp(x, exponent),)), mode).views[0]
+    assert np.array_equal(got, want)
 
 
 def test_normalize_unknown_mode():

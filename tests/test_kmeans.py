@@ -128,6 +128,20 @@ def test_kmeans_repeats_rejects_a_repeat_count_that_is_not_a_positive_integer():
     assert len(kmeans_repeats(x, cfg, np.int32(2))) == 2
 
 
+def test_an_inertia_tie_keeps_the_first_restart(monkeypatch):
+    # restarts end at inertia 2, 1, 1 within each of two repeats: each
+    # repeat keeps its second restart, not the first or the last
+    ends = []
+
+    def lloyd(cols, uniq, inverse, centers, c):
+        ends.append(len(ends))
+        return np.full(cols.shape[1], ends[-1]), (2.0, 1.0, 1.0)[ends[-1] % 3], []
+
+    monkeypatch.setattr(importlib.import_module("dstl.kmeans"), "_lloyd", lloyd)
+    runs = kmeans_repeats(np.arange(6.0)[None], KMeansConfig(c=2, restarts=3), 2)
+    assert [(int(labels[0]), inertia) for labels, inertia in runs] == [(1, 1.0), (4, 1.0)]
+
+
 def test_overflowing_distances_are_a_numeric_failure():
     # finite points whose squared distances overflow float64
     x = np.random.default_rng(7).standard_normal((4, 200)) * 1e153
