@@ -440,8 +440,7 @@ def write_matrix_csv(path: Path, arr: np.ndarray) -> None:
 
 def write_labels_csv(path: Path, labels: np.ndarray) -> None:
     with _text_out(path) as fh:
-        fh.write("\n".join(str(int(v)) for v in labels))
-        fh.write("\n")
+        fh.write("\n".join(str(int(v)) for v in np.asarray(labels).tolist()) + "\n")
 
 
 def write_text(path: Path, text: str) -> None:

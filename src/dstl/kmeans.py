@@ -24,10 +24,11 @@ wherever index order matters: the seeding draw, the inertia sum, the
 convergence test, the reseeding of empty clusters and the centroids,
 per-cluster means summed point by point in index order.  BLAS can round
 a score by the column's place in the product, so a Lloyd step whose best
-two scores on some distinct column lie within the product's rounding
-bound runs on all n columns (_assign_points), as does every step when
-all n columns are distinct.  Labels and inertia are thus those of the
-same steps run over all n points, bit for bit.
+two scores on some distinct column lie within 8 eps ((d + 2) X r + r^2),
+X the root of the guard's largest squared norm and r the largest center
+norm, runs on all n columns (_assign_points), as does every step when
+all n columns are distinct: labels and inertia are those of the same
+steps run over all n points, bit for bit.
 A seeding draw is Generator.choice(n, p=d2 / d2.sum()) minus its checks:
 one rng.random() searched (side "right") in the cumulative sum divided by
 its last entry, so a seed picks the same centers.
@@ -159,10 +160,10 @@ def _assign(cols: np.ndarray, centers: np.ndarray, gap: bool = False):
 
 
 def _assign_points(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray,
-                   norms: np.ndarray, centers: np.ndarray):
+                   x_max: float, centers: np.ndarray):
     """_assign(cols, centers), computed on the distinct columns whenever
-    that gives the same result bit for bit; norms are the Euclidean norms
-    of the distinct columns.
+    that gives the same result bit for bit; x_max is the largest Euclidean
+    norm of a distinct column.
 
     A point's exact distance depends only on its value, but its GEMM score
     can also depend on its place: BLAS may round a column by its place in
@@ -170,9 +171,9 @@ def _assign_points(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray,
     d >= 16, a matrix-vector product at u = 1).  Every order of the d
     multiply-adds lies within gamma_d |x| |c| of x.c (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1), so a
-    column x whose two lowest scores lie more than
-    8 eps ((d + 2) |x| r + r^2) apart, r the largest center norm, takes
-    the same label from any GEMM; the subnormal term covers underflow.  If
+    column x whose two lowest scores lie more than 8 eps ((d + 2) x_max r
+    + r^2) apart, r the largest center norm, takes the same label from any
+    GEMM, as |x| <= x_max; the subnormal term covers underflow.  If
     some column is that close, or uniq is the single column numpy would
     sum pairwise (it sums two or more row by row), or cols itself, the
     step runs on all n columns.
@@ -182,7 +183,7 @@ def _assign_points(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray,
         labels, point_d2, gap = _assign(uniq, centers, gap=True)
         r2 = float(np.max((centers * centers).sum(axis=1)))
         slack = 8.0 * _EPS * r2 + (d + 2) * 16.0 * _TINY
-        if np.all(gap > 8.0 * _EPS * (d + 2) * np.sqrt(r2) * norms + slack):
+        if np.all(gap > 8.0 * _EPS * (d + 2) * np.sqrt(r2) * x_max + slack):
             return labels.take(inverse), point_d2.take(inverse)
     return _assign(cols, centers)
 
@@ -203,19 +204,19 @@ def _distinct(cols: np.ndarray):
     return np.take(cols, first, axis=1), inverse
 
 
-def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, centers: np.ndarray,
-           c: int):
-    """Lloyd iterations into c clusters from given centers on the columns of
-    a contiguous (d, n) matrix, with uniq and inverse from _distinct(cols);
-    returns labels, inertia and the per-iteration inertia history
-    (non-increasing)."""
-    norms = np.sqrt((uniq * uniq).sum(axis=0))
+def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: float,
+           centers: np.ndarray):
+    """Lloyd iterations from the given (c, d) centers on the columns of a
+    contiguous (d, n) matrix, with uniq and inverse from _distinct(cols) and
+    x_max the largest norm of a column of uniq; returns labels, inertia and
+    the per-iteration inertia history (non-increasing)."""
+    c = len(centers)
     history = []
     labels = None
     prev_labels = None
     inertia = np.inf
     for _ in range(MAX_LLOYD_ITER):
-        labels, point_d2 = _assign_points(cols, uniq, inverse, norms, centers)
+        labels, point_d2 = _assign_points(cols, uniq, inverse, x_max, centers)
         counts = np.bincount(labels, minlength=c)
         empties = np.nonzero(counts == 0)[0]
         if empties.size:
@@ -226,7 +227,7 @@ def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, centers: np.
                 far = int(np.argmax(cand))
                 centers[ci] = cols[:, far]
                 cand[far] = -np.inf
-            labels, point_d2 = _assign_points(cols, uniq, inverse, norms, centers)
+            labels, point_d2 = _assign_points(cols, uniq, inverse, x_max, centers)
             counts = np.bincount(labels, minlength=c)
         new_inertia = float(point_d2.sum())
         history.append(new_inertia)
@@ -277,14 +278,13 @@ def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
     with np.errstate(over="ignore"):
         top = float(np.max((uniq * uniq).sum(axis=0)))
         if not np.isfinite(4.0 * n * top):
-            raise NumericError(
-                f"k-means on {n} points with squared norms up to {top:.3e} "
-                f"would overflow float64"
-            )
+            raise NumericError(f"k-means on {n} points with squared norms up to {top:.3e} "
+                               "would overflow float64")
     rngs = [np.random.default_rng(child) for r in range(repeats)
             for child in np.random.SeedSequence(cfg.seed + r).spawn(cfg.restarts)]
     seeded = _plusplus_init(uniq, inverse, cfg.c, rngs)
-    return [least_inertia(_lloyd(cols, uniq, inverse, centers, cfg.c)[:2]
+    x_max = float(np.sqrt(top))
+    return [least_inertia(_lloyd(cols, uniq, inverse, x_max, centers)[:2]
                           for centers in seeded[r * cfg.restarts:(r + 1) * cfg.restarts])
             for r in range(repeats)]
 

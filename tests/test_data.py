@@ -22,6 +22,7 @@ from dstl.data import (
     read_labels_csv,
     read_matrix_csv,
     write_dataset,
+    write_labels_csv,
     write_matrix_csv,
     write_text,
 )
@@ -464,6 +465,20 @@ def test_write_then_load_round_trips_bits(tmp_path):
         assert a.tobytes() == b.tobytes()
     assert np.array_equal(back.labels, ds.labels)
     assert back.name == ds.name
+
+
+def test_labels_write_as_str_of_int_of_each_entry(tmp_path):
+    # the bytes of one str(int(v)) line per numpy scalar v, whatever the
+    # dtype, and a lone newline for no labels
+    cases = [np.array([-128, 0, 127], dtype=np.int8),
+             np.array([0, 2**63, 2**64 - 1], dtype=np.uint64),
+             np.array([True, False, True]),
+             np.array([3.0, -0.0, 2.0**60]),
+             np.zeros(0, dtype=np.int64)]
+    for labels in cases:
+        write_labels_csv(tmp_path / "l.csv", labels)
+        want = "".join(str(int(v)) + "\n" for v in labels) or "\n"
+        assert (tmp_path / "l.csv").read_bytes() == want.encode()
 
 
 def test_round_trip_awkward_values(tmp_path):

@@ -30,6 +30,12 @@ def blobs(rng, c, per, d=2, spread=10.0):
     return points.T, labels  # (d, n), columns are samples
 
 
+def _largest_norm(x):
+    """The largest column norm of a (d, n) matrix, as kmeans_repeats hands
+    it to _lloyd and _assign_points."""
+    return float(np.sqrt(np.max((x * x).sum(axis=0))))
+
+
 def test_separated_blobs_recovered_exactly():
     rng = np.random.default_rng(0)
     x, truth = blobs(rng, c=3, per=40)
@@ -69,7 +75,7 @@ def test_lloyd_inertia_history_non_increasing():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 60))
     centers = x[:, :5].T.copy()
-    _, _, history = _lloyd(x, *_distinct(x), centers, 5)
+    _, _, history = _lloyd(x, *_distinct(x), _largest_norm(x), centers)
     assert len(history) >= 1
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-9)
@@ -80,7 +86,7 @@ def test_lloyd_repairs_empty_clusters():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 30)) * 3
     centers = np.repeat(x[:, :1].T, 3, axis=0)
-    labels, inertia, _ = _lloyd(x, *_distinct(x), centers, 3)
+    labels, inertia, _ = _lloyd(x, *_distinct(x), _largest_norm(x), centers)
     assert np.bincount(labels, minlength=3).min() >= 1
     assert np.isfinite(inertia)
 
@@ -133,7 +139,7 @@ def test_an_inertia_tie_keeps_the_first_restart(monkeypatch):
     # repeat keeps its second restart, not the first or the last
     ends = []
 
-    def lloyd(cols, uniq, inverse, centers, c):
+    def lloyd(cols, uniq, inverse, x_max, centers):
         ends.append(len(ends))
         return np.full(cols.shape[1], ends[-1]), (2.0, 1.0, 1.0)[ends[-1] % 3], []
 
@@ -250,11 +256,31 @@ def test_assign_on_the_distinct_columns_matches_assign_over_all_points(c, n, d, 
     else:
         centers = np.repeat(cols[:, rng.integers(n, size=1)].T, c, axis=0)
     uniq, inverse = _distinct(cols)
-    norms = np.sqrt((uniq * uniq).sum(axis=0))
-    labels, point_d2 = _assign_points(cols, uniq, inverse, norms, centers)
+    labels, point_d2 = _assign_points(cols, uniq, inverse, _largest_norm(cols), centers)
     want_labels, want_d2 = _assign(cols, centers)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(point_d2, want_d2)
+
+
+@pytest.mark.parametrize("data_seed", [1, 2, 3])
+def test_a_fits_y_never_sends_a_lloyd_step_over_all_points(monkeypatch, data_seed):
+    # a fit's near-one-hot Y, at the benchmark's hyperparameters, keeps
+    # every Lloyd step on its few distinct columns under the tie bound
+    ds = dstl.generate_synthetic(dstl.SynthSpec(n=2000, c=5, m=3, dims=(30, 30, 30),
+                                                corrupt_frac=0.1, seed=data_seed))
+    hp = dstl.Hyperparams(lambda1=5.0, lambda2=0.01, epsilon=1e-300, max_iter=12)
+    st, trace = dstl.fit_variant(ds, hp)
+    assert len(trace) == 12
+    widths = []
+
+    def spy(cols, centers, gap=False):
+        widths.append(cols.shape[1])
+        return _assign(cols, centers, gap)
+
+    monkeypatch.setattr(importlib.import_module("dstl.kmeans"), "_assign", spy)
+    kmeans_repeats(st.Y, KMeansConfig(c=5, seed=0), 10)
+    u = _distinct(np.ascontiguousarray(st.Y))[0].shape[1]
+    assert 1 < u < ds.n_samples and widths and set(widths) == {u}
 
 
 def _kmeans_input(rng, n, d, distinct, scale_exp, kind):
