@@ -44,7 +44,19 @@ one take, sum and cumulative sum over the n points, and each of its
 restarts draws from that with its own generator, in the order of calls a
 lone restart makes.  A fit's Y has few distinct columns, so its restarts
 often share a set; where all columns differ, a group is mostly one
-restart.  Lloyd iterations run per restart.
+restart.
+
+Lloyd then runs once per chosen set (_restart), keyed by the sorted picks
+and kept for the one call.  A run is clean when every step labelled the u
+distinct columns under the tie bound and no cluster was reseeded; a later
+restart that chose the set of a clean run takes its inertia as is and its
+labels through the change of center order.  This is exact: under the bound
+a step's label, as a center value, is the one any GEMM gives, permuted
+center rows included, so the exact distances, the centroids summed in
+index order, the inertia and every stop test match bit for bit, and only
+the label numbers differ.  A restart whose set has no clean run runs its
+own Lloyd.  Where all columns differ every step runs over all n points, so
+no run is clean and every restart runs Lloyd.
 
 Points whose squared norms, times 4n, overflow float64 raise NumericError:
 below that bound no score, distance or inertia can overflow.  Duplicate
@@ -78,12 +90,13 @@ class KMeansConfig:
 
 
 def _plusplus_init(uniq: np.ndarray, inverse: np.ndarray, c: int,
-                   rngs: list[np.random.Generator]) -> list[np.ndarray]:
-    """k-means++ seeding, one (c, d) set of centers per generator, on the n
-    points inverse maps into the distinct columns of the (d, u) matrix uniq:
-    each next center is drawn with probability proportional to the exact
-    squared distance from the chosen set, the draw running over the n points
-    in index order.
+                   rngs: list[np.random.Generator]) -> list[list[int]]:
+    """k-means++ seeding, one list of c picks per generator, on the n points
+    inverse maps into the distinct columns of the (d, u) matrix uniq: a pick
+    is the index of a distinct column, the center it seeds, and each next
+    center is drawn with probability proportional to the exact squared
+    distance from the chosen set, the draw running over the n points in
+    index order.
 
     The generators advance breadth-first, one center each per depth, and
     those whose chosen columns form the same set share one distance vector
@@ -106,7 +119,7 @@ def _plusplus_init(uniq: np.ndarray, inverse: np.ndarray, c: int,
                 if new not in grown:
                     grown[new] = np.minimum(d2[key], _column_sq_dist(uniq, uniq[:, j]))
         d2 = grown
-    return [np.ascontiguousarray(uniq[:, p].T) for p in picks]
+    return picks
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray | None:
@@ -163,7 +176,8 @@ def _assign_points(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray,
                    x_max: float, centers: np.ndarray):
     """_assign(cols, centers), computed on the distinct columns whenever
     that gives the same result bit for bit; x_max is the largest Euclidean
-    norm of a distinct column.
+    norm of a distinct column.  Returns labels, distances and, when the
+    step ran on the distinct columns, their u labels (else None).
 
     A point's exact distance depends only on its value, but its GEMM score
     can also depend on its place: BLAS may round a column by its place in
@@ -184,8 +198,8 @@ def _assign_points(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray,
         r2 = float(np.max((centers * centers).sum(axis=1)))
         slack = 8.0 * _EPS * r2 + (d + 2) * 16.0 * _TINY
         if np.all(gap > 8.0 * _EPS * (d + 2) * np.sqrt(r2) * x_max + slack):
-            return labels.take(inverse), point_d2.take(inverse)
-    return _assign(cols, centers)
+            return labels.take(inverse), point_d2.take(inverse), labels
+    return *_assign(cols, centers), None
 
 
 def _centroid_sums(cols: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
@@ -208,17 +222,21 @@ def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: float
            centers: np.ndarray):
     """Lloyd iterations from the given (c, d) centers on the columns of a
     contiguous (d, n) matrix, with uniq and inverse from _distinct(cols) and
-    x_max the largest norm of a column of uniq; returns labels, inertia and
-    the per-iteration inertia history (non-increasing)."""
+    x_max the largest norm of a column of uniq; returns labels, inertia, the
+    per-iteration inertia history (non-increasing) and, when the run was
+    clean (every step labelled the distinct columns and no cluster was
+    reseeded), the u labels of the distinct columns (else None)."""
     c = len(centers)
     history = []
-    labels = None
+    labels = unique_labels = None
     prev_labels = None
     inertia = np.inf
+    clean = True
     for _ in range(MAX_LLOYD_ITER):
-        labels, point_d2 = _assign_points(cols, uniq, inverse, x_max, centers)
+        labels, point_d2, unique_labels = _assign_points(cols, uniq, inverse, x_max, centers)
         counts = np.bincount(labels, minlength=c)
         empties = np.nonzero(counts == 0)[0]
+        clean = clean and unique_labels is not None and not empties.size
         if empties.size:
             # reseed each empty cluster to the point farthest from its
             # current centroid, then reassign
@@ -227,7 +245,7 @@ def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: float
                 far = int(np.argmax(cand))
                 centers[ci] = cols[:, far]
                 cand[far] = -np.inf
-            labels, point_d2 = _assign_points(cols, uniq, inverse, x_max, centers)
+            labels, point_d2, _ = _assign_points(cols, uniq, inverse, x_max, centers)
             counts = np.bincount(labels, minlength=c)
         new_inertia = float(point_d2.sum())
         history.append(new_inertia)
@@ -243,7 +261,38 @@ def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: float
         nonzero = counts > 0
         centers[nonzero] = sums[nonzero] / counts[nonzero, None]
         prev_labels = labels
-    return labels, inertia, history
+    return labels, inertia, history, unique_labels if clean else None
+
+
+def _restart(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: float,
+             picks: list[int], memo: dict):
+    """One restart from the centers uniq[:, picks], as (labels, inertia,
+    order): labels of the n points when order is None, else each distinct
+    column's label as the rank of its center in sorted(picks), which
+    _expand turns into the labels of the n points.
+
+    memo maps the sorted picks of each clean run (_lloyd) to its ranked
+    labels and inertia.  A restart whose sorted picks are in memo takes them
+    instead of running Lloyd: its run would take the same steps with the
+    centers in another order (module docstring).  No clean run has a column
+    picked twice: that column would tie with itself and send the first step
+    over all n points.  So the picks of a clean run are distinct, and the
+    ranks are a permutation."""
+    key = tuple(sorted(picks))
+    if key not in memo:
+        labels, inertia, _, unique_labels = _lloyd(cols, uniq, inverse, x_max,
+                                                    np.ascontiguousarray(uniq[:, picks].T))
+        if unique_labels is None:
+            return labels, inertia, None
+        memo[key] = np.argsort(np.argsort(picks))[unique_labels], inertia
+    ranked, inertia = memo[key]
+    return ranked, inertia, np.argsort(picks)
+
+
+def _expand(run, inverse: np.ndarray):
+    """(labels of the n points, inertia) of a _restart result."""
+    labels, inertia, order = run
+    return (labels if order is None else order[labels].take(inverse)), inertia
 
 
 def check_clusterable(n: int, cfg: KMeansConfig, repeats: int) -> None:
@@ -255,7 +304,8 @@ def check_clusterable(n: int, cfg: KMeansConfig, repeats: int) -> None:
 
 
 def least_inertia(runs):
-    """The (labels, inertia) run of least inertia, the first on ties."""
+    """The run of least inertia, the first on ties; a run is (labels,
+    inertia) or, inside kmeans_repeats, a _restart result."""
     return min(runs, key=lambda run: run[1])
 
 
@@ -264,8 +314,9 @@ def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
     seed cfg.seed + r, r < repeats.
 
     Returns one (labels, inertia) per seed, that of its best restart.  The
-    checks, the distinct columns and the seeding are shared by all repeats;
-    each result is what kmeans gives for its seed alone, bit for bit.
+    checks, the distinct columns, the seeding and each clean Lloyd run are
+    shared by all repeats; each result is what kmeans gives for its seed
+    alone, bit for bit.
     """
     cols = np.ascontiguousarray(points, dtype=float)
     if cols.ndim != 2:
@@ -282,10 +333,12 @@ def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
                                "would overflow float64")
     rngs = [np.random.default_rng(child) for r in range(repeats)
             for child in np.random.SeedSequence(cfg.seed + r).spawn(cfg.restarts)]
-    seeded = _plusplus_init(uniq, inverse, cfg.c, rngs)
+    picks = _plusplus_init(uniq, inverse, cfg.c, rngs)
     x_max = float(np.sqrt(top))
-    return [least_inertia(_lloyd(cols, uniq, inverse, x_max, centers)[:2]
-                          for centers in seeded[r * cfg.restarts:(r + 1) * cfg.restarts])
+    memo = {}
+    return [_expand(least_inertia(_restart(cols, uniq, inverse, x_max, p, memo)
+                                  for p in picks[r * cfg.restarts:(r + 1) * cfg.restarts]),
+                    inverse)
             for r in range(repeats)]
 
 

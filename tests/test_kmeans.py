@@ -7,14 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import dstl
 from dstl.errors import InputError, NumericError
 import dstl.cli as cli
 from dstl.kmeans import (KMeansConfig, _assign, _assign_points, _centroid_sums, _cdf,
-                         _column_sq_dist, _distinct, _draw, _lloyd, kmeans, kmeans_repeats)
+                         _column_sq_dist, _distinct, _draw, _expand, _lloyd, _restart,
+                         kmeans, kmeans_repeats)
 from dstl.metrics import accuracy
 
 from conftest import (assign_oracle, centroid_sums_oracle, cn_product, kmeans_oracle,
@@ -75,7 +76,7 @@ def test_lloyd_inertia_history_non_increasing():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 60))
     centers = x[:, :5].T.copy()
-    _, _, history = _lloyd(x, *_distinct(x), _largest_norm(x), centers)
+    _, _, history, _ = _lloyd(x, *_distinct(x), _largest_norm(x), centers)
     assert len(history) >= 1
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-9)
@@ -86,9 +87,10 @@ def test_lloyd_repairs_empty_clusters():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 30)) * 3
     centers = np.repeat(x[:, :1].T, 3, axis=0)
-    labels, inertia, _ = _lloyd(x, *_distinct(x), _largest_norm(x), centers)
+    labels, inertia, _, unique_labels = _lloyd(x, *_distinct(x), _largest_norm(x), centers)
     assert np.bincount(labels, minlength=3).min() >= 1
     assert np.isfinite(inertia)
+    assert unique_labels is None  # a reseeded run is not clean, so no restart reuses it
 
 
 def test_restart_count_matters_only_through_quality():
@@ -141,7 +143,7 @@ def test_an_inertia_tie_keeps_the_first_restart(monkeypatch):
 
     def lloyd(cols, uniq, inverse, x_max, centers):
         ends.append(len(ends))
-        return np.full(cols.shape[1], ends[-1]), (2.0, 1.0, 1.0)[ends[-1] % 3], []
+        return np.full(cols.shape[1], ends[-1]), (2.0, 1.0, 1.0)[ends[-1] % 3], [], None
 
     monkeypatch.setattr(importlib.import_module("dstl.kmeans"), "_lloyd", lloyd)
     runs = kmeans_repeats(np.arange(6.0)[None], KMeansConfig(c=2, restarts=3), 2)
@@ -256,10 +258,12 @@ def test_assign_on_the_distinct_columns_matches_assign_over_all_points(c, n, d, 
     else:
         centers = np.repeat(cols[:, rng.integers(n, size=1)].T, c, axis=0)
     uniq, inverse = _distinct(cols)
-    labels, point_d2 = _assign_points(cols, uniq, inverse, _largest_norm(cols), centers)
+    labels, point_d2, unique_labels = _assign_points(cols, uniq, inverse, _largest_norm(cols),
+                                                     centers)
     want_labels, want_d2 = _assign(cols, centers)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(point_d2, want_d2)
+    assert unique_labels is None or np.array_equal(unique_labels.take(inverse), labels)
 
 
 @pytest.mark.parametrize("data_seed", [1, 2, 3])
@@ -397,8 +401,17 @@ def test_seeding_draw_is_generator_choice_draw_for_draw(n, zero_frac, power, see
 # weights sum to 0, and those draws take rng.integers(n)
 @example(c=6, extra=30, d=4, distinct=2, repeats=3, restarts=4, kind="drawn", seed=0)
 @example(c=8, extra=40, d=3, distinct=3, repeats=2, restarts=3, kind="signed_zeros", seed=1)
-# a Y-like input where restarts share chosen sets at every depth
+# a Y-like input where restarts share chosen sets at every depth: its 16
+# restarts pick one set in several orders and run Lloyd once
 @example(c=5, extra=395, d=5, distinct=1, repeats=4, restarts=4, kind="one_hot", seed=2)
+# runs no restart may reuse: every step over all n points at u = 1 and at
+# u = n, and near ties (unchosen vertices of a one-hot Y at d > c lie at
+# one distance from every chosen vertex); the examples above also reseed
+# empty clusters and pick a column twice
+@example(c=1, extra=10, d=3, distinct=1, repeats=2, restarts=3, kind="drawn", seed=3)
+@example(c=2, extra=1, d=4, distinct=30, repeats=2, restarts=3, kind="drawn", seed=1)
+@example(c=5, extra=37, d=20, distinct=22, repeats=3, restarts=4, kind="one_hot",
+         seed=1167425779)
 def test_kmeans_repeats_equal_one_kmeans_call_per_seed(c, extra, d, distinct, repeats,
                                                        restarts, kind, seed):
     # breadth-first seeding over all repeats draws, per seed, the centers
@@ -412,6 +425,126 @@ def test_kmeans_repeats_equal_one_kmeans_call_per_seed(c, extra, d, distinct, re
                                                   product=cn_product)
         assert np.array_equal(labels, alone[0]) and inertia.hex() == alone[1].hex()
         assert np.array_equal(labels, want_labels) and inertia.hex() == want_inertia.hex()
+
+
+def _fit_ref_y(data_seed):
+    """The Y of a fit at the fit_ref shape and hyperparameters."""
+    ds = dstl.generate_synthetic(dstl.SynthSpec(n=8000, c=5, m=3, dims=(30, 30, 30),
+                                                corrupt_frac=0.1, seed=data_seed))
+    hp = dstl.Hyperparams(lambda1=5.0, lambda2=0.01, epsilon=1e-300, max_iter=12)
+    return dstl.fit_variant(ds, hp)[0].Y
+
+
+def test_a_fits_y_runs_lloyd_once_per_chosen_set(monkeypatch):
+    # at the fit_ref shape (data seed 1, 10 repeats of 10 restarts) the 100
+    # restarts choose a few sets of distinct columns, in many orders: each
+    # set runs Lloyd once, cleanly, and every seed keeps the oracle's result
+    y = _fit_ref_y(1)
+    kmeans_module = importlib.import_module("dstl.kmeans")
+    lloyd = kmeans_module._lloyd
+    runs = []
+
+    def spy(cols, uniq, inverse, x_max, centers):
+        chosen = frozenset(row.tobytes() for row in centers)  # before Lloyd moves them
+        out = lloyd(cols, uniq, inverse, x_max, centers)
+        runs.append((chosen, out[3] is not None))
+        return out
+
+    monkeypatch.setattr(kmeans_module, "_lloyd", spy)
+    results = kmeans_repeats(y, KMeansConfig(c=5, seed=0), 10)
+    chosen_sets = {chosen for chosen, _ in runs}
+    assert all(clean for _, clean in runs)
+    assert len(runs) == len(chosen_sets) <= 7
+    for seed, (labels, inertia) in enumerate(results):
+        want_labels, want_inertia = kmeans_oracle(y, 5, seed=seed)
+        assert np.array_equal(labels, want_labels) and inertia.hex() == want_inertia.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    c=hst.integers(1, 8),
+    extra=hst.integers(0, 300),
+    d=hst.integers(1, 20),
+    distinct=hst.integers(1, 30),
+    kind=hst.sampled_from(["drawn", "one_hot", "signed_zeros"]),
+    seed=hst.integers(0, 2**31),
+)
+@example(c=5, extra=395, d=5, distinct=1, kind="one_hot", seed=2)
+@example(c=8, extra=200, d=20, distinct=30, kind="drawn", seed=3)
+def test_a_clean_run_with_its_centers_reordered_is_the_same_run_relabeled(c, extra, d, distinct,
+                                                                          kind, seed):
+    # Lloyd from one set of distinct columns in two orders: where the first
+    # run is clean, the second takes the same steps to the same inertia,
+    # bit for bit, and labels each point by the same center; _restart then
+    # hands the second restart exactly that run without running it
+    rng = np.random.default_rng(seed)
+    cols = np.ascontiguousarray(_kmeans_input(rng, c + extra, d, distinct, 0, kind))
+    uniq, inverse = _distinct(cols)
+    assume(uniq.shape[1] >= c)
+    x_max = _largest_norm(cols)
+    picks = [int(j) for j in rng.choice(uniq.shape[1], size=c, replace=False)]
+    other = [picks[i] for i in rng.permutation(c)]
+    runs = [_lloyd(cols, uniq, inverse, x_max, np.ascontiguousarray(uniq[:, p].T))
+            for p in (picks, other)]
+    memo = {}
+    restarts = [_restart(cols, uniq, inverse, x_max, p, memo) for p in (picks, other)]
+    for run, restart in zip(runs, restarts):
+        labels, inertia = _expand(restart, inverse)
+        assert np.array_equal(labels, run[0]) and inertia.hex() == run[1].hex()
+    clean = runs[0][3] is not None
+    assert (tuple(sorted(picks)) in memo) == clean
+    if clean:
+        assert np.array_equal(np.array(other)[runs[1][0]], np.array(picks)[runs[0][0]])
+        assert [h.hex() for h in runs[1][2]] == [h.hex() for h in runs[0][2]]
+
+
+def _unclean_case(case):
+    """A (d, n) matrix and the picks of a Lloyd run from them that is not
+    clean, for the named reason."""
+    if case == "u = 1":
+        return np.ones((3, 10)), [0]
+    if case == "u = n":
+        return np.random.default_rng(0).standard_normal((3, 10)), [0, 1]
+    if case == "near tie":  # the points at 1 lie midway between centers 0 and 2
+        cols = np.array([[0.0, 1.0, 2.0] * 4])
+        uniq = _distinct(cols)[0]
+        return cols, [int(np.flatnonzero(uniq[0] == v)[0]) for v in (0.0, 2.0)]
+    if case == "reseed":  # one of the five clusters empties after a few steps
+        rng = np.random.default_rng(2013)
+        return rng.standard_normal((2, 7))[:, rng.integers(7, size=20)], [0, 1, 2, 3, 4]
+    return np.array([[0.0, 1.0, 5.0] * 4]), [2, 2]  # a repeated pick, tied with itself
+
+
+@pytest.mark.parametrize("case", ["u = 1", "u = n", "near tie", "reseed", "repeated pick"])
+def test_a_restart_reuses_no_run_that_was_not_clean(monkeypatch, case):
+    # a run with a step over all n points, a reseeded cluster or a column
+    # picked twice is no reference: the same picks, in either order, run
+    # Lloyd again
+    cols, picks = _unclean_case(case)
+    cols = np.ascontiguousarray(cols)
+    uniq, inverse = _distinct(cols)
+    kmeans_module = importlib.import_module("dstl.kmeans")
+    assign_points, lloyd = kmeans_module._assign_points, kmeans_module._lloyd
+    steps_over_all_points, runs = [], []
+
+    def assign_spy(*args):
+        out = assign_points(*args)
+        steps_over_all_points.append(out[2] is None)
+        return out
+
+    def lloyd_spy(*args):
+        runs.append(lloyd(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(kmeans_module, "_assign_points", assign_spy)
+    monkeypatch.setattr(kmeans_module, "_lloyd", lloyd_spy)
+    memo = {}
+    restarts = [_restart(cols, uniq, inverse, _largest_norm(cols), p, memo)
+                for p in (picks, picks[::-1])]
+    assert memo == {} and len(runs) == 2 and all(run[3] is None for run in runs)
+    assert any(steps_over_all_points) == (case != "reseed")
+    for run, restart in zip(runs, restarts):
+        assert restart[2] is None and restart[0] is run[0] and restart[1] == run[1]
 
 
 def test_fit_finds_the_distinct_columns_once_for_all_repeats(tmp_path, monkeypatch):
