@@ -46,17 +46,18 @@ lone restart makes.  A fit's Y has few distinct columns, so its restarts
 often share a set; where all columns differ, a group is mostly one
 restart.
 
-Lloyd then runs once per chosen set (_restart), keyed by the sorted picks
-and kept for the one call.  A run is clean when every step labelled the u
-distinct columns under the tie bound and no cluster was reseeded; a later
-restart that chose the set of a clean run takes its inertia as is and its
-labels through the change of center order.  This is exact: under the bound
-a step's label, as a center value, is the one any GEMM gives, permuted
-center rows included, so the exact distances, the centroids summed in
-index order, the inertia and every stop test match bit for bit, and only
-the label numbers differ.  A restart whose set has no clean run runs its
-own Lloyd.  Where all columns differ every step runs over all n points, so
-no run is clean and every restart runs Lloyd.
+Lloyd then runs once per chosen set (_restart), keyed by the set of
+picks and kept for the one call.  A run is clean when every step labelled
+the u distinct columns under the tie bound and no cluster was reseeded; a
+later restart that chose the set of a clean run takes its inertia as is,
+and each of its labels renamed to the slot that label's center has in the
+later restart's picks.  This is exact: under the bound a step's label, as
+a center value, is the one any GEMM gives, permuted center rows included,
+so the exact distances, the centroids summed in index order, the inertia
+and every stop test match bit for bit, and only the label numbers differ.
+A restart whose set has no clean run runs its own Lloyd.  Where all
+columns differ every step runs over all n points, so no run is clean and
+every restart runs Lloyd.
 
 Points whose squared norms, times 4n, overflow float64 raise NumericError:
 below that bound no score, distance or inertia can overflow.  Duplicate
@@ -105,7 +106,7 @@ def _plusplus_init(uniq: np.ndarray, inverse: np.ndarray, c: int,
     picks = [[int(inverse[rng.integers(n)])] for rng in rngs]
     # chosen set -> squared distance of each distinct column to it
     d2 = {frozenset(p): _column_sq_dist(uniq, uniq[:, p[0]]) for p in picks}
-    for _ in range(1, c):
+    for depth in range(1, c):
         groups: dict[frozenset, list[int]] = {}
         for r, p in enumerate(picks):
             groups.setdefault(frozenset(p), []).append(r)
@@ -116,7 +117,7 @@ def _plusplus_init(uniq: np.ndarray, inverse: np.ndarray, c: int,
                 j = int(inverse[_draw(cdf, n, rngs[r])])
                 picks[r].append(j)
                 new = key | {j}
-                if new not in grown:
+                if depth < c - 1 and new not in grown:  # the last draw needs none
                     grown[new] = np.minimum(d2[key], _column_sq_dist(uniq, uniq[:, j]))
         d2 = grown
     return picks
@@ -176,8 +177,8 @@ def _assign_points(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray,
                    x_max: float, centers: np.ndarray):
     """_assign(cols, centers), computed on the distinct columns whenever
     that gives the same result bit for bit; x_max is the largest Euclidean
-    norm of a distinct column.  Returns labels, distances and, when the
-    step ran on the distinct columns, their u labels (else None).
+    norm of a distinct column.  Returns labels, distances and whether the
+    step ran on the distinct columns.
 
     A point's exact distance depends only on its value, but its GEMM score
     can also depend on its place: BLAS may round a column by its place in
@@ -198,8 +199,8 @@ def _assign_points(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray,
         r2 = float(np.max((centers * centers).sum(axis=1)))
         slack = 8.0 * _EPS * r2 + (d + 2) * 16.0 * _TINY
         if np.all(gap > 8.0 * _EPS * (d + 2) * np.sqrt(r2) * x_max + slack):
-            return labels.take(inverse), point_d2.take(inverse), labels
-    return *_assign(cols, centers), None
+            return labels.take(inverse), point_d2.take(inverse), True
+    return *_assign(cols, centers), False
 
 
 def _centroid_sums(cols: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
@@ -223,20 +224,19 @@ def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: float
     """Lloyd iterations from the given (c, d) centers on the columns of a
     contiguous (d, n) matrix, with uniq and inverse from _distinct(cols) and
     x_max the largest norm of a column of uniq; returns labels, inertia, the
-    per-iteration inertia history (non-increasing) and, when the run was
-    clean (every step labelled the distinct columns and no cluster was
-    reseeded), the u labels of the distinct columns (else None)."""
+    per-iteration inertia history (non-increasing) and whether the run was
+    clean: every step labelled the distinct columns and no cluster was
+    reseeded."""
     c = len(centers)
     history = []
-    labels = unique_labels = None
-    prev_labels = None
+    labels = prev_labels = None
     inertia = np.inf
     clean = True
     for _ in range(MAX_LLOYD_ITER):
-        labels, point_d2, unique_labels = _assign_points(cols, uniq, inverse, x_max, centers)
+        labels, point_d2, on_distinct = _assign_points(cols, uniq, inverse, x_max, centers)
         counts = np.bincount(labels, minlength=c)
         empties = np.nonzero(counts == 0)[0]
-        clean = clean and unique_labels is not None and not empties.size
+        clean = clean and on_distinct and not empties.size
         if empties.size:
             # reseed each empty cluster to the point farthest from its
             # current centroid, then reassign
@@ -261,38 +261,31 @@ def _lloyd(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: float
         nonzero = counts > 0
         centers[nonzero] = sums[nonzero] / counts[nonzero, None]
         prev_labels = labels
-    return labels, inertia, history, unique_labels if clean else None
+    return labels, inertia, history, clean
 
 
 def _restart(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: float,
              picks: list[int], memo: dict):
-    """One restart from the centers uniq[:, picks], as (labels, inertia,
-    order): labels of the n points when order is None, else each distinct
-    column's label as the rank of its center in sorted(picks), which
-    _expand turns into the labels of the n points.
+    """(labels, inertia) of one restart from the centers uniq[:, picks].
 
-    memo maps the sorted picks of each clean run (_lloyd) to its ranked
-    labels and inertia.  A restart whose sorted picks are in memo takes them
-    instead of running Lloyd: its run would take the same steps with the
-    centers in another order (module docstring).  No clean run has a column
-    picked twice: that column would tie with itself and send the first step
-    over all n points.  So the picks of a clean run are distinct, and the
-    ranks are a permutation."""
-    key = tuple(sorted(picks))
-    if key not in memo:
-        labels, inertia, _, unique_labels = _lloyd(cols, uniq, inverse, x_max,
-                                                    np.ascontiguousarray(uniq[:, picks].T))
-        if unique_labels is None:
-            return labels, inertia, None
-        memo[key] = np.argsort(np.argsort(picks))[unique_labels], inertia
-    ranked, inertia = memo[key]
-    return ranked, inertia, np.argsort(picks)
-
-
-def _expand(run, inverse: np.ndarray):
-    """(labels of the n points, inertia) of a _restart result."""
-    labels, inertia, order = run
-    return (labels if order is None else order[labels].take(inverse)), inertia
+    memo maps the set of picks of each clean run (_lloyd) to its picks,
+    labels and inertia.  A restart whose set is in memo takes that inertia
+    as is, and each label renamed to the slot its center has in these
+    picks, instead of running Lloyd: its run would take the same steps with
+    the centers in another order (module docstring).  No clean run has a
+    column picked twice: that column would tie with itself and send the
+    first step over all n points.  So a clean run's c picks are distinct,
+    each has one slot, and no restart with a repeated pick shares its set."""
+    key = frozenset(picks)
+    if key in memo:
+        ref, labels, inertia = memo[key]
+        slot = {j: i for i, j in enumerate(picks)}
+        return np.array([slot[j] for j in ref])[labels], inertia
+    labels, inertia, _, clean = _lloyd(cols, uniq, inverse, x_max,
+                                       np.ascontiguousarray(uniq[:, picks].T))
+    if clean:
+        memo[key] = picks, labels, inertia
+    return labels, inertia
 
 
 def check_clusterable(n: int, cfg: KMeansConfig, repeats: int) -> None:
@@ -304,8 +297,7 @@ def check_clusterable(n: int, cfg: KMeansConfig, repeats: int) -> None:
 
 
 def least_inertia(runs):
-    """The run of least inertia, the first on ties; a run is (labels,
-    inertia) or, inside kmeans_repeats, a _restart result."""
+    """The (labels, inertia) run of least inertia, the first on ties."""
     return min(runs, key=lambda run: run[1])
 
 
@@ -336,9 +328,8 @@ def kmeans_repeats(points: np.ndarray, cfg: KMeansConfig, repeats: int):
     picks = _plusplus_init(uniq, inverse, cfg.c, rngs)
     x_max = float(np.sqrt(top))
     memo = {}
-    return [_expand(least_inertia(_restart(cols, uniq, inverse, x_max, p, memo)
-                                  for p in picks[r * cfg.restarts:(r + 1) * cfg.restarts]),
-                    inverse)
+    return [least_inertia(_restart(cols, uniq, inverse, x_max, p, memo)
+                          for p in picks[r * cfg.restarts:(r + 1) * cfg.restarts])
             for r in range(repeats)]
 
 

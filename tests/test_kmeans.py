@@ -14,7 +14,7 @@ import dstl
 from dstl.errors import InputError, NumericError
 import dstl.cli as cli
 from dstl.kmeans import (KMeansConfig, _assign, _assign_points, _centroid_sums, _cdf,
-                         _column_sq_dist, _distinct, _draw, _expand, _lloyd, _restart,
+                         _column_sq_dist, _distinct, _draw, _lloyd, _restart,
                          kmeans, kmeans_repeats)
 from dstl.metrics import accuracy
 
@@ -87,10 +87,10 @@ def test_lloyd_repairs_empty_clusters():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 30)) * 3
     centers = np.repeat(x[:, :1].T, 3, axis=0)
-    labels, inertia, _, unique_labels = _lloyd(x, *_distinct(x), _largest_norm(x), centers)
+    labels, inertia, _, clean = _lloyd(x, *_distinct(x), _largest_norm(x), centers)
     assert np.bincount(labels, minlength=3).min() >= 1
     assert np.isfinite(inertia)
-    assert unique_labels is None  # a reseeded run is not clean, so no restart reuses it
+    assert not clean  # a reseeded run is not clean, so no restart reuses it
 
 
 def test_restart_count_matters_only_through_quality():
@@ -143,7 +143,7 @@ def test_an_inertia_tie_keeps_the_first_restart(monkeypatch):
 
     def lloyd(cols, uniq, inverse, x_max, centers):
         ends.append(len(ends))
-        return np.full(cols.shape[1], ends[-1]), (2.0, 1.0, 1.0)[ends[-1] % 3], [], None
+        return np.full(cols.shape[1], ends[-1]), (2.0, 1.0, 1.0)[ends[-1] % 3], [], False
 
     monkeypatch.setattr(importlib.import_module("dstl.kmeans"), "_lloyd", lloyd)
     runs = kmeans_repeats(np.arange(6.0)[None], KMeansConfig(c=2, restarts=3), 2)
@@ -258,12 +258,14 @@ def test_assign_on_the_distinct_columns_matches_assign_over_all_points(c, n, d, 
     else:
         centers = np.repeat(cols[:, rng.integers(n, size=1)].T, c, axis=0)
     uniq, inverse = _distinct(cols)
-    labels, point_d2, unique_labels = _assign_points(cols, uniq, inverse, _largest_norm(cols),
-                                                     centers)
+    labels, point_d2, on_distinct = _assign_points(cols, uniq, inverse, _largest_norm(cols),
+                                                   centers)
     want_labels, want_d2 = _assign(cols, centers)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(point_d2, want_d2)
-    assert unique_labels is None or np.array_equal(unique_labels.take(inverse), labels)
+    # a step on the distinct columns labels every copy of a column alike
+    first = np.unique(inverse, return_index=True)[1]
+    assert not on_distinct or np.array_equal(labels[first].take(inverse), labels)
 
 
 @pytest.mark.parametrize("data_seed", [1, 2, 3])
@@ -447,7 +449,7 @@ def test_a_fits_y_runs_lloyd_once_per_chosen_set(monkeypatch):
     def spy(cols, uniq, inverse, x_max, centers):
         chosen = frozenset(row.tobytes() for row in centers)  # before Lloyd moves them
         out = lloyd(cols, uniq, inverse, x_max, centers)
-        runs.append((chosen, out[3] is not None))
+        runs.append((chosen, out[3]))
         return out
 
     monkeypatch.setattr(kmeans_module, "_lloyd", spy)
@@ -488,11 +490,10 @@ def test_a_clean_run_with_its_centers_reordered_is_the_same_run_relabeled(c, ext
             for p in (picks, other)]
     memo = {}
     restarts = [_restart(cols, uniq, inverse, x_max, p, memo) for p in (picks, other)]
-    for run, restart in zip(runs, restarts):
-        labels, inertia = _expand(restart, inverse)
+    for run, (labels, inertia) in zip(runs, restarts):
         assert np.array_equal(labels, run[0]) and inertia.hex() == run[1].hex()
-    clean = runs[0][3] is not None
-    assert (tuple(sorted(picks)) in memo) == clean
+    clean = runs[0][3]
+    assert (frozenset(picks) in memo) == clean
     if clean:
         assert np.array_equal(np.array(other)[runs[1][0]], np.array(picks)[runs[0][0]])
         assert [h.hex() for h in runs[1][2]] == [h.hex() for h in runs[0][2]]
@@ -529,7 +530,7 @@ def test_a_restart_reuses_no_run_that_was_not_clean(monkeypatch, case):
 
     def assign_spy(*args):
         out = assign_points(*args)
-        steps_over_all_points.append(out[2] is None)
+        steps_over_all_points.append(not out[2])
         return out
 
     def lloyd_spy(*args):
@@ -541,10 +542,10 @@ def test_a_restart_reuses_no_run_that_was_not_clean(monkeypatch, case):
     memo = {}
     restarts = [_restart(cols, uniq, inverse, _largest_norm(cols), p, memo)
                 for p in (picks, picks[::-1])]
-    assert memo == {} and len(runs) == 2 and all(run[3] is None for run in runs)
+    assert memo == {} and len(runs) == 2 and not any(run[3] for run in runs)
     assert any(steps_over_all_points) == (case != "reseed")
     for run, restart in zip(runs, restarts):
-        assert restart[2] is None and restart[0] is run[0] and restart[1] == run[1]
+        assert restart[0] is run[0] and restart[1] == run[1]
 
 
 def test_fit_finds_the_distinct_columns_once_for_all_repeats(tmp_path, monkeypatch):

@@ -508,6 +508,8 @@ def test_procrustes_first_order_certificate():
 def test_procrustes_rejects_wide_or_bad():
     with pytest.raises(InputError):
         procrustes_max_trace(np.zeros((2, 4)))
+    with pytest.raises(InputError, match="expects a matrix, got ndim=1"):
+        procrustes_max_trace(np.zeros(3))
     with pytest.raises(NumericError):
         procrustes_max_trace(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 

@@ -196,6 +196,13 @@ def test_hungarian_matches_exhaustive_cost():
         assert abs(got - hungarian_cost_oracle(cost)) <= 1e-12
 
 
+def test_hungarian_rejects_a_cost_that_is_not_a_finite_matrix():
+    with pytest.raises(InputError, match="expects a matrix, got ndim=1"):
+        hungarian_match(np.zeros(3))
+    with pytest.raises(InputError, match="non-finite"):
+        hungarian_match(np.array([[0.0, np.nan], [1.0, 2.0]]))
+
+
 def test_hungarian_rectangular_pads():
     cost = np.array([[0.0, 5.0, 5.0], [5.0, 0.0, 5.0]])
     perm = hungarian_match(cost)
@@ -247,6 +254,10 @@ def test_length_mismatch_and_empty_rejected():
         accuracy([0, 1], [0, 1, 2])
     with pytest.raises(InputError):
         nmi([], [])
+    with pytest.raises(InputError, match="1-d"):
+        contingency([[0, 1]], [0, 1])
+    with pytest.raises(InputError, match="1-d"):
+        contingency([0, 1], [[0], [1]])
 
 
 def test_accuracy_with_unequal_cluster_counts():

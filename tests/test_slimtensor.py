@@ -68,6 +68,15 @@ def test_slim_tensor_validation():
                 tubal_shrinkage(bad, rho)
 
 
+def test_tensor_nuclear_norm_reports_a_failed_svd_as_a_numeric_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericError, match="tensor_nuclear_norm"):
+        tensor_nuclear_norm(np.ones((2, 3, 4)))
+
+
 def test_fft_constant_tube():
     # a tensor constant along mode 3 concentrates in Fourier slice 0: n * M
     rng = np.random.default_rng(2)
