@@ -55,6 +55,9 @@ _FIT_KEYS = ("iterations", "stop_reason", "fit_seconds", "load_seconds", "cluste
              "score_seconds", "variant", "hyperparams", "clusters_found", "argmax_agreement",
              "partitions_found", "error")
 
+# the files _fit_and_write writes to its output directory
+_FIT_FILES = ("labels.csv", "embedding.csv", "trace.csv", "metrics.json")
+
 # built-in log ladder for the lambda1/lambda2 sweep (`ablate --grid default`)
 TUNING_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0)
 
@@ -234,20 +237,23 @@ def _trace_text(trace) -> str:
 
 
 def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: int,
-                   seed: int, load_seconds: float, grid: list[float] | None = None) -> dict:
+                   seed: int, load_seconds: float, grid: list[float] | None = None,
+                   stale: list[Path] | None = None) -> dict:
     """Run the pipeline on hp, or with a grid on each (lambda1, lambda2) in
     grid x grid, and write the labels, embedding, trace and metrics.json of
     the first cell with the best mean accuracy to out.  Every cell, and the
     k-means into the class count (k without labels) from seed, is checked
-    before the first fit.  A numeric failure writes the failing cell's
-    metrics.json there instead and re-raises, in a sweep naming the cell.
-    load_seconds, the time taken to load and normalize ds, goes into
-    metrics.json."""
+    before the first fit; then the files an earlier run left at the paths
+    in stale (by default the four this writes to out) are removed.  A
+    numeric failure writes the failing cell's metrics.json to out instead
+    and re-raises, in a sweep naming the cell.  load_seconds, the time
+    taken to load and normalize ds, goes into metrics.json."""
     hp = replace(hp, k=resolve_k(ds, hp))
     cells = [hp] if grid is None else [replace(hp, lambda1=a, lambda2=b)
                                        for a, b in product(grid, grid)]
     km = KMeansConfig(c=ds.n_classes or hp.k, seed=seed)
     check_clusterable(ds.n_samples, km, repeats)
+    _remove_files([out / name for name in _FIT_FILES] if stale is None else stale)
     best = None
     for cell in cells:
         try:
@@ -271,6 +277,17 @@ def _fit_and_write(out: Path, ds: MultiViewDataset, hp: Hyperparams, repeats: in
     write_text(out / "trace.csv", _trace_text(trace))
     write_text(out / "metrics.json", _json_text(record))
     return record
+
+
+def _remove_files(paths: list[Path]) -> None:
+    """Remove each path that is a file; a directory is left for the writer
+    to report, and a file that cannot be removed is an InputError."""
+    for path in paths:
+        try:
+            if path.is_file():
+                path.unlink()
+        except OSError as exc:
+            raise InputError(f"cannot remove {path}: {exc.strerror}") from None
 
 
 def _summary_line(name: str, payload: dict) -> str:
@@ -332,10 +349,13 @@ def cmd_ablate(args) -> int:
     grid = _grid_values(args.grid) if args.grid is not None else None
     hp = _hyperparams_from_args(args)
     out = Path(args.out)
+    # the first variant's checks are every variant's, so it clears them all
+    stale = [out / "ablation.csv"] + [out / v / name for v in VARIANTS for name in _FIT_FILES]
     rows = []
     for variant in VARIANTS:
         payload = _fit_and_write(out / variant, ds, replace(hp, variant=variant), args.repeats,
-                                 args.seed, load_seconds, grid)
+                                 args.seed, load_seconds, grid, stale)
+        stale = []
         rows.append((variant, payload))
         print(_summary_line(f"ablate[{variant}]", payload))
     table = "variant," + ",".join(SCORES) + "\n"

@@ -3,61 +3,23 @@
 Deterministic given the config seed: restarts draw independent child
 generators from a SeedSequence, and least_inertia picks the winning
 restart.  kmeans_repeats clusters one matrix for several seeds at once,
-and kmeans is its one-seed case; each seed's result is that of a call for
-the seed alone, bit for bit.  Each restart runs at most
+and kmeans is its one-seed case.  Each restart runs at most
 MAX_LLOYD_ITER = 300 Lloyd iterations and stops early once the labels
 repeat, the inertia reaches zero, or the inertia falls by no more than
 LLOYD_TOL = 1e-7 of its previous value.
 
-Each call first finds the u distinct columns, bit for bit (+0.0 and -0.0
-differ), with one sort of the points' bytes: `uniq` is their contiguous
-(d, u) matrix, and the n-long `inverse` maps each point to its column.
-What a point's value alone decides runs on `uniq`: the k-means++
-distances, a Lloyd step's labels by the GEMM score ||c||^2 - 2 x.c (the
-(c, u) product of the centers with `uniq`, reduced by c - 1 strict <
-passes over its rows, so ties on that score go to the lowest centroid
-index), the exact squared distance to the chosen centroid, and the
-overflow guard's squared norms.  Every exact distance is the axis-0 sum
-of the (d, u) difference, adding each point's d squared coordinates in
-order.  One take through `inverse` expands a result to the n points
-wherever index order matters: the seeding draw, the inertia sum, the
-convergence test, the reseeding of empty clusters and the centroids,
-per-cluster means summed point by point in index order.  BLAS can round
-a score by the column's place in the product, so a Lloyd step whose best
-two scores on some distinct column lie within 8 eps ((d + 2) X r + r^2),
-X the root of the guard's largest squared norm and r the largest center
-norm, runs on all n columns (_assign_points), as does every step when
-all n columns are distinct: labels and inertia are those of the same
-steps run over all n points, bit for bit.
-A seeding draw is Generator.choice(n, p=d2 / d2.sum()) minus its checks:
-one rng.random() searched (side "right") in the cumulative sum divided by
-its last entry, so a seed picks the same centers.
-
-The input checks (a finite (d, n) matrix, then check_clusterable, which a
-caller may also run first) and the distinct columns are done once per
-call, for all seeds.  The seeding of every restart of every seed then runs
-breadth-first: each generator draws its first center, and at each later
-depth the restarts are grouped by the set of distinct columns they have
-chosen.  Their distances d2 are an elementwise minimum of exact per-column
-distances, which the order of the set cannot change, so one group forms
-one take, sum and cumulative sum over the n points, and each of its
-restarts draws from that with its own generator, in the order of calls a
-lone restart makes.  A fit's Y has few distinct columns, so its restarts
-often share a set; where all columns differ, a group is mostly one
-restart.
-
-Lloyd then runs once per chosen set (_restart), keyed by the set of
-picks and kept for the one call.  A run is clean when every step labelled
-the u distinct columns under the tie bound and no cluster was reseeded; a
-later restart that chose the set of a clean run takes its inertia as is,
-and each of its labels renamed to the slot that label's center has in the
-later restart's picks.  This is exact: under the bound a step's label, as
-a center value, is the one any GEMM gives, permuted center rows included,
-so the exact distances, the centroids summed in index order, the inertia
-and every stop test match bit for bit, and only the label numbers differ.
-A restart whose set has no clean run runs its own Lloyd.  Where all
-columns differ every step runs over all n points, so no run is clean and
-every restart runs Lloyd.
+A call checks its input (a finite (d, n) matrix, then check_clusterable,
+which a caller may also run first) and finds the u distinct columns
+(_distinct) once, for all its seeds.  What a point's value alone decides
+runs on those u columns: the k-means++ distances, the overflow guard's
+squared norms and, wherever the tie bound of _assign_points allows, a
+Lloyd step's labels and exact distances.  One take through the n-long
+inverse expands a result to the n points wherever index order matters:
+the seeding draw, the inertia sum, the convergence test, the reseeding of
+empty clusters and the centroids, per-cluster means summed point by point
+in index order.  The seeding of all restarts runs breadth-first
+(_plusplus_init), and Lloyd runs once per chosen set of centers
+(_restart).
 
 Points whose squared norms, times 4n, overflow float64 raise NumericError:
 below that bound no score, distance or inertia can overflow.  Duplicate
@@ -99,9 +61,15 @@ def _plusplus_init(uniq: np.ndarray, inverse: np.ndarray, c: int,
     distance from the chosen set, the draw running over the n points in
     index order.
 
-    The generators advance breadth-first, one center each per depth, and
-    those whose chosen columns form the same set share one distance vector
-    and one cumulative distribution per depth (see the module docstring)."""
+    The generators advance breadth-first: each draws its first center, and
+    at each later depth they are grouped by the set of distinct columns
+    they have chosen.  A group's distances are an elementwise minimum of
+    exact per-column distances, which the order of the set cannot change,
+    so one group forms one take, sum and cumulative sum over the n points,
+    and each of its generators draws from that in the order of calls a lone
+    restart makes.  A fit's Y has few distinct columns, so its restarts
+    often share a set; where all columns differ, a group is mostly one
+    restart."""
     n = inverse.size
     picks = [[int(inverse[rng.integers(n)])] for rng in rngs]
     # chosen set -> squared distance of each distinct column to it
@@ -153,9 +121,11 @@ def _column_sq_dist(cols: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 def _assign(cols: np.ndarray, centers: np.ndarray, gap: bool = False):
     """Nearest center per column of a (d, n) matrix, and the exact squared
-    distance to it: ties on the GEMM score go to the lowest index.  With
-    gap, also each column's second-lowest score minus its lowest (inf at
-    c = 1)."""
+    distance to it.  Labels come from the GEMM score ||c||^2 - 2 x.c, one
+    (c, n) product reduced by c - 1 strict < passes, so ties on that score
+    go to the lowest index; the distance sums the d squared differences in
+    order.  With gap, also each column's second-lowest score minus its
+    lowest (inf at c = 1)."""
     score = centers @ cols
     score *= -2.0
     score += (centers * centers).sum(axis=1)[:, None]
@@ -210,7 +180,8 @@ def _centroid_sums(cols: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
 
 
 def _distinct(cols: np.ndarray):
-    """The distinct columns of a contiguous (d, n) matrix, bit for bit, as a
+    """The distinct columns of a contiguous (d, n) matrix, bit for bit (+0.0
+    and -0.0 differ), found by one sort of the columns' bytes, as a
     contiguous (d, u) matrix, and the n-long index of each column in it."""
     d, n = cols.shape
     # each point's d float64s as one opaque key; at d = 0 every key is empty
@@ -268,14 +239,21 @@ def _restart(cols: np.ndarray, uniq: np.ndarray, inverse: np.ndarray, x_max: flo
              picks: list[int], memo: dict):
     """(labels, inertia) of one restart from the centers uniq[:, picks].
 
-    memo maps the set of picks of each clean run (_lloyd) to its picks,
-    labels and inertia.  A restart whose set is in memo takes that inertia
-    as is, and each label renamed to the slot its center has in these
-    picks, instead of running Lloyd: its run would take the same steps with
-    the centers in another order (module docstring).  No clean run has a
-    column picked twice: that column would tie with itself and send the
-    first step over all n points.  So a clean run's c picks are distinct,
-    each has one slot, and no restart with a repeated pick shares its set."""
+    memo, kept for one kmeans_repeats call, maps the set of picks of each
+    clean run (_lloyd) to its picks, labels and inertia.  A restart whose
+    set is in memo takes that inertia as is, and each label renamed to the
+    slot its center has in these picks, instead of running Lloyd.  This is
+    exact: its run would take the same steps with the centers in another
+    order, and under the tie bound (_assign_points) a step's label, as a
+    center value, is the one any GEMM gives, permuted center rows included,
+    so the exact distances, the centroids summed in index order, the
+    inertia and every stop test match bit for bit; only the label numbers
+    differ.  No clean run has a column picked twice: that column would tie
+    with itself and send the first step over all n points.  So a clean
+    run's c picks are distinct, each has one slot, and no restart with a
+    repeated pick shares its set.  Where all n columns differ, every step
+    runs over all n points, so no run is clean and every restart runs
+    Lloyd."""
     key = frozenset(picks)
     if key in memo:
         ref, labels, inertia = memo[key]

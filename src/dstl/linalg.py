@@ -49,42 +49,37 @@ def svt(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
     Shape rule: svt is built for many small matrices.  It works batch-last,
     on (p, q, chunk) copies of a fixed number of entries, and G, A V and
-    the output are broadcast multiply-adds over the whole chunk, one per
-    term of the inner sum (_batch_matmul), so a long matrix should be
-    reduced first, as the matrix_nuclear H step does: A = R^H
-    Q^H with Q^H row-orthonormal has the singular values of the small R^H,
-    and thresholding R^H then multiplying by Q^H thresholds A.  The Gram
-    width q alone picks the eigen step (_gram_eigenvectors): for q <= 3 a
-    closed form, elementwise operations with no iteration and no BLAS, so
-    that the rounding does not depend on the BLAS thread count, and LAPACK
-    eigh from q = 4 on.
+    the output are broadcast multiply-adds over the whole chunk
+    (_batch_matmul), so a long matrix should be reduced first, as update_H
+    reduces each matrix_nuclear view to a small QR factor.  The Gram width
+    q alone picks the eigen step (_gram_eigenvectors).
 
     Precision: both eigen steps return V with ||V^H V - I|| <= c eps and
     the off-diagonal part of V^H G V below c eps ||G||.  LAPACK eigh is
-    backward stable.  In the closed form, the 2 x 2 rotation is exact, the
-    complement [u1 u2] of v, two columns of a Householder reflection, is
-    orthonormal to O(eps), and v has a residual
-    ||(G - l I) v|| of O(eps ||G||): r carries an error of O(eps), and l =
-    m + 2 p cos(acos |r| / 3) moves by at most p / 3 times it (the
-    derivative of cos(acos r / 3) lies in [1/9, 1/6] on [0, 1]), so l is
-    accurate to O(eps ||G||) even where the other two eigenvalues coalesce
-    and acos alone has a sqrt(eps) sensitivity; the two nonzero singular
-    values of G - l I are the gaps from l, which, l being the most
-    isolated, lie within a factor of 2 of each other, so the largest
-    adjugate column, of norm at least their product over sqrt(3), leaves a
-    residual of O(eps ||G||) once normalized.  The tests hold the closed
-    form to 4 eps ||G|| and 8 eps.  So V is within O(eps) of a unitary Q
-    that exactly diagonalizes G + E, ||E|| <= delta / 2 with delta = c eps
-    sigma_max^2 (forming G is backward stable too), and each sigma^2 is
-    within delta of its exact value: sigma below sqrt(delta) is not
-    resolved.  Columns of A Q are orthogonal up to delta, as (A q_i)^H A
-    q_j = -q_i^H E q_j, so the output X = A Q D Q^H (D diagonal, 0 <= D
-    <= I) has X^H X = Q D (diag(sigma^2) + F) D Q^H with F off-diagonal,
-    ||F|| <= delta.  As ||sqrt(M) - sqrt(N)|| <= sqrt(||M - N||) for M, N
-    >= 0, the returned norm is the nuclear norm of X within min(p, q)
-    sqrt(delta): the tests assert that with c = 1 for tau < 1e-8
-    sigma_max, and 1e-10 (1 + norm) above, where the kept sigma reach
-    sqrt(delta) and the error is second order in F.
+    backward stable.  In the closed form (with the names of
+    _gram_eigenvectors), the 2 x 2 rotation is exact, the Householder
+    complement [u1 u2] of v is orthonormal to O(eps), and v has a residual
+    ||(G - l I) v|| of O(eps ||G||): r carries an error of O(eps), and l
+    moves by at most p / 3 times it (the derivative of cos(acos r / 3)
+    lies in [1/9, 1/6] on [0, 1]), so l is accurate to O(eps ||G||) even
+    where the other two eigenvalues coalesce and acos alone has a
+    sqrt(eps) sensitivity; the two nonzero singular values of G - l I are
+    the gaps from l, which, l being the most isolated, lie within a factor
+    of 2 of each other, so the largest adjugate column, of norm at least
+    their product over sqrt(3), leaves a residual of O(eps ||G||) once
+    normalized.  The tests hold the closed form to 4 eps ||G|| and 8 eps.
+    So V is within O(eps) of a unitary Q that exactly diagonalizes G + E,
+    ||E|| <= delta / 2 with delta = c eps sigma_max^2 (forming G is
+    backward stable too), and each sigma^2 is within delta of its exact
+    value: sigma below sqrt(delta) is not resolved.  Columns of A Q are
+    orthogonal up to delta, as (A q_i)^H A q_j = -q_i^H E q_j, so the
+    output X = A Q D Q^H (D diagonal, 0 <= D <= I) has X^H X = Q D
+    (diag(sigma^2) + F) D Q^H with F off-diagonal, ||F|| <= delta.  As
+    ||sqrt(M) - sqrt(N)|| <= sqrt(||M - N||) for M, N >= 0, the returned
+    norm is the nuclear norm of X within min(p, q) sqrt(delta): the tests
+    assert that with c = 1 for tau < 1e-8 sigma_max, and 1e-10 (1 + norm)
+    above, where the kept sigma reach sqrt(delta) and the error is second
+    order in F.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.size == 0 or not np.isfinite(tau) or tau < 0:
@@ -155,20 +150,22 @@ def _gram_eigenvectors(g: np.ndarray) -> np.ndarray:
 
     From q = 4 on, LAPACK eigh of the stack moved batch-first, which
     reads the lower triangle.  Up to q = 3, a closed form that reads only
-    the diagonal and the upper triangle: q = 1 gives 1 and q = 2 one
-    exact rotation.  For q = 3 (Kopp, Int. J. Mod. Phys. C 19, 2008) each
-    matrix is scaled by a power of two to a largest diagonal entry in
-    [1/2, 1), and its most isolated eigenvalue l comes
-    from the trigonometric formula (Smith, CACM 4, 1961) for K = G - m I,
-    m = tr G / 3: with p^2 = ||K||_F^2 / 6 and r = det K / (2 p^3), the
-    eigenvalues are m + 2 p cos((acos r + 2 pi j) / 3); the largest (j = 0)
-    is the most isolated when r >= 0 and the smallest when r < 0, so l = m
-    + sign(r) 2 p cos(acos |r| / 3).  Its eigenvector v is the largest of
-    the three cross products of rows of G - l I, which are the columns of
-    its adjugate, or e_0 if all three vanish (G = l I).  Columns 1 and 2
-    of the Householder reflection (Householder, J. ACM 5, 1958) that takes
-    e_0 to v up to phase complete v to an orthonormal basis [v u1 u2], with
-    no choice of axis (Duff et al., "Building an Orthonormal Basis,
+    the diagonal and the upper triangle, elementwise operations with no
+    iteration and no BLAS call, so that its rounding does not depend on
+    the BLAS thread count: q = 1 gives 1 and q = 2 one exact rotation.
+    For q = 3 (Kopp, Int. J. Mod. Phys. C 19, 2008) each matrix is scaled
+    by a power of two to a largest diagonal entry in [1/2, 1), and its
+    most isolated eigenvalue l comes from the trigonometric formula
+    (Smith, CACM 4, 1961) for K = G - m I, m = tr G / 3: with p^2 =
+    ||K||_F^2 / 6 and r = det K / (2 p^3), the eigenvalues are m + 2 p
+    cos((acos r + 2 pi j) / 3); the largest (j = 0) is the most isolated
+    when r >= 0 and the smallest when r < 0, so l = m + sign(r) 2 p
+    cos(acos |r| / 3).  Its eigenvector v is the largest of the three
+    cross products of rows of G - l I, which are the columns of its
+    adjugate, or e_0 if all three vanish (G = l I).  Columns 1 and 2 of
+    the Householder reflection (Householder, J. ACM 5, 1958) that takes
+    e_0 to v up to phase complete v to an orthonormal basis [v u1 u2],
+    with no choice of axis (Duff et al., "Building an Orthonormal Basis,
     Revisited", JCGT 6, 2017), and the same exact rotation diagonalizes
     the 2 x 2 block [u1 u2]^H G [u1 u2]."""
     q = g.shape[0]

@@ -48,13 +48,13 @@ def project_columns(g_cols: np.ndarray) -> np.ndarray:
     # lies far below the maximum and projects to 0.
     with np.errstate(over="ignore"):
         v = top - g
-    # a column whose only entry within 1 of its maximum is the maximum
-    # projects to that vertex, theta = -1; the rest are sorted, summed and
-    # searched as the rows of the (n, d) transpose, in place where a
-    # temporary would be a fresh array of their size.  Sorting v upward
-    # and negating the rows gives u in decreasing order.  The candidates
-    # are counted in the smallest integer type that holds d, which took a
-    # quarter (d = 5, 20) to a half (d = 50) of np.count_nonzero's time.
+    # theta = -1 by the single-candidate rule; the other columns are
+    # sorted, summed and searched as the rows of the (n, d) transpose, in
+    # place where a temporary would be a fresh array of their size.
+    # Sorting v upward and negating the rows gives u in decreasing order.
+    # The candidates are counted in the smallest integer type that holds d,
+    # which took a quarter (d = 5, 20) to a half (d = 50) of
+    # np.count_nonzero's time.
     theta = np.full(g.shape[1], -1.0)
     rest = np.flatnonzero((v < 1.0).sum(axis=0, dtype=np.min_scalar_type(d)) > 1)
     u = v.T[rest]

@@ -16,22 +16,13 @@ batched expressions.  The slim tensor of the spectral penalty is the
 stays a list of (d_v, k) bases, because d_v differs across views.
 
 Blocks are updated in the fixed order W, C, S, H, Y from an all-zero
-state; the loop stops once the relative squared change of the indicator
-falls to epsilon (``stop_reason`` names why a run stopped).  Each sweep
-forms W.T X once, in the W step, which returns it for the S and H steps
-and the objective; ||X||^2 is summed once per fit.  One H step serves
-both spectral penalties: the same batched singular value thresholding
-acts on the Fourier slices of the slim tensor, or on the views for
-``matrix_nuclear``.
-
-The objective recorded after each sweep takes one decomposition per
-sweep, the H step's own, and none at lambda2 = 0: the H step returns the
-spectral norm of the H it produces, read off the singular values it
-has just shrunk, and the fidelity term uses the orthonormal-basis identity
-||X - W T||^2 = ||X||^2 - 2 <W.T X, T> + ||T||^2, so no d x n residual
-is formed, except in a fit that explains all but 2^-12 of its data's
-energy, where the identity would be mostly rounding.  The l1 and
-alignment terms are summed directly.
+state until ``stop_reason`` says the run has converged or reached
+max_iter.  Each sweep forms W.T X once, in the W step, which returns it
+for the S and H steps and the objective; ||X||^2 is summed once per fit.
+One H step serves both spectral penalties (``update_H``).  The objective
+recorded after each sweep takes no decomposition of its own: the H step
+returns the spectral norm of the H it produces, and ``variant_objective``
+says how the other terms are summed.
 
 Variants drop one ingredient at a time: ``no_S`` skips the S step, so S
 stays zero, ``matrix_nuclear`` swaps the tensor spectral penalty for
@@ -199,8 +190,9 @@ def update_H(hp: Hyperparams, st: SolverState, wtx: np.ndarray) -> tuple[np.ndar
     """Exact prox step of the variant's spectral penalty at the blended
     target: tubal singular value thresholding, or for ``matrix_nuclear``
     singular value thresholding of each view, done on the small factor R^T
-    of its thin QR R^T Q^T (Golub & Van Loan, Matrix Computations, 5.2):
-    R^T has the view's singular values, and Q^T has orthonormal rows.
+    (k x min(k, n)) of its thin QR R^T Q^T (Golub & Van Loan, Matrix
+    Computations, 5.2): R^T has the view's singular values, and Q^T has
+    orthonormal rows.
 
     Returns the new H and its spectral norm (the tensor nuclear norm, or
     the sum of the per-view nuclear norms); at lambda2 = 0 the prox is the
@@ -237,9 +229,7 @@ def _sq_norm(a: np.ndarray) -> float:
     return _dot(a, a)
 
 
-# variant_objective sums its fidelity term directly below this many
-# eps ||X||^2 (2^-12 ||X||^2): there the identity's error of a few
-# eps ||X||^2 could pass 1e-10 of its value
+# the fidelity identity's floor, in units of eps ||X||^2 (variant_objective)
 _IDENTITY_FLOOR = 2.0**40
 
 
@@ -256,10 +246,11 @@ def variant_objective(
     after a W update, where W is orthonormal; a caller with any other W
     gets a wrong value.  The identity's absolute rounding error is a few
     eps ||X||^2, so a fit that reconstructs its data would read as noise
-    around zero, or below it; where the identity gives less than
-    _IDENTITY_FLOOR eps ||X||^2 (2^-12 ||X||^2), the same term is summed
-    from the ``views`` as sum_v ||X^v - W^v W^v.T X^v||^2 + ||W.T X -
-    (S + H)||^2, free of that cancellation.
+    around zero, or below it, and an error that size could pass 1e-10 of
+    the term; where the identity gives less than _IDENTITY_FLOOR eps
+    ||X||^2 (2^-12 ||X||^2), the same term is summed from the ``views`` as
+    sum_v ||X^v - W^v W^v.T X^v||^2 + ||W.T X - (S + H)||^2, free of that
+    cancellation, at the cost of one d x n product per view.
 
     ``spectral`` is the variant's own unweighted spectral norm of st.H
     (tensor nuclear norm, or summed per-view matrix nuclear norms), as the
@@ -318,14 +309,13 @@ def fit_variant(
     """Run the alternating solver for hp.variant.
 
     Returns (state, trace).  The trace objective is the variant's own
-    (reduced) objective, with lambda3 taken as zero for ``no_Y``; it takes
-    its spectral term from the sweep's H step and equals a direct
-    evaluation up to rounding.  delta_y tracks the clustering embedding,
+    (reduced) objective, with lambda3 taken as zero for ``no_Y``, and
+    equals a direct evaluation up to rounding (``variant_objective``).
+    delta_y is the relative squared change of the clustering embedding,
     which is Y except for ``no_Y`` where it is the concatenated H; two
     identical all-zero embeddings count as unchanged (delta_y = 0).  The
-    convergence test is skipped on the first iteration (the previous
-    embedding is the zero initialization).  A non-finite block or
-    objective raises NumericError.
+    loop stops where ``stop_reason`` says ``converged``.  A non-finite
+    block or objective raises NumericError.
     """
     variant = hp.variant
     if variant == "no_Y":

@@ -618,10 +618,12 @@ def test_svt_failure_exits_numeric_failure_naming_block_h(tmp_path, monkeypatch,
 
 def test_overflow_exits_numeric_failure(tmp_path, capsys):
     # finite views whose products overflow float64 are a numeric failure (3),
-    # not invalid input (2)
-    ds = load_dataset(make_synth(tmp_path))
+    # not invalid input (2); it runs where a successful run wrote first
+    plain = make_synth(tmp_path)
+    ds = load_dataset(plain)
     huge = MultiViewDataset(tuple(x * 1e160 for x in ds.views), ds.labels, "huge")
     manifest = write_dataset(huge, tmp_path / "huge")
+    assert cli.main(fit_args(plain, tmp_path / "o")) == 0
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -641,15 +643,34 @@ def test_overflow_exits_numeric_failure(tmp_path, capsys):
     assert payload["argmax_agreement"] is None and payload["partitions_found"] is None
     assert payload["variant"] == "full" and payload["hyperparams"]["k"] == 3
     assert payload["environment"]["numpy"] == np.__version__
-    assert not (tmp_path / "o" / "labels.csv").exists()
+    # none of the successful run's files is left beside the failure's record
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["metrics.json"]
 
+
+def test_output_that_cannot_be_removed_is_invalid_input(tmp_path, monkeypatch, capsys):
+    manifest = make_synth(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main(fit_args(manifest, out)) == 0
+
+    def unlink(self, missing_ok=False):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "unlink", unlink)
+    capsys.readouterr()
+    assert cli.main(fit_args(manifest, out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot remove {out / 'labels.csv'}: Permission denied\n")
 
 
 def test_ablate_records_numeric_failure_of_the_failing_variant(tmp_path, capsys):
-    ds = load_dataset(make_synth(tmp_path))
+    plain = make_synth(tmp_path)
+    ds = load_dataset(plain)
     huge = MultiViewDataset(tuple(x * 1e160 for x in ds.views), ds.labels, "huge")
     manifest = write_dataset(huge, tmp_path / "huge")
     out = tmp_path / "abl"
+    # a successful run into the same directory first
+    assert cli.main(["ablate", "--data", str(plain), "--out", str(out),
+                     "--grid", "0.5", "--repeats", "1"]) == 0
     capsys.readouterr()
     assert cli.main(["ablate", "--data", str(manifest), "--out", str(out),
                      "--grid", "0.5", "--repeats", "1"]) == 3
@@ -659,7 +680,9 @@ def test_ablate_records_numeric_failure_of_the_failing_variant(tmp_path, capsys)
     assert payload["stop_reason"] == "numeric_failure"
     assert err.rstrip("\n").endswith(payload["error"])
     assert payload["load_seconds"] > 0.0
-    assert not (out / "ablation.csv").exists()
+    # of the successful run's files, neither ablation.csv nor any variant's is left
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == [
+        str(Path("full") / "metrics.json")]
 
 
 def test_failing_grid_cell_records_its_own_hyperparams(tmp_path, capsys):
@@ -834,6 +857,17 @@ def test_environment_records_blas_threads(tmp_path, monkeypatch):
            for d in ("unset", "three")]
     assert env[0]["OPENBLAS_NUM_THREADS"] is None
     assert env[1]["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_environment_blas_is_null_where_numpy_reports_none(monkeypatch):
+    # numpy < 1.25 has no show_config(mode=...), and a build may report no
+    # "Build Dependencies"
+    def no_mode(mode=None):
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    for show_config in (no_mode, lambda mode=None: {"Compilers": {}}):
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert cli._environment()["blas"] is None
 
 
 def test_fit_outputs_do_not_depend_on_blas_threads(tmp_path):

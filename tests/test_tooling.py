@@ -1,14 +1,18 @@
-"""The benchmark's traced names must exist in the package.
+"""The benchmark's traced names and README's references must exist in the
+package, and tools/code_lines.py must count what it says.
 
 ``perfbench/spans.py`` wraps dstl functions by module and attribute name
 and counts work units from their arguments.  Resolving the names and
 running a tiny traced fit here makes a rename, a deletion or a signature
 change fail the test suite, not only a traced benchmark run.  The tests
-only read ``perfbench/``.  The last test pins which eigen step ``svt``
-takes at the benchmark's shapes, which no span separates.
+only read ``perfbench/``.  A test pins which eigen step ``svt`` takes at
+the benchmark's shapes, which no span separates.  README.md points to the
+docstrings that explain each mechanism by ``dstl.<module>[.<name>]``, so
+a rename fails a test instead of leaving the text stale.
 """
 
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,8 @@ import pytest
 
 import dstl
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -86,3 +91,69 @@ def test_svt_eigen_step_follows_the_gram_width(monkeypatch, m, k, variant, calls
                           variant=variant)
     dstl.fit_variant(ds, hp)
     assert len(shapes) == calls, shapes
+
+
+def test_readme_references_resolve():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = sorted(set(re.findall(r"`(dstl(?:\.[A-Za-z_]\w*)+)[`(]", text)))
+    assert "dstl.kmeans" in refs and "dstl.linalg.svt" in refs
+    for ref in refs:
+        parts = ref.split(".")
+        # the longest importable prefix is the module, the rest attributes
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ModuleNotFoundError:
+                continue
+            break
+        for name in parts[cut:]:
+            assert hasattr(obj, name), ref
+            obj = getattr(obj, name)
+
+
+@pytest.fixture
+def code_lines(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    return importlib.import_module("code_lines")
+
+
+MODULE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import math
+
+
+class Box:
+    """One line."""
+
+    def area(self, r):  # a trailing comment is on a code line
+        """Two
+        lines."""
+
+        return math.pi * r * r
+'''
+
+
+def test_code_lines_counts_and_digests_only_code(code_lines):
+    counts, digest = code_lines.count(MODULE)
+    assert counts == (15, 5, 1, 5, 4)
+    lines, *parts = counts
+    assert sum(parts) == lines
+    # prose edits keep the digest: docstrings, comments and blank lines
+    for prose in (MODULE.replace("over two lines", "in other words"),
+                  MODULE.replace('"""One line."""', '"""A docstring\n    grown to two."""'),
+                  MODULE.replace("# a comment", "# another comment\n\n"),
+                  MODULE.replace("  # a trailing comment is on a code line", "")):
+        assert code_lines.count(prose)[1] == digest
+    # a one-token code edit changes it
+    assert code_lines.count(MODULE.replace("r * r", "r * 2"))[1] != digest
+
+
+def test_code_lines_prints_every_module_and_the_total(code_lines, tmp_path, capsys):
+    (tmp_path / "a.py").write_text(MODULE)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    code_lines.main(tmp_path)
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["module", "a.py", "b.py", "total"]
+    assert rows[-1].split() == ["total", "16", "5", "1", "5", "5"]
